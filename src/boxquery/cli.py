@@ -113,9 +113,7 @@ def cmd_generate_queries(args) -> int:
     _print_header(args, {"seed": args.seed, "counts": sorted(counts.items())})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    generated = sampling.generate_queries(
-        splits, counts, args.seed, workers=args.workers
-    )
+    generated = sampling.generate_queries(splits, counts, args.seed)
     for split_name, queries in generated.items():
         path = out_dir / QUERY_FILES[split_name]
         sampling.write_query_file(path, queries)
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heldin-count", type=int, default=None,
                    help="also emit an evaluation set answered on the train graph")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_generate_queries)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import dist_agg_many
+from .geometry import dist_agg
 from .kg import GraphSplits, KnowledgeGraph
 from .model import ModelParams, embed_epfo
 from .sampling import GroundedQuery
@@ -39,7 +39,7 @@ def _stage_answers(q: GroundedQuery, stage: str) -> list[int]:
 def entity_distances(q: GroundedQuery, params: ModelParams) -> np.ndarray:
     """Aggregated box distance from every entity to the query."""
     boxes = embed_epfo(q, params)
-    return dist_agg_many(params.entity, boxes, params.config.alpha)
+    return dist_agg(params.entity, boxes, params.config.alpha)
 
 
 def rank_entity(

@@ -1,8 +1,10 @@
 """Axis-aligned box values and their distance functions.
 
 A box is a (center, offset) pair in R^d with offset >= 0 elementwise; its
-corners are center - offset and center + offset. All functions are pure and
-operate on float64 vectors.
+corners are center - offset and center + offset. All functions are pure.
+The distances and their gradients reduce over the last axis, so each takes
+either one point of shape (d,) or a block of points of shape (n, d) and
+returns one value, or gradient row, per point.
 
 Subgradient convention at kinks: Max(x, 0) uses derivative 0 at x = 0, the
 corner clamp uses the interior branch at boundary equality, and sign(0) = 0.
@@ -77,22 +79,22 @@ def intersect(
     return Box(center, min_offset * shrink)
 
 
-def dist_outside(v: np.ndarray, p: Box) -> float:
-    """L1 distance from the point to the box hull; zero inside."""
+def dist_outside(v: np.ndarray, p: Box) -> float | np.ndarray:
+    """L1 distance from each point to the box hull; zero inside."""
     _check_dim(v, p)
-    return float(
-        np.sum(np.maximum(v - p.upper, 0.0) + np.maximum(p.lower - v, 0.0))
+    return np.sum(
+        np.maximum(v - p.upper, 0.0) + np.maximum(p.lower - v, 0.0), axis=-1
     )
 
 
-def dist_inside(v: np.ndarray, p: Box) -> float:
-    """L1 distance from the center to the point clamped onto the box."""
+def dist_inside(v: np.ndarray, p: Box) -> float | np.ndarray:
+    """L1 distance from the center to each point clamped onto the box."""
     _check_dim(v, p)
     clamped = np.minimum(p.upper, np.maximum(p.lower, v))
-    return float(np.sum(np.abs(p.center - clamped)))
+    return np.sum(np.abs(p.center - clamped), axis=-1)
 
 
-def dist_box(v: np.ndarray, p: Box, alpha: float) -> float:
+def dist_box(v: np.ndarray, p: Box, alpha: float) -> float | np.ndarray:
     """Outside distance plus alpha-downweighted inside distance.
 
     With alpha = 1 this is the plain L1 distance to the center.
@@ -100,17 +102,18 @@ def dist_box(v: np.ndarray, p: Box, alpha: float) -> float:
     return dist_outside(v, p) + alpha * dist_inside(v, p)
 
 
-def dist_agg(v: np.ndarray, boxes: Sequence[Box], alpha: float) -> float:
+def dist_agg(v: np.ndarray, boxes: Sequence[Box], alpha: float) -> float | np.ndarray:
     """Minimum box distance over a set of boxes (one per DNF branch)."""
     if not boxes:
         raise ValueError("dist_agg requires at least one box")
-    return min(dist_box(v, p, alpha) for p in boxes)
+    return np.min([dist_box(v, p, alpha) for p in boxes], axis=0)
 
 
 def grad_dist_box(
     v: np.ndarray, p: Box, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact subgradients of dist_box with respect to (v, center, offset)."""
+    """Exact subgradients of dist_box with respect to (v, center, offset),
+    one row per point of `v`."""
     _check_dim(v, p)
     upper = p.upper
     lower = p.lower
@@ -130,29 +133,6 @@ def grad_dist_box(
     return dv, dc, do
 
 
-def dist_outside_many(vs: np.ndarray, p: Box) -> np.ndarray:
-    """dist_outside for every row of `vs`, shape (n, d) -> (n,)."""
-    return np.sum(
-        np.maximum(vs - p.upper, 0.0) + np.maximum(p.lower - vs, 0.0), axis=1
-    )
-
-
-def dist_inside_many(vs: np.ndarray, p: Box) -> np.ndarray:
-    clamped = np.minimum(p.upper, np.maximum(p.lower, vs))
-    return np.sum(np.abs(p.center - clamped), axis=1)
-
-
-def dist_box_many(vs: np.ndarray, p: Box, alpha: float) -> np.ndarray:
-    return dist_outside_many(vs, p) + alpha * dist_inside_many(vs, p)
-
-
-def dist_agg_many(vs: np.ndarray, boxes: Sequence[Box], alpha: float) -> np.ndarray:
-    if not boxes:
-        raise ValueError("dist_agg requires at least one box")
-    stacked = np.stack([dist_box_many(vs, p, alpha) for p in boxes])
-    return np.min(stacked, axis=0)
-
-
 def _check_dim(v: np.ndarray, p: Box) -> None:
-    if v.shape != p.center.shape:
+    if v.shape[-1:] != p.center.shape:
         raise ValueError(f"dimension mismatch: {v.shape} vs {p.center.shape}")

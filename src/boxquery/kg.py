@@ -150,8 +150,6 @@ class KnowledgeGraph:
                 r: tuple(np.asarray(c, dtype=np.int64) for c in zip(*pairs))
                 for r, pairs in grouped.items()
             }
-            # publish the finished cache in one assignment; concurrent
-            # readers see either nothing (and rebuild) or all of it
             self._edge_columns = columns
         empty = np.empty(0, dtype=np.int64)
         heads, tails = columns.get(relation, (empty, empty))

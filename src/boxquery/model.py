@@ -565,5 +565,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
             dtype = np.dtype(spec["dtype"])
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(count * dtype.itemsize)
+            if len(buf) != count * dtype.itemsize:
+                raise CompatibilityError(
+                    f"{path}: truncated checkpoint, tensor {spec['name']!r} is incomplete"
+                )
             params.tensors[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        if f.read(1):
+            raise CompatibilityError(f"{path}: trailing bytes after the last tensor")
     return params, header["entity_hash"], header["relation_hash"]

@@ -224,7 +224,6 @@ def generate_queries(
     counts: dict[str, int],
     seed: int,
     attempts: int = DEFAULT_ATTEMPTS,
-    workers: int = 1,
 ) -> dict[str, list[GroundedQuery]]:
     """Generate train/valid/test query sets with the non-trivial filters.
 
@@ -235,10 +234,9 @@ def generate_queries(
     by canonical form within each structure; on budget exhaustion a warning
     is issued and the queries found so far are kept.
 
-    Each (split, structure) pair draws from its own seeded stream, so the
-    output is the same for any worker count.
+    Each (split, structure) pair draws from its own seeded stream.
     """
-    tasks = []
+    out: dict[str, list[GroundedQuery]] = {"train": [], "valid": [], "test": []}
     for split_name in ("train", "valid", "test"):
         kg = getattr(splits, split_name)
         for struct_idx, structure in enumerate(structure_templates()):
@@ -247,24 +245,10 @@ def generate_queries(
             want = counts.get(structure.name, 0)
             if want <= 0:
                 continue
-            tasks.append((split_name, kg, structure, struct_idx, want))
-
-    def run(task):
-        split_name, kg, structure, struct_idx, want = task
-        rng = np.random.default_rng([seed, _SPLIT_STREAM[split_name], struct_idx])
-        return _generate_for_structure(splits, kg, split_name, structure, want, rng, attempts)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    out: dict[str, list[GroundedQuery]] = {"train": [], "valid": [], "test": []}
-    for task, queries in zip(tasks, results):
-        out[task[0]].extend(queries)
+            rng = np.random.default_rng([seed, _SPLIT_STREAM[split_name], struct_idx])
+            out[split_name].extend(
+                _generate_for_structure(splits, kg, split_name, structure, want, rng, attempts)
+            )
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SamplingError, TrainingError
-from .geometry import dist_box_many, grad_dist_box
+from .geometry import dist_box, grad_dist_box
 from .kg import GraphSplits
 from .model import AdamState, ModelConfig, ModelParams, QueryForward, adam_step
 from .sampling import GroundedQuery
@@ -28,8 +28,10 @@ def _log_sigmoid(x: float) -> float:
     return -np.logaddexp(0.0, -x)
 
 
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+def _sigmoid(x):
+    # 1 / (1 + exp(-x)) for a scalar or an array, stable on both tails
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def loss(pos_dist: float, neg_dists, gamma: float) -> float:
@@ -70,30 +72,30 @@ def query_loss_and_grads(
     loss are accumulated into `grads`."""
     cfg = params.config
     forward = QueryForward(q, params)
-    boxes = forward.boxes
 
-    candidates = [positive] + [int(n) for n in negatives]
+    candidates = np.concatenate(([positive], negatives)).astype(int)
     vecs = params.entity[candidates]
-    per_box = np.stack([dist_box_many(vecs, box, cfg.alpha) for box in boxes])
+    per_box = np.stack([dist_box(vecs, box, cfg.alpha) for box in forward.boxes])
     branches = np.argmin(per_box, axis=0)
-    dists = per_box[branches, np.arange(len(candidates))]
+    dists = per_box[branches, np.arange(len(candidates))].astype(float)
+    total = loss(dists[0], dists[1:], cfg.gamma)
 
-    pos_dist = float(dists[0])
-    neg_dists = [float(x) for x in dists[1:]]
-    total = loss(pos_dist, neg_dists, cfg.gamma)
-
-    # d loss / d distance, then chain through the box distance
-    k = len(neg_dists)
-    pairs = [(positive, int(branches[0]), _sigmoid(pos_dist - cfg.gamma))]
-    pairs += [
-        (int(neg), int(nb), -_sigmoid(cfg.gamma - nd) / k)
-        for neg, nb, nd in zip(negatives, branches[1:], neg_dists)
-    ]
-    for entity, branch, dloss_ddist in pairs:
-        vec = params.entity[entity]
-        dv, dc, do = grad_dist_box(vec, boxes[branch], cfg.alpha)
-        grads["entity"][entity] += dloss_ddist * dv
-        forward.add_box_adjoint(branch, dloss_ddist * dc, dloss_ddist * do)
+    # d loss / d distance, then chain through the box distance of the
+    # branch that is closest to each candidate
+    dloss_ddist = np.concatenate((
+        [_sigmoid(dists[0] - cfg.gamma)],
+        -_sigmoid(cfg.gamma - dists[1:]) / len(negatives),
+    ))
+    for branch, box in enumerate(forward.boxes):
+        rows = np.flatnonzero(branches == branch)
+        if len(rows) == 0:
+            continue
+        dv, dc, do = grad_dist_box(vecs[rows], box, cfg.alpha)
+        weight = dloss_ddist[rows, None]
+        np.add.at(grads["entity"], candidates[rows], weight * dv)
+        forward.add_box_adjoint(
+            branch, np.sum(weight * dc, axis=0), np.sum(weight * do, axis=0)
+        )
     forward.backward(grads)
     return total
 

@@ -1,17 +1,25 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the library's set-traversal code path: answers are
-found by enumerating variable assignments and checking satisfaction per
-entity, so agreement with the traversal is a real two-route check.
+The answer oracles deliberately avoid the library's set-traversal code path:
+answers are found by enumerating variable assignments and checking
+satisfaction per entity, so agreement with the traversal is a real two-route
+check. The loss oracle scores and differentiates one candidate at a time,
+against which the library's per-branch block form is compared.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
+import numpy as np
+
+from boxquery.geometry import dist_box, grad_dist_box
 from boxquery.kg import KnowledgeGraph
+from boxquery.model import QueryForward
 from boxquery.queries import ANCHOR, UNION, ComputationGraph
 from boxquery.sampling import GroundedQuery
+from boxquery.training import loss
 
 
 def _graph_of(query) -> ComputationGraph:
@@ -68,3 +76,38 @@ def answer_by_assignment_enumeration(kg: KnowledgeGraph, query) -> set[int]:
         ):
             answers.add(assignment[target])
     return answers
+
+
+def _sigmoid(x: float) -> float:
+    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def query_loss_and_grads_per_candidate(q, params, positive, negatives, grads) -> float:
+    """Reference for `training.query_loss_and_grads`: each candidate picks
+    its closest DNF branch and chains its own gradient through that box."""
+    cfg = params.config
+    forward = QueryForward(q, params)
+    boxes = forward.boxes
+
+    candidates = [positive] + [int(n) for n in negatives]
+    branches = []
+    dists = []
+    for entity in candidates:
+        per_box = [dist_box(params.entity[entity], box, cfg.alpha) for box in boxes]
+        branches.append(int(np.argmin(per_box)))
+        dists.append(float(per_box[branches[-1]]))
+    total = loss(dists[0], dists[1:], cfg.gamma)
+
+    k = len(negatives)
+    pairs = [(positive, branches[0], _sigmoid(dists[0] - cfg.gamma))]
+    pairs += [
+        (entity, branch, -_sigmoid(cfg.gamma - nd) / k)
+        for entity, branch, nd in zip(candidates[1:], branches[1:], dists[1:])
+    ]
+    for entity, branch, dloss_ddist in pairs:
+        vec = params.entity[entity]
+        dv, dc, do = grad_dist_box(vec, boxes[branch], cfg.alpha)
+        grads["entity"][entity] += dloss_ddist * dv
+        forward.add_box_adjoint(branch, dloss_ddist * dc, dloss_ddist * do)
+    forward.backward(grads)
+    return total

@@ -4,12 +4,9 @@ import pytest
 from boxquery.geometry import (
     Box,
     dist_agg,
-    dist_agg_many,
     dist_box,
-    dist_box_many,
     dist_inside,
     dist_outside,
-    dist_outside_many,
     grad_dist_box,
     intersect,
     project,
@@ -196,13 +193,25 @@ class TestVectorizedForms:
     def test_match_scalar_forms(self, rng):
         boxes = [random_box(rng) for _ in range(3)]
         vs = rng.uniform(-4, 4, (50, 5))
-        agg = dist_agg_many(vs, boxes, 0.2)
-        out = dist_outside_many(vs, boxes[0])
-        per_box = dist_box_many(vs, boxes[0], 0.2)
+        agg = dist_agg(vs, boxes, 0.2)
+        out = dist_outside(vs, boxes[0])
+        inside = dist_inside(vs, boxes[0])
+        per_box = dist_box(vs, boxes[0], 0.2)
+        grads = grad_dist_box(vs, boxes[0], 0.2)
+        assert agg.shape == out.shape == inside.shape == per_box.shape == (50,)
         for i in range(50):
-            assert agg[i] == pytest.approx(dist_agg(vs[i], boxes, 0.2))
-            assert out[i] == pytest.approx(dist_outside(vs[i], boxes[0]))
-            assert per_box[i] == pytest.approx(dist_box(vs[i], boxes[0], 0.2))
+            assert agg[i] == dist_agg(vs[i], boxes, 0.2)
+            assert out[i] == dist_outside(vs[i], boxes[0])
+            assert inside[i] == dist_inside(vs[i], boxes[0])
+            assert per_box[i] == dist_box(vs[i], boxes[0], 0.2)
+            for block, point in zip(grads, grad_dist_box(vs[i], boxes[0], 0.2)):
+                assert np.array_equal(block[i], point)
+
+    def test_block_dimension_mismatch(self, rng):
+        with pytest.raises(ValueError):
+            dist_box(np.zeros((4, 3)), random_box(rng), 0.2)
+        with pytest.raises(ValueError):
+            grad_dist_box(np.zeros((4, 3)), random_box(rng), 0.2)
 
 
 class TestGradDistBox:

@@ -414,3 +414,23 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint\n")
         with pytest.raises(CompatibilityError):
             load_checkpoint(path)
+
+    def test_truncated_rejected(self, tmp_path):
+        from boxquery.errors import CompatibilityError
+
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(path, small_params(), "e", "r")
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(CompatibilityError, match="truncated") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        from boxquery.errors import CompatibilityError
+
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(path, small_params(), "e", "r")
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CompatibilityError, match="trailing") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)

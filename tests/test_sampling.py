@@ -209,15 +209,6 @@ class TestGenerateQueries:
             out = generate_queries(splits, {"1p": 1000}, seed=1, attempts=2)
         assert len(out["train"]) < 1000
 
-    def test_worker_count_does_not_change_output(self):
-        splits = self.small_splits()
-        counts = {name: 2 for name in ("1p", "2p", "2i")}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            seq = generate_queries(splits, counts, seed=9, attempts=100)
-            par = generate_queries(splits, counts, seed=9, attempts=100, workers=4)
-        assert seq == par
-
     def test_heldin_generation_covers_all_structures(self):
         splits = self.small_splits()
         with warnings.catch_warnings():

@@ -7,11 +7,13 @@ import pytest
 from boxquery.errors import SamplingError, TrainingError
 from boxquery.geometry import Box
 from boxquery.model import ModelConfig, ModelParams, save_checkpoint
-from boxquery.queries import bind, template
+from boxquery.queries import bind, structure_templates, template
 from boxquery.sampling import AnswerSet, GroundedQuery, generate_queries
-from boxquery.training import loss, sample_negatives, train
+from boxquery.training import loss, query_loss_and_grads, sample_negatives, train
 
 from conftest import make_splits
+from gradcheck import MODE_GRID, make_instance
+from oracles import query_loss_and_grads_per_candidate
 
 
 class TestLoss:
@@ -48,6 +50,27 @@ class TestLoss:
             bound = -math.log(1 / (1 + math.exp(-(gamma - alpha * float(np.sum(box.offset))))))
             positive_term = loss(pos, [gamma], gamma) - math.log(2)
             assert positive_term <= bound + 1e-12
+
+
+class TestLossAndGradsMatchReference:
+    # union structures (2u, up) have two DNF branches, so candidates split
+    # between branches and each branch gets its own gradient block
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_every_structure(self, mode):
+        rng = np.random.default_rng(1000 + MODE_GRID.index(mode))
+        for structure in structure_templates():
+            for _ in range(3):
+                instance = None
+                while instance is None:
+                    instance = make_instance(rng, mode, dim=8, structure_name=structure.name)
+                params, query, positive, negatives = instance
+                got = params.zero_grads()
+                want = params.zero_grads()
+                assert query_loss_and_grads(
+                    query, params, positive, negatives, got
+                ) == query_loss_and_grads_per_candidate(query, params, positive, negatives, want)
+                for name in got:
+                    assert np.max(np.abs(got[name] - want[name])) <= 1e-12, (structure.name, name)
 
 
 class TestSampleNegatives:

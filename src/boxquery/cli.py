@@ -43,9 +43,6 @@ def _checkpoint_id(path: str | Path) -> str:
 
 def _print_header(args: argparse.Namespace, extra: dict | None = None) -> None:
     print(f"# command: {args.command}")
-    workers = getattr(args, "workers", 1)
-    if workers > 1:
-        print(f"# workers: {workers} (output not guaranteed bit-identical)")
     if extra:
         for k in sorted(extra):
             print(f"# {k}: {extra[k]}")
@@ -132,11 +129,11 @@ def cmd_generate_queries(args) -> int:
     return 0
 
 
-def _load_query_dir(query_dir: str | Path, split_name: str) -> list:
+def _load_query_dir(query_dir: str | Path, split_name: str, vocab: kg.Vocabulary) -> list:
     path = Path(query_dir) / QUERY_FILES[split_name]
     if not path.exists():
         raise _UsageError(f"input file not found: {path}")
-    return sampling.read_query_file(path)
+    return sampling.read_query_file(path, vocab)
 
 
 def cmd_train(args) -> int:
@@ -151,11 +148,11 @@ def cmd_train(args) -> int:
     }
     config = build_model_config(args.config, overrides)
     splits = kg.load_splits(args.snapshot)
-    train_queries = _load_query_dir(args.queries, "train")
+    train_queries = _load_query_dir(args.queries, "train", splits.vocab)
     valid_path = Path(args.queries) / QUERY_FILES["valid"]
-    valid_queries = sampling.read_query_file(valid_path) if valid_path.exists() else None
-    if valid_queries == []:
-        valid_queries = None
+    valid_queries = None
+    if valid_path.exists():
+        valid_queries = sampling.read_query_file(valid_path, splits.vocab) or None
     _print_header(args)
     print("# effective config:")
     for line in format_config(config).splitlines():
@@ -167,7 +164,6 @@ def cmd_train(args) -> int:
         valid_queries=valid_queries,
         log=print,
         max_iterations=1 if args.dry_run else None,
-        workers=args.workers,
         diagnostic_path=str(args.out) + ".diag",
     )
     if args.dry_run:
@@ -196,7 +192,7 @@ def cmd_eval(args) -> int:
     splits = kg.load_splits(args.snapshot)
     params = _load_compatible_checkpoint(args.checkpoint, splits)
     split_for_stage = {"validation": "valid", "test": "test", "train": "heldin"}
-    queries = _load_query_dir(args.queries, split_for_stage[args.stage])
+    queries = _load_query_dir(args.queries, split_for_stage[args.stage], splits.vocab)
     _print_header(args, {"stage": args.stage, "checkpoint": _checkpoint_id(args.checkpoint)})
     print("# effective config:")
     for line in format_config(params.config).splitlines():
@@ -303,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-per-structure", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="filtered-ranking evaluation of a checkpoint")

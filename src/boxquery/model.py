@@ -154,101 +154,83 @@ class ModelParams:
         return clone
 
 
-def _mlp_forward(x, w1, b1, w2, b2):
-    pre = x @ w1 + b1
+def _mlp_forward(params: ModelParams, prefix: str, x):
+    """Two-layer ReLU MLP over a row block x of shape (n, in)."""
+    t = params.tensors
+    pre = x @ t[prefix + ".w1"] + t[prefix + ".b1"]
     hidden = np.maximum(pre, 0.0)
-    return hidden @ w2 + b2, (x, pre, hidden)
+    return hidden @ t[prefix + ".w2"] + t[prefix + ".b2"], (x, pre, hidden)
 
 
 def _mlp_backward(dy, cache, params: ModelParams, prefix: str, grads) -> np.ndarray:
+    """Adjoint of the input rows; weight gradients are summed over the rows."""
     x, pre, hidden = cache
-    grads[prefix + ".w2"] += np.outer(hidden, dy)
-    grads[prefix + ".b2"] += dy
-    dhidden = params.tensors[prefix + ".w2"] @ dy
-    dpre = dhidden * (pre > 0)
-    grads[prefix + ".w1"] += np.outer(x, dpre)
-    grads[prefix + ".b1"] += dpre
-    return params.tensors[prefix + ".w1"] @ dpre
-
-
-def _mlp_apply(params: ModelParams, prefix: str, x) -> np.ndarray:
-    t = params.tensors
-    return _mlp_forward(x, t[prefix + ".w1"], t[prefix + ".b1"],
-                        t[prefix + ".w2"], t[prefix + ".b2"])[0]
+    grads[prefix + ".w2"] += hidden.T @ dy
+    grads[prefix + ".b2"] += dy.sum(axis=0)
+    dpre = (dy @ params.tensors[prefix + ".w2"].T) * (pre > 0)
+    grads[prefix + ".w1"] += x.T @ dpre
+    grads[prefix + ".b1"] += dpre.sum(axis=0)
+    return dpre @ params.tensors[prefix + ".w1"].T
 
 
 def _deepsets_trace(params: ModelParams, net: str, xs):
-    t = params.tensors
-    inner = []
-    for x in xs:
-        inner.append(_mlp_forward(x, t[f"{net}.inner.w1"], t[f"{net}.inner.b1"],
-                                  t[f"{net}.inner.w2"], t[f"{net}.inner.b2"]))
-    pooled = np.mean([y for y, _ in inner], axis=0)
-    out, outer_cache = _mlp_forward(pooled, t[f"{net}.outer.w1"], t[f"{net}.outer.b1"],
-                                    t[f"{net}.outer.w2"], t[f"{net}.outer.b2"])
-    return out, ([c for _, c in inner], outer_cache)
+    inner, inner_cache = _mlp_forward(params, f"{net}.inner", xs)
+    pooled = inner.mean(axis=0, keepdims=True)
+    out, outer_cache = _mlp_forward(params, f"{net}.outer", pooled)
+    return out[0], (inner_cache, outer_cache)
 
 
 def _deepsets_backward(dout, cache, params: ModelParams, net: str, grads):
-    inner_caches, outer_cache = cache
-    dpooled = _mlp_backward(dout, outer_cache, params, f"{net}.outer", grads)
-    n = len(inner_caches)
-    return [
-        _mlp_backward(dpooled / n, c, params, f"{net}.inner", grads) for c in inner_caches
-    ]
+    inner_cache, outer_cache = cache
+    dpooled = _mlp_backward(dout[None], outer_cache, params, f"{net}.outer", grads)
+    n = len(inner_cache[0])
+    dinner = np.broadcast_to(dpooled / n, (n, dpooled.shape[1]))
+    return _mlp_backward(dinner, inner_cache, params, f"{net}.inner", grads)
 
 
 def deepsets_forward(inputs, params: ModelParams, net: str = "offset_net") -> np.ndarray:
-    """Permutation-invariant set encoding: outer MLP of the mean of inner MLPs."""
+    """Permutation-invariant set encoding: outer MLP of the mean of inner MLPs.
+
+    The rows are put in a canonical order first, so the pooled sum, and with
+    it the output, is bit-identical under any permutation of the inputs."""
     if len(inputs) == 0:
         raise ValueError("deepsets_forward requires at least one input")
-    return _deepsets_trace(params, net, list(inputs))[0]
+    xs = sorted((np.asarray(x) for x in inputs), key=lambda x: x.tobytes())
+    return _deepsets_trace(params, net, np.stack(xs))[0]
 
 
 def _attention_trace(params: ModelParams, xs):
-    t = params.tensors
-    caches = []
-    logits = []
-    for x in xs:
-        y, cache = _mlp_forward(x, t["attn.w1"], t["attn.b1"], t["attn.w2"], t["attn.b2"])
-        logits.append(y)
-        caches.append(cache)
-    logit_mat = np.stack(logits)  # (n, d)
-    shifted = logit_mat - logit_mat.max(axis=0)
+    logits, cache = _mlp_forward(params, "attn", xs)
+    shifted = logits - logits.max(axis=0)
     expd = np.exp(shifted)
     weights = expd / expd.sum(axis=0)
-    return weights, caches
+    return weights, cache
 
 
-def _attention_backward(dweights, weights, caches, params: ModelParams, grads):
+def _attention_backward(dweights, weights, cache, params: ModelParams, grads):
     # dimension-wise softmax backward
     dlogits = weights * (dweights - np.sum(weights * dweights, axis=0))
-    return [
-        _mlp_backward(dlogits[i], caches[i], params, "attn", grads)
-        for i in range(len(caches))
-    ]
+    return _mlp_backward(dlogits, cache, params, "attn", grads)
 
 
 def attention_weights(boxes, params: ModelParams) -> list[np.ndarray]:
     """Dimension-wise softmax over the attention MLP outputs, one weight
     vector per box; each dimension's weights sum to one across boxes."""
-    xs = [np.concatenate([b.center, b.offset]) for b in boxes]
+    xs = np.stack([np.concatenate([b.center, b.offset]) for b in boxes])
     weights, _ = _attention_trace(params, xs)
-    return [weights[i] for i in range(len(xs))]
+    return list(weights)
 
 
 class _NodeTrace:
-    __slots__ = ("op", "entity", "inputs", "xs", "attn", "center_ds", "offset_ds", "box")
+    __slots__ = ("op", "entity", "inputs", "attn", "center_ds", "offset_ds")
 
     def __init__(self, op):
         self.op = op
         self.entity = None
-        self.inputs = []  # list of (src_id, relation, projected Box)
-        self.xs = None
-        self.attn = None  # (weights, caches)
+        self.inputs = []  # list of (src_id, relation), in canonical order
+        self.attn = None  # (weights, mlp cache)
         self.center_ds = None
         self.offset_ds = None  # (cache, shrink, mins, argmin)
-        self.box = None
 
 
 def _forward_conjunctive(graph: ComputationGraph, params: ModelParams):
@@ -279,10 +261,8 @@ def _forward_conjunctive(graph: ComputationGraph, params: ModelParams):
                 raise ValueError(f"source node {nid} is not an anchor")
             trace = _NodeTrace("anchor")
             trace.entity = node.entity
-            box = Box(params.entity[node.entity].copy(), produced_offset(zeros))
-            trace.box = box
             traces[nid] = trace
-            boxes[nid] = box
+            boxes[nid] = Box(params.entity[node.entity].copy(), produced_offset(zeros))
             continue
         if any(e.op == UNION for e in in_es):
             raise ValueError("conjunctive embedding received a union edge")
@@ -295,50 +275,39 @@ def _forward_conjunctive(graph: ComputationGraph, params: ModelParams):
                 offset = produced_offset(zeros)
             else:
                 offset = parent.offset + params.effective_relation_offset(e.relation)
-            pbox = Box(center, offset)
-            trace.inputs.append((e.src, e.relation, pbox))
-            projected.append(pbox)
-        if len(projected) > 1:
-            # canonical input order makes every reduction bit-identical under
-            # permutation of the branches
-            order_key = sorted(
-                range(len(projected)),
-                key=lambda i: (
-                    projected[i].center.tobytes(),
-                    projected[i].offset.tobytes(),
-                    trace.inputs[i][1],
-                ),
-            )
-            trace.inputs = [trace.inputs[i] for i in order_key]
-            projected = [projected[i] for i in order_key]
+            projected.append((center, offset, e.src, e.relation))
         if len(projected) == 1:
-            box = projected[0]
+            center, offset, src, relation = projected[0]
+            trace.inputs = [(src, relation)]
+            traces[nid] = trace
+            boxes[nid] = Box(center, offset)
+            continue
+        # canonical input order makes every reduction bit-identical under
+        # permutation of the branches
+        projected.sort(key=lambda p: (p[0].tobytes(), p[1].tobytes(), p[3]))
+        trace.inputs = [(src, relation) for _, _, src, relation in projected]
+        centers = np.stack([p[0] for p in projected])
+        offsets = np.stack([p[1] for p in projected])
+        xs = np.concatenate([centers, offsets], axis=1)
+        if cfg.intersection_mode == "attention":
+            weights, cache = _attention_trace(params, xs)
+            trace.attn = (weights, cache)
+            center = np.sum(weights * centers, axis=0)
+        elif cfg.intersection_mode == "average":
+            center = centers.mean(axis=0)
         else:
-            xs = [np.concatenate([b.center, b.offset]) for b in projected]
-            trace.xs = xs
-            if cfg.intersection_mode == "attention":
-                weights, caches = _attention_trace(params, xs)
-                trace.attn = (weights, caches)
-                center = np.sum(weights * np.stack([b.center for b in projected]), axis=0)
-            elif cfg.intersection_mode == "average":
-                center = np.mean([b.center for b in projected], axis=0)
-            else:
-                center, cache = _deepsets_trace(params, "center_net", xs)
-                trace.center_ds = cache
-            if point or shared:
-                offset = produced_offset(zeros)
-            else:
-                stacked = np.stack([b.offset for b in projected])
-                mins = stacked.min(axis=0)
-                argmin = stacked.argmin(axis=0)
-                raw, cache = _deepsets_trace(params, "offset_net", xs)
-                shrink = 1.0 / (1.0 + np.exp(-raw))
-                offset = mins * shrink
-                trace.offset_ds = (cache, shrink, mins, argmin)
-            box = Box(center, offset)
-        trace.box = box
+            center, trace.center_ds = _deepsets_trace(params, "center_net", xs)
+        if point or shared:
+            offset = produced_offset(zeros)
+        else:
+            mins = offsets.min(axis=0)
+            argmin = offsets.argmin(axis=0)
+            raw, cache = _deepsets_trace(params, "offset_net", xs)
+            shrink = 1.0 / (1.0 + np.exp(-raw))
+            offset = mins * shrink
+            trace.offset_ds = (cache, shrink, mins, argmin)
         traces[nid] = trace
-        boxes[nid] = box
+        boxes[nid] = Box(center, offset)
     return boxes[graph.target.id], traces, order
 
 
@@ -380,43 +349,36 @@ def _backward_conjunctive(
             grads["entity"][trace.entity] += dc
             continue
 
+        # one row of center and offset adjoints per input
         n_in = len(trace.inputs)
-        in_dc = [np.zeros(d) for _ in range(n_in)]
-        in_do = [np.zeros(d) for _ in range(n_in)]
+        in_dc = np.zeros((n_in, d))
+        in_do = np.zeros((n_in, d))
         if n_in == 1:
-            in_dc[0] += dc
-            in_do[0] += do
+            in_dc += dc
+            in_do += do
         else:
-            centers = [b.center for _, _, b in trace.inputs]
             if cfg.intersection_mode == "attention":
-                weights, caches = trace.attn
-                for i in range(n_in):
-                    in_dc[i] += weights[i] * dc
-                dweights = np.stack([dc * c for c in centers])
-                dxs = _attention_backward(dweights, weights, caches, params, grads)
-                for i, dx in enumerate(dxs):
-                    in_dc[i] += dx[:d]
-                    in_do[i] += dx[d:]
+                weights, cache = trace.attn
+                centers = cache[0][:, :d]  # the MLP input rows are [center, offset]
+                in_dc += weights * dc
+                dxs = _attention_backward(dc * centers, weights, cache, params, grads)
+                in_dc += dxs[:, :d]
+                in_do += dxs[:, d:]
             elif cfg.intersection_mode == "average":
-                for i in range(n_in):
-                    in_dc[i] += dc / n_in
+                in_dc += dc / n_in
             else:
                 dxs = _deepsets_backward(dc, trace.center_ds, params, "center_net", grads)
-                for i, dx in enumerate(dxs):
-                    in_dc[i] += dx[:d]
-                    in_do[i] += dx[d:]
+                in_dc += dxs[:, :d]
+                in_do += dxs[:, d:]
             if trace.offset_ds is not None:
                 cache, shrink, mins, argmin = trace.offset_ds
-                dmins = do * shrink
-                for j in range(d):
-                    in_do[argmin[j]][j] += dmins[j]
+                in_do[argmin, np.arange(d)] += do * shrink
                 draw = (do * mins) * shrink * (1.0 - shrink)
                 dxs = _deepsets_backward(draw, cache, params, "offset_net", grads)
-                for i, dx in enumerate(dxs):
-                    in_dc[i] += dx[:d]
-                    in_do[i] += dx[d:]
+                in_dc += dxs[:, :d]
+                in_do += dxs[:, d:]
 
-        for i, (src, relation, _) in enumerate(trace.inputs):
+        for i, (src, relation) in enumerate(trace.inputs):
             grads["relation_center"][relation] += in_dc[i]
             parent = adjoints.setdefault(src, [np.zeros(d), np.zeros(d)])
             parent[0] += in_dc[i]

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SamplingError
-from .kg import GraphSplits, KnowledgeGraph
+from .errors import CompatibilityError, SamplingError
+from .kg import GraphSplits, KnowledgeGraph, Vocabulary
 from .queries import (
     ANCHOR,
     PROJECTION,
@@ -371,7 +371,22 @@ def write_query_file(path: str | Path, queries: list[GroundedQuery]) -> None:
             )
 
 
-def read_query_file(path: str | Path) -> list[GroundedQuery]:
+def _check_ids(q: GroundedQuery, vocab: Vocabulary, where: str) -> None:
+    # answers nest (train <= valid <= test), so the test set covers all three
+    ids = [("anchor entity", n.entity, vocab.n_entities) for n in q.graph.anchors]
+    ids += [("relation", e.relation, vocab.n_relations)
+            for e in q.graph.edges if e.op == PROJECTION]
+    ids += [("answer", a, vocab.n_entities) for a in q.answers.test]
+    for kind, value, n in ids:
+        if value is None or not 0 <= value < n:
+            raise CompatibilityError(
+                f"{where}: {kind} id {value} is outside the snapshot's range [0, {n})"
+            )
+
+
+def read_query_file(path: str | Path, vocab: Vocabulary | None = None) -> list[GroundedQuery]:
+    """Parse a query file; with `vocab`, every anchor, relation and answer
+    id must lie in its range, else CompatibilityError names the line."""
     from .errors import ParseError
 
     queries = []
@@ -379,17 +394,18 @@ def read_query_file(path: str | Path) -> list[GroundedQuery]:
         for lineno, line in enumerate(f, start=1):
             try:
                 name, graph_text, train, valid, test = line.rstrip("\n").split("\t")
-                queries.append(
-                    GroundedQuery(
-                        graph_from_text(graph_text),
-                        name,
-                        AnswerSet(
-                            _ids_from_text(train),
-                            _ids_from_text(valid),
-                            _ids_from_text(test),
-                        ),
-                    )
+                q = GroundedQuery(
+                    graph_from_text(graph_text),
+                    name,
+                    AnswerSet(
+                        _ids_from_text(train),
+                        _ids_from_text(valid),
+                        _ids_from_text(test),
+                    ),
                 )
             except ValueError as exc:
                 raise ParseError(str(exc), str(path), lineno) from exc
+            if vocab is not None:
+                _check_ids(q, vocab, f"{path}:{lineno}")
+            queries.append(q)
     return queries

@@ -100,39 +100,6 @@ def query_loss_and_grads(
     return total
 
 
-def _batch_gradients(samples, params: ModelParams, grads, workers: int) -> float:
-    """Sum of per-sample losses; gradients accumulate into `grads`.
-
-    With several workers, forward/backward passes run in threads against
-    per-worker accumulators (parameters are read-only during the batch) and
-    merge in worker order before the caller applies the optimizer step.
-    """
-    if workers <= 1 or len(samples) < 2:
-        return sum(
-            query_loss_and_grads(q, params, positive, negatives, grads)
-            for q, positive, negatives in samples
-        )
-    from concurrent.futures import ThreadPoolExecutor
-
-    buckets = [samples[i::workers] for i in range(workers)]
-
-    def run(bucket):
-        local = params.zero_grads()
-        total = 0.0
-        for q, positive, negatives in bucket:
-            total += query_loss_and_grads(q, params, positive, negatives, local)
-        return total, local
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, buckets))
-    batch_loss = 0.0
-    for total, local in results:
-        batch_loss += total
-        for name in grads:
-            grads[name] += local[name]
-    return batch_loss
-
-
 @dataclass
 class TrainState:
     """Mutable training bookkeeping: step counter, moments, rng, best model."""
@@ -160,17 +127,12 @@ def train(
     valid_queries: list[GroundedQuery] | None = None,
     log=None,
     max_iterations: int | None = None,
-    workers: int = 1,
     diagnostic_path: str | None = None,
 ) -> TrainResult:
     """Run the full training loop and return the selected parameters.
 
     `max_iterations` truncates the run after that many optimizer steps
-    (used by dry runs). Forward/backward passes within an iteration may run
-    in `workers` parallel threads; samples are drawn up front and per-worker
-    gradients merge in a fixed order, but bit-identical output is only
-    guaranteed at worker count 1. The optimizer step itself is always
-    serialized behind the batch barrier.
+    (used by dry runs).
 
     A non-finite loss aborts the run; with `diagnostic_path` set, the
     parameters at the point of failure are checkpointed there first.
@@ -217,7 +179,10 @@ def train(
                     negatives = sample_negatives(q, config.negatives, splits, rng)
                     samples.append((q, positive, negatives))
             grads = params.zero_grads()
-            batch_loss = _batch_gradients(samples, params, grads, workers)
+            batch_loss = sum(
+                query_loss_and_grads(q, params, positive, negatives, grads)
+                for q, positive, negatives in samples
+            )
             n_queries += len(samples)
             if not np.isfinite(batch_loss):
                 message = f"non-finite loss at epoch {epoch} step {state.step + 1}"

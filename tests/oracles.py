@@ -4,7 +4,9 @@ The answer oracles deliberately avoid the library's set-traversal code path:
 answers are found by enumerating variable assignments and checking
 satisfaction per entity, so agreement with the traversal is a real two-route
 check. The loss oracle scores and differentiates one candidate at a time,
-against which the library's per-branch block form is compared.
+against which the library's per-branch block form is compared; the MLP
+oracle builds each weight gradient from one outer product per input row,
+against which the library's row-block form is compared.
 """
 
 from __future__ import annotations
@@ -111,3 +113,19 @@ def query_loss_and_grads_per_candidate(q, params, positive, negatives, grads) ->
         forward.add_box_adjoint(branch, dloss_ddist * dc, dloss_ddist * do)
     forward.backward(grads)
     return total
+
+
+def mlp_backward_per_row(dy, cache, params, prefix, grads) -> np.ndarray:
+    """Reference for `model._mlp_backward`: the rows of the block are
+    differentiated one at a time, each weight gradient one `np.outer`."""
+    x, pre, hidden = cache
+    dxs = []
+    for x_i, pre_i, hidden_i, dy_i in zip(x, pre, hidden, dy):
+        grads[prefix + ".w2"] += np.outer(hidden_i, dy_i)
+        grads[prefix + ".b2"] += dy_i
+        dhidden = params.tensors[prefix + ".w2"] @ dy_i
+        dpre = dhidden * (pre_i > 0)
+        grads[prefix + ".w1"] += np.outer(x_i, dpre)
+        grads[prefix + ".b1"] += dpre
+        dxs.append(params.tensors[prefix + ".w1"] @ dpre)
+    return np.stack(dxs)

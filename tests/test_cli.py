@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import pytest
@@ -202,3 +203,65 @@ class TestTrainEvalAnalyze:
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", "--no-such-flag", "--snapshot", str(snapshot)])
         assert excinfo.value.code == 2
+
+
+def _corrupt_first_line(queries, tmp_path, name, edit):
+    """Copy the query directory and apply `edit` to the first line of `name`."""
+    import shutil
+
+    copy = tmp_path / "queries"
+    shutil.copytree(queries, copy)
+    path = copy / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = edit(lines[0])
+    path.write_text("".join(lines), encoding="utf-8")
+    return copy
+
+
+def _set_anchor(value):
+    return lambda line: re.sub(r"(\d+:a:\d+:)\d+", rf"\g<1>{value}", line, count=1)
+
+
+def _set_relation(value):
+    return lambda line: re.sub(r"(\d+-\d+:p:\d+:)\d+", rf"\g<1>{value}", line, count=1)
+
+
+def _add_answer(value):
+    def edit(line):
+        # train <= valid <= test must still nest, so every column gains it
+        name, graph, *answers = line.rstrip("\n").split("\t")
+        answers = [value if a == "-" else f"{a},{value}" for a in answers]
+        return "\t".join([name, graph, *answers]) + "\n"
+    return edit
+
+
+class TestQueryFileIds:
+    """Ids outside the snapshot's vocabulary exit 2 with file:line, never a
+    traceback and never a silently wrapped negative index."""
+
+    @pytest.mark.parametrize("edit, kind", [
+        (_set_anchor(999), "anchor entity id 999"),
+        (_set_relation(77), "relation id 77"),
+        (_add_answer(700), "answer id 700"),
+        (_set_anchor(-3), "anchor entity id -3"),
+        (_add_answer(-7), "answer id -7"),
+    ])
+    def test_eval_rejects_bad_id(self, capsys, pipeline, checkpoint, tmp_path, edit, kind):
+        _, snapshot, queries = pipeline
+        bad = _corrupt_first_line(queries, tmp_path, "heldin-queries.txt", edit)
+        code, out, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
+                             "--snapshot", str(snapshot), "--queries", str(bad),
+                             "--stage", "train")
+        assert code == 2
+        assert "heldin-queries.txt:1" in err
+        assert kind in err
+        assert "overall" not in out
+
+    def test_train_checks_ids(self, capsys, pipeline, tmp_path):
+        root, snapshot, queries = pipeline
+        bad = _corrupt_first_line(queries, tmp_path, "train-queries.txt", _set_anchor(999))
+        code, _, err = run(capsys, "train", "--snapshot", str(snapshot),
+                           "--queries", str(bad), "--out", str(tmp_path / "x.ckpt"),
+                           "--dim", "8", "--negatives", "4", "--dry-run")
+        assert code == 2
+        assert "train-queries.txt:1" in err

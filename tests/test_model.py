@@ -42,14 +42,21 @@ class TestDeepSets:
         out = deepsets_forward(xs, params)
         perm = [xs[2], xs[0], xs[3], xs[1]]
         assert np.array_equal(out, deepsets_forward(perm, params))
+        # a single fixture can agree by luck in the last bit; many random
+        # sets of 2-5 inputs cannot
+        for _ in range(300):
+            xs = [rng.uniform(-1, 1, 8) for _ in range(rng.integers(2, 6))]
+            out = deepsets_forward(xs, params)
+            perm = [xs[i] for i in rng.permutation(len(xs))]
+            assert np.array_equal(out, deepsets_forward(perm, params))
 
     def test_single_input_is_composed_mlps(self, rng):
-        from boxquery.model import _mlp_apply
+        from boxquery.model import _mlp_forward
 
         params = small_params()
         x = rng.uniform(-1, 1, 8)
-        inner = _mlp_apply(params, "offset_net.inner", x)
-        expected = _mlp_apply(params, "offset_net.outer", inner)
+        inner = _mlp_forward(params, "offset_net.inner", x)[0]
+        expected = _mlp_forward(params, "offset_net.outer", inner)[0]
         assert np.allclose(deepsets_forward([x], params), expected)
 
     def test_zero_weights_leave_bias_image(self, rng):
@@ -63,6 +70,32 @@ class TestDeepSets:
         out = deepsets_forward(xs, params)
         # inner output is its bias, pooled; outer weights are zero too
         assert np.allclose(out, params.tensors["offset_net.outer.b2"])
+
+
+class TestMlpBlockMatchesReference:
+    """The row-block MLP backward against the per-row `np.outer` reference."""
+
+    @pytest.mark.parametrize("dim", [4, 400])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_gradients(self, rng, dim, rows):
+        from boxquery.model import _mlp_backward, _mlp_forward
+        from oracles import mlp_backward_per_row
+
+        params = small_params(dim=dim)
+        for name, t in params.tensors.items():
+            if name.endswith(("b1", "b2")):
+                t[:] = rng.uniform(-0.1, 0.1, t.shape)
+        for prefix in ("attn", "offset_net.inner", "center_net.outer"):
+            x = rng.uniform(-1, 1, (rows, 2 * dim))
+            y, cache = _mlp_forward(params, prefix, x)
+            dy = rng.uniform(-1, 1, y.shape)
+            block, reference = params.zero_grads(), params.zero_grads()
+            dx = _mlp_backward(dy, cache, params, prefix, block)
+            dx_ref = mlp_backward_per_row(dy, cache, params, prefix, reference)
+            assert np.max(np.abs(dx - dx_ref)) <= 1e-12
+            for name in block:
+                assert np.max(np.abs(block[name] - reference[name])) <= 1e-12, name
+            assert any(block[f"{prefix}.{w}"].any() for w in ("w1", "w2"))
 
 
 class TestAttention:

@@ -42,6 +42,17 @@ def entity_distances(q: GroundedQuery, params: ModelParams) -> np.ndarray:
     return dist_agg(params.entity, boxes, params.config.alpha)
 
 
+def _filtered_ranks(distances: np.ndarray, answers: list[int], q: GroundedQuery) -> np.ndarray:
+    """Optimistic ranks of `answers`: one plus the number of non-answers of
+    the query on the test graph that lie strictly closer."""
+    if q.answers is None or not set(answers) <= set(q.answers.test):
+        raise ValueError(f"entities {answers} are not all test-graph answers of the query")
+    others = np.ones(len(distances), dtype=bool)
+    others[list(q.answers.test)] = False
+    closer = np.sort(distances[others])
+    return 1 + np.searchsorted(closer, distances[answers], side="left")
+
+
 def rank_entity(
     v: int,
     q: GroundedQuery,
@@ -50,14 +61,9 @@ def rank_entity(
     distances: np.ndarray | None = None,
 ) -> int:
     """Filtered optimistic rank of answer `v` among the non-answers."""
-    if q.answers is None or v not in q.answers.test:
-        raise ValueError(f"entity {v} is not a test-graph answer of the query")
     if distances is None:
         distances = entity_distances(q, params)
-    allowed = np.ones(splits.test.n_entities, dtype=bool)
-    allowed[list(q.answers.test)] = False
-    allowed[v] = True
-    return 1 + int(np.count_nonzero(allowed & (distances < distances[v])))
+    return int(_filtered_ranks(distances, [v], q)[0])
 
 
 def metrics_for_query(
@@ -67,10 +73,9 @@ def metrics_for_query(
     answers = _stage_answers(q, stage)
     if not answers:
         raise ValueError(f"query has no answers to evaluate at stage {stage!r}")
-    distances = entity_distances(q, params)
+    ranks = _filtered_ranks(entity_distances(q, params), answers, q)
     totals = dict.fromkeys(METRIC_NAMES, 0.0)
-    for v in answers:
-        rank = rank_entity(v, q, params, splits, distances)
+    for rank in ranks.tolist():
         totals["mrr"] += 1.0 / rank
         totals["h1"] += 1.0 if rank <= 1 else 0.0
         totals["h3"] += 1.0 if rank <= 3 else 0.0

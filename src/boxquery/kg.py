@@ -166,9 +166,6 @@ class KnowledgeGraph:
         self._check_ids(entity, None)
         return self._relations_into.get(entity, ())
 
-    def sorted_edges(self) -> list[tuple[int, int, int]]:
-        return sorted(self.edges)
-
     def inverse_relation(self, relation: int) -> int | None:
         """Id of the inverse relation, if it exists in the vocabulary."""
         name = self.vocab.relation_names[relation]

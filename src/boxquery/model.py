@@ -132,10 +132,6 @@ class ModelParams:
     def relation_center(self) -> np.ndarray:
         return self.tensors["relation_center"]
 
-    @property
-    def relation_offset_raw(self) -> np.ndarray:
-        return self.tensors["relation_offset"]
-
     def effective_relation_offset(self, relation: int) -> np.ndarray:
         return np.abs(self.tensors["relation_offset"][relation])
 
@@ -152,6 +148,12 @@ class ModelParams:
         clone.n_relations = self.n_relations
         clone.tensors = {name: t.copy() for name, t in self.tensors.items()}
         return clone
+
+
+def sigmoid(x):
+    # 1 / (1 + exp(-x)) for a scalar or an array, stable on both tails
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _mlp_forward(params: ModelParams, prefix: str, x):
@@ -303,7 +305,7 @@ def _forward_conjunctive(graph: ComputationGraph, params: ModelParams):
             mins = offsets.min(axis=0)
             argmin = offsets.argmin(axis=0)
             raw, cache = _deepsets_trace(params, "offset_net", xs)
-            shrink = 1.0 / (1.0 + np.exp(-raw))
+            shrink = sigmoid(raw)
             offset = mins * shrink
             trace.offset_ds = (cache, shrink, mins, argmin)
         traces[nid] = trace

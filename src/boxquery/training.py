@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SamplingError, TrainingError
 from .geometry import dist_box, grad_dist_box
 from .kg import GraphSplits
-from .model import AdamState, ModelConfig, ModelParams, QueryForward, adam_step
+from .model import AdamState, ModelConfig, ModelParams, QueryForward, adam_step, sigmoid
 from .sampling import GroundedQuery
 
 _TRAIN_STREAM = 7
@@ -26,12 +26,6 @@ _TRAIN_STREAM = 7
 def _log_sigmoid(x: float) -> float:
     # -log(1 + exp(-x)), stable on both tails
     return -np.logaddexp(0.0, -x)
-
-
-def _sigmoid(x):
-    # 1 / (1 + exp(-x)) for a scalar or an array, stable on both tails
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def loss(pos_dist: float, neg_dists, gamma: float) -> float:
@@ -83,8 +77,8 @@ def query_loss_and_grads(
     # d loss / d distance, then chain through the box distance of the
     # branch that is closest to each candidate
     dloss_ddist = np.concatenate((
-        [_sigmoid(dists[0] - cfg.gamma)],
-        -_sigmoid(cfg.gamma - dists[1:]) / len(negatives),
+        [sigmoid(dists[0] - cfg.gamma)],
+        -sigmoid(cfg.gamma - dists[1:]) / len(negatives),
     ))
     for branch, box in enumerate(forward.boxes):
         rows = np.flatnonzero(branches == branch)

@@ -6,7 +6,10 @@ satisfaction per entity, so agreement with the traversal is a real two-route
 check. The loss oracle scores and differentiates one candidate at a time,
 against which the library's per-branch block form is compared; the MLP
 oracle builds each weight gradient from one outer product per input row,
-against which the library's row-block form is compared.
+against which the library's row-block form is compared. The distance
+oracles measure against the box corners, not the |v - c| form of the
+library's blocked kernel, and the rank oracle builds one mask per answer
+where the library sorts the non-answers once per query.
 """
 
 from __future__ import annotations
@@ -129,3 +132,31 @@ def mlp_backward_per_row(dy, cache, params, prefix, grads) -> np.ndarray:
         grads[prefix + ".b1"] += dpre
         dxs.append(params.tensors[prefix + ".w1"] @ dpre)
     return np.stack(dxs)
+
+
+def dist_outside_corner(v, p):
+    """Reference for `geometry.dist_outside`: overshoot past each corner."""
+    return np.sum(np.maximum(v - p.upper, 0.0) + np.maximum(p.lower - v, 0.0), axis=-1)
+
+
+def dist_inside_corner(v, p):
+    """Reference for `geometry.dist_inside`: center to the clamped point."""
+    clamped = np.minimum(p.upper, np.maximum(p.lower, v))
+    return np.sum(np.abs(p.center - clamped), axis=-1)
+
+
+def dist_box_corner(v, p, alpha):
+    return dist_outside_corner(v, p) + alpha * dist_inside_corner(v, p)
+
+
+def dist_agg_corner(v, boxes, alpha):
+    return np.min([dist_box_corner(v, p, alpha) for p in boxes], axis=0)
+
+
+def rank_per_answer(v, distances, test_answers) -> int:
+    """Reference for the filtered optimistic rank: one N-length mask of the
+    non-answers, plus `v` itself, per answer."""
+    allowed = np.ones(len(distances), dtype=bool)
+    allowed[list(test_answers)] = False
+    allowed[v] = True
+    return 1 + int(np.count_nonzero(allowed & (distances < distances[v])))

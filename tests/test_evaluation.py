@@ -15,6 +15,7 @@ from boxquery.queries import bind, template
 from boxquery.sampling import AnswerSet, GroundedQuery
 
 from conftest import make_graph, make_splits
+from oracles import rank_per_answer
 
 
 def line_world(positions, test_answers, train_answers=()):
@@ -133,6 +134,52 @@ class TestMetricsForQuery:
         splits, params, q, v = line_world([10, 1, 2, 0.5], ["e3"])
         with pytest.raises(ValueError):
             metrics_for_query(q, params, splits, "validation")
+
+
+class TestRanksMatchPerAnswerOracle:
+    """One sort of the non-answers per query against one mask per answer,
+    on distances with many ties, some of them between answers and
+    non-answers."""
+
+    def test_rank_entity(self, rng):
+        n = 40
+        splits, params, q, _ = line_world([0.0] * n, ["e1"])
+        tied = 0
+        for trial in range(200):
+            answers = sorted(rng.choice(n, size=rng.integers(1, 8), replace=False).tolist())
+            q = GroundedQuery(q.graph, "1p", AnswerSet((), (), tuple(answers)))
+            if trial % 2:
+                distances = rng.integers(0, 5, n).astype(float)
+            else:
+                distances = rng.uniform(0, 5, n)
+                distances[rng.integers(n, size=10)] = distances[answers[0]]
+            others = np.setdiff1d(np.arange(n), answers)
+            tied += np.isin(distances[answers], distances[others]).sum()
+            for a in answers:
+                expected = rank_per_answer(a, distances, answers)
+                assert rank_entity(a, q, params, splits, distances=distances) == expected
+        assert tied > 100
+
+    def test_metrics_for_query(self, rng):
+        n = 30
+        tied = 0
+        for _ in range(30):
+            positions = rng.integers(0, 5, n).astype(float).tolist()
+            picks = rng.choice(n, size=rng.integers(1, 8), replace=False)
+            splits, params, q, _ = line_world(positions, [f"e{i}" for i in picks])
+            distances = entity_distances(q, params)
+            answers = sorted(q.answers.test)
+            others = np.setdiff1d(np.arange(n), answers)
+            tied += np.isin(distances[answers], distances[others]).sum()
+            ranks = [rank_per_answer(a, distances, answers) for a in answers]
+            expected = {
+                "mrr": sum(1.0 / r for r in ranks) / len(ranks),
+                "h1": sum(1.0 if r <= 1 else 0.0 for r in ranks) / len(ranks),
+                "h3": sum(1.0 if r <= 3 else 0.0 for r in ranks) / len(ranks),
+                "h10": sum(1.0 if r <= 10 else 0.0 for r in ranks) / len(ranks),
+            }
+            assert metrics_for_query(q, params, splits, "test") == expected
+        assert tied > 20
 
 
 class TestAggregate:

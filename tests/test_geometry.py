@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from boxquery import geometry
 from boxquery.geometry import (
     Box,
     dist_agg,
@@ -11,6 +14,8 @@ from boxquery.geometry import (
     intersect,
     project,
 )
+
+from oracles import dist_agg_corner, dist_box_corner, dist_inside_corner, dist_outside_corner
 
 
 def box(center, offset):
@@ -212,6 +217,76 @@ class TestVectorizedForms:
             dist_box(np.zeros((4, 3)), random_box(rng), 0.2)
         with pytest.raises(ValueError):
             grad_dist_box(np.zeros((4, 3)), random_box(rng), 0.2)
+
+
+class TestKernelMatchesCornerForm:
+    """The blocked |v - c| kernel against the corner-form reference, on
+    block-boundary row counts, point boxes and points on the center and
+    the corners."""
+
+    @staticmethod
+    def close(new, ref):
+        assert np.all(np.abs(new - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @staticmethod
+    def points(rng, boxes, n, d):
+        vs = rng.uniform(-4, 4, (n, d))
+        first = boxes[0]
+        vs[0] = first.center
+        if n > 2:
+            vs[1] = first.upper
+            vs[2] = first.lower
+        if n > 3:
+            corner = rng.integers(0, 3, d)
+            vs[3] = np.choose(corner, [first.lower, first.center, first.upper])
+        return vs
+
+    @pytest.mark.parametrize("d", [1, 4, 64, 400])
+    def test_block_boundaries(self, rng, d):
+        block = max(1, geometry._BLOCK_ELEMENTS // d)
+        for n in sorted({1, block - 1, block, block + 1, 999} - {0}):
+            for n_boxes in (1, 2, 3):
+                boxes = [random_box(rng, d) for _ in range(n_boxes)]
+                boxes[-1] = Box(boxes[-1].center, np.zeros(d))  # point geometry
+                vs = self.points(rng, boxes, n, d)
+                for p in boxes:
+                    self.close(dist_outside(vs, p), dist_outside_corner(vs, p))
+                    self.close(dist_inside(vs, p), dist_inside_corner(vs, p))
+                    self.close(dist_box(vs, p, 0.2), dist_box_corner(vs, p, 0.2))
+                agg = dist_agg(vs, boxes, 0.2)
+                assert agg.shape == (n,) and np.all(agg >= 0)
+                self.close(agg, dist_agg_corner(vs, boxes, 0.2))
+
+    def test_nonnegative_and_dtype_kept(self, rng):
+        d = 64
+        boxes = [random_box(rng, d) for _ in range(2)]
+        vs = self.points(rng, boxes, 300, d)
+        boxes32 = [Box(p.center.astype(np.float32), p.offset.astype(np.float32)) for p in boxes]
+        vs32 = vs.astype(np.float32)
+        for f in (dist_outside, dist_inside):
+            for p, p32 in zip(boxes, boxes32):
+                assert np.all(f(vs, p) >= 0)
+                assert f(vs32, p32).dtype == np.float32
+                assert np.ndim(f(vs32[0], p32)) == 0
+        for alpha in (0.0, 0.2, 1.0):
+            assert np.all(dist_agg(vs, boxes, alpha) >= 0)
+            assert dist_agg(vs32, boxes32, alpha).dtype == np.float32
+            assert dist_box(vs32, boxes32[0], alpha).dtype == np.float32
+            assert np.ndim(dist_agg(vs32[0], boxes32, alpha)) == 0
+
+    def test_one_block_of_scratch(self, rng):
+        # the only (n, d)-scale allocation is the block-sized scratch buffer
+        d = 400
+        boxes = [random_box(rng, d) for _ in range(3)]
+        vs = rng.uniform(-4, 4, (999, d))
+        dist_agg(vs, boxes, 0.2)
+        tracemalloc.start()
+        try:
+            dist_agg(vs, boxes, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * geometry._BLOCK_ELEMENTS * vs.itemsize
 
 
 class TestGradDistBox:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,25 @@ class TestEmbedConjunctive:
             params.tensors["shared_offset"][:] = rng.uniform(-1, -0.1, 4)
             box = embed_conjunctive(pi, params)
             assert np.all(box.offset >= 0)
+
+    def test_saturated_shrink_is_zero_without_warning(self):
+        from boxquery.model import _forward_conjunctive
+
+        kg = make_graph([("A", "r", "B"), ("C", "s", "B")], augment=True)
+        v = kg.vocab
+        g = bind(
+            template("2i").graph,
+            {0: v.entity_id("A"), 1: v.entity_id("C")},
+            {0: v.relation_id("r"), 1: v.relation_id("s")},
+        )
+        params = small_params(kg.n_entities, kg.n_relations)
+        params.tensors["offset_net.outer.b2"][:] = -1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            box, traces, _ = _forward_conjunctive(g, params)
+        shrink = traces[g.target.id].offset_ds[1]
+        assert np.all(shrink == 0.0)
+        assert np.all(box.offset == 0.0)
 
     def test_mode_aliases_accepted(self):
         config = ModelConfig(

@@ -4,7 +4,9 @@ A box is a (center, offset) pair in R^d with offset >= 0 elementwise; its
 corners are center - offset and center + offset. All functions are pure.
 The distances and their gradients reduce over the last axis, so each takes
 either one point of shape (d,) or a block of points of shape (n, d) and
-returns one value, or gradient row, per point.
+returns one value, or gradient row, per point. A box may also be a stack of
+B boxes, center and offset of shape (B, d); its points then have shape
+(B, ..., d), and the points v[b] are measured against box b.
 
 The distances use the |v - c| form (outside = sum max(|v - c| - o, 0),
 inside = sum min(|v - c|, o)) and score the points in fixed-size row blocks
@@ -31,9 +33,9 @@ class Box:
     offset: np.ndarray
 
     def __post_init__(self):
-        if self.center.shape != self.offset.shape or self.center.ndim != 1:
+        if self.center.shape != self.offset.shape or self.center.ndim not in (1, 2):
             raise ValueError(
-                f"center and offset must be equal-length vectors, got "
+                f"center and offset must be equal-shape vectors or (B, d) stacks, got "
                 f"{self.center.shape} and {self.offset.shape}"
             )
         if not np.all(self.offset >= 0):
@@ -41,7 +43,7 @@ class Box:
 
     @property
     def dim(self) -> int:
-        return self.center.shape[0]
+        return self.center.shape[-1]
 
     @property
     def upper(self) -> np.ndarray:
@@ -117,22 +119,22 @@ def grad_dist_box(
     """Exact subgradients of dist_box with respect to (v, center, offset),
     one row per point of `v`."""
     _check_dim(v, p)
-    upper = p.upper
-    lower = p.lower
+    # a stack of boxes gets an axis per extra axis of its points
+    shape = p.center.shape[:-1] + (1,) * (v.ndim - p.center.ndim) + p.center.shape[-1:]
+    center, offset = p.center.reshape(shape), p.offset.reshape(shape)
+    upper = center + offset
+    lower = center - offset
     above = v > upper
     below = v < lower
-    # outside term
-    dv = above.astype(float) - below.astype(float)
-    dc = -dv
-    do = -(above.astype(float) + below.astype(float))
-    # inside term: |center - clamp(v)|
-    clamped = np.minimum(upper, np.maximum(lower, v))
-    s = np.sign(p.center - clamped)
     inside = ~(above | below)
-    dv = dv + alpha * (-s * inside)
-    dc = dc + alpha * (s * inside)  # outside dims: d(center - clamp)/dcenter = 0
-    do = do + alpha * (np.abs(s) * ~inside)  # |center - corner| grows with offset
-    return dv, dc, do
+    # sign of the inside term |center - clamp(v)|
+    s = np.sign(center - np.minimum(upper, np.maximum(lower, v)))
+    # outside, |center - corner| grows with the offset and the overshoot shrinks
+    do = np.where(inside, 0.0, np.add(alpha * np.abs(s), -1.0, dtype=float))
+    s *= alpha * inside  # outside dims: d(center - clamp)/dcenter = 0
+    outside = np.subtract(above, below, dtype=float)  # gradient of the outside term in v
+    dc = s - outside
+    return np.subtract(outside, s, out=outside), dc, do
 
 
 def _box_reduce(v: np.ndarray, boxes: Sequence[Box], combine) -> float | np.ndarray:
@@ -142,19 +144,25 @@ def _box_reduce(v: np.ndarray, boxes: Sequence[Box], combine) -> float | np.ndar
     for p in boxes:
         _check_dim(v, p)
     d = v.shape[-1]
-    rows = v.reshape(np.prod(v.shape[:-1], dtype=int), d)
+    rows = v.reshape(-1, d)
     dtype = np.result_type(v, *(p.center for p in boxes), *(p.offset for p in boxes), 0.0)
+    # a stack of boxes is repeated row by row, box b once for each of its points
+    stacked = boxes[0].center.ndim == 2
+    repeats = len(rows) // max(1, len(boxes[0].center)) if stacked else 1
+    planes = [(np.repeat(p.center, repeats, 0), np.repeat(p.offset, repeats, 0)) if stacked
+              else (p.center, p.offset) for p in boxes]
     result = np.full(len(rows), np.inf, dtype)
     block = max(1, _BLOCK_ELEMENTS // max(d, 1))
     scratch = np.empty((min(block, len(rows)), d), dtype)
     for start in range(0, len(rows), block):
         v_block = rows[start : start + block]
         t = scratch[: len(v_block)]
-        for p in boxes:
-            np.subtract(v_block, p.center, out=t)
+        at = slice(start, start + block) if stacked else ...
+        for center, offset in planes:
+            np.subtract(v_block, center[at], out=t)
             np.abs(t, out=t)
             l1 = t.sum(axis=1)
-            t -= p.offset
+            t -= offset[at]
             np.maximum(t, 0.0, out=t)
             res = result[start : start + block]
             np.minimum(res, combine(l1, t.sum(axis=1)), out=res)
@@ -162,5 +170,6 @@ def _box_reduce(v: np.ndarray, boxes: Sequence[Box], combine) -> float | np.ndar
 
 
 def _check_dim(v: np.ndarray, p: Box) -> None:
-    if v.shape[-1:] != p.center.shape:
+    lead = p.center.ndim - 1  # the axes of a stack of boxes
+    if v.ndim <= lead or v.shape[:lead] + v.shape[-1:] != p.center.shape:
         raise ValueError(f"dimension mismatch: {v.shape} vs {p.center.shape}")

@@ -176,18 +176,20 @@ def _mlp_backward(dy, cache, params: ModelParams, prefix: str, grads) -> np.ndar
 
 
 def _deepsets_trace(params: ModelParams, net: str, xs):
-    inner, inner_cache = _mlp_forward(params, f"{net}.inner", xs)
-    pooled = inner.mean(axis=0, keepdims=True)
+    """Set encoding of B sets of n rows, xs of shape (B, n, 2d): the outer
+    MLP of the mean of the inner MLPs, one output row per set."""
+    inner, inner_cache = _mlp_forward(params, f"{net}.inner", xs.reshape(-1, xs.shape[2]))
+    pooled = inner.reshape(*xs.shape[:2], -1).mean(axis=1)
     out, outer_cache = _mlp_forward(params, f"{net}.outer", pooled)
-    return out[0], (inner_cache, outer_cache)
+    return out, (inner_cache, outer_cache)
 
 
 def _deepsets_backward(dout, cache, params: ModelParams, net: str, grads):
     inner_cache, outer_cache = cache
-    dpooled = _mlp_backward(dout[None], outer_cache, params, f"{net}.outer", grads)
-    n = len(inner_cache[0])
-    dinner = np.broadcast_to(dpooled / n, (n, dpooled.shape[1]))
-    return _mlp_backward(dinner, inner_cache, params, f"{net}.inner", grads)
+    dpooled = _mlp_backward(dout, outer_cache, params, f"{net}.outer", grads)
+    b, n = len(dpooled), len(inner_cache[0]) // len(dpooled)
+    dinner = np.repeat(dpooled / n, n, axis=0)
+    return _mlp_backward(dinner, inner_cache, params, f"{net}.inner", grads).reshape(b, n, -1)
 
 
 def deepsets_forward(inputs, params: ModelParams, net: str = "offset_net") -> np.ndarray:
@@ -198,242 +200,247 @@ def deepsets_forward(inputs, params: ModelParams, net: str = "offset_net") -> np
     if len(inputs) == 0:
         raise ValueError("deepsets_forward requires at least one input")
     xs = sorted((np.asarray(x) for x in inputs), key=lambda x: x.tobytes())
-    return _deepsets_trace(params, net, np.stack(xs))[0]
+    return _deepsets_trace(params, net, np.stack(xs)[None])[0][0]
 
 
 def _attention_trace(params: ModelParams, xs):
-    logits, cache = _mlp_forward(params, "attn", xs)
-    shifted = logits - logits.max(axis=0)
+    # weights of shape (B, n, d) for B sets of n input rows
+    logits, cache = _mlp_forward(params, "attn", xs.reshape(-1, xs.shape[2]))
+    logits = logits.reshape(*xs.shape[:2], -1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
-    weights = expd / expd.sum(axis=0)
+    weights = expd / expd.sum(axis=1, keepdims=True)
     return weights, cache
 
 
 def _attention_backward(dweights, weights, cache, params: ModelParams, grads):
     # dimension-wise softmax backward
-    dlogits = weights * (dweights - np.sum(weights * dweights, axis=0))
-    return _mlp_backward(dlogits, cache, params, "attn", grads)
+    dlogits = weights * (dweights - np.sum(weights * dweights, axis=1, keepdims=True))
+    b, n, d = dlogits.shape
+    return _mlp_backward(dlogits.reshape(b * n, d), cache, params, "attn", grads).reshape(b, n, -1)
 
 
 def attention_weights(boxes, params: ModelParams) -> list[np.ndarray]:
     """Dimension-wise softmax over the attention MLP outputs, one weight
     vector per box; each dimension's weights sum to one across boxes."""
     xs = np.stack([np.concatenate([b.center, b.offset]) for b in boxes])
-    weights, _ = _attention_trace(params, xs)
-    return list(weights)
+    weights, _ = _attention_trace(params, xs[None])
+    return list(weights[0])
 
 
-class _NodeTrace:
-    __slots__ = ("op", "entity", "inputs", "attn", "center_ds", "offset_ds")
+class _Step:
+    """One node of a batched branch, as its backward pass reads it: the (B,)
+    entity ids of an anchor, or the source node and (B,) relation ids of each
+    input edge, the canonical input order (B, n) and the network traces."""
 
-    def __init__(self, op):
-        self.op = op
-        self.entity = None
-        self.inputs = []  # list of (src_id, relation), in canonical order
-        self.attn = None  # (weights, mlp cache)
-        self.center_ds = None
-        self.offset_ds = None  # (cache, shrink, mins, argmin)
+    entities = sources = relations = order = attn = center_ds = offset_ds = None
+
+    def __init__(self, node):
+        self.node = node
 
 
-def _forward_conjunctive(graph: ComputationGraph, params: ModelParams):
-    """Embed a union-free grounded graph, recording every intermediate."""
+def _branch_forward(graphs: list[ComputationGraph], params: ModelParams):
+    """Embed B union-free grounded graphs of one shape as (B, d) center and
+    offset blocks; also returns the steps the backward pass replays."""
     cfg = params.config
     d = cfg.dim
     dtype = np.dtype(cfg.dtype)
     point = cfg.geometry == "point"
     shared = cfg.offset_mode == "shared" and not point
-    zeros = np.zeros(d, dtype=dtype)
-    shared_offset = params.effective_shared_offset() if shared else None
+    b = len(graphs)
+    shape = graphs[0]
+    entities = [{n.id: n.entity for n in g.nodes} for g in graphs]
+    relations = [{(e.src, e.dst): e.relation for e in g.edges} for g in graphs]
+    zeros = np.zeros((b, d), dtype=dtype)
+    fixed = None  # the offset every node produces in point and shared mode
+    if point or shared:
+        fixed = zeros if point else np.broadcast_to(params.effective_shared_offset(), (b, d))
+    rows = np.arange(b)[:, None]
 
-    def produced_offset(offset):
-        if point:
-            return zeros
-        if shared:
-            return shared_offset
-        return offset
-
-    traces: dict[int, _NodeTrace] = {}
-    boxes: dict[int, Box] = {}
-    order = graph.topological_order()
-    for nid in order:
-        node = graph.node(nid)
-        in_es = graph.in_edges(nid)
+    boxes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    steps = []
+    for nid in shape.topological_order():
+        in_es = shape.in_edges(nid)
+        step = _Step(nid)
+        steps.append(step)
         if not in_es:
-            if node.kind != ANCHOR:
+            if shape.node(nid).kind != ANCHOR:
                 raise ValueError(f"source node {nid} is not an anchor")
-            trace = _NodeTrace("anchor")
-            trace.entity = node.entity
-            traces[nid] = trace
-            boxes[nid] = Box(params.entity[node.entity].copy(), produced_offset(zeros))
+            step.entities = np.array([ids[nid] for ids in entities])
+            boxes[nid] = (params.entity[step.entities], zeros if fixed is None else fixed)
             continue
         if any(e.op == UNION for e in in_es):
             raise ValueError("conjunctive embedding received a union edge")
-        trace = _NodeTrace("proj" if len(in_es) == 1 else "intersect")
-        projected = []
-        for e in in_es:
-            parent = boxes[e.src]
-            center = parent.center + params.relation_center[e.relation]
-            if point or shared:
-                offset = produced_offset(zeros)
-            else:
-                offset = parent.offset + params.effective_relation_offset(e.relation)
-            projected.append((center, offset, e.src, e.relation))
-        if len(projected) == 1:
-            center, offset, src, relation = projected[0]
-            trace.inputs = [(src, relation)]
-            traces[nid] = trace
-            boxes[nid] = Box(center, offset)
+        step.sources = [e.src for e in in_es]
+        step.relations = np.array([[ids[(src, nid)] for src in step.sources] for ids in relations])
+        projected = [
+            (boxes[src][0] + params.relation_center[r], fixed if fixed is not None
+             else boxes[src][1] + np.abs(params.tensors["relation_offset"][r]))
+            for src, r in zip(step.sources, step.relations.T)
+        ]
+        n_in = len(in_es)
+        if n_in == 1:
+            boxes[nid] = projected[0]
             continue
+        centers = np.stack([center for center, _ in projected], axis=1)
+        offsets = np.stack([offset for _, offset in projected], axis=1)
         # canonical input order makes every reduction bit-identical under
         # permutation of the branches
-        projected.sort(key=lambda p: (p[0].tobytes(), p[1].tobytes(), p[3]))
-        trace.inputs = [(src, relation) for _, _, src, relation in projected]
-        centers = np.stack([p[0] for p in projected])
-        offsets = np.stack([p[1] for p in projected])
-        xs = np.concatenate([centers, offsets], axis=1)
+        step.order = np.array([
+            sorted(range(n_in), key=lambda i: (centers[q, i].tobytes(), offsets[q, i].tobytes(),
+                                               step.relations[q, i]))
+            for q in range(b)
+        ])
+        centers = centers[rows, step.order]
+        offsets = offsets[rows, step.order]
+        xs = np.concatenate([centers, offsets], axis=2)
         if cfg.intersection_mode == "attention":
             weights, cache = _attention_trace(params, xs)
-            trace.attn = (weights, cache)
-            center = np.sum(weights * centers, axis=0)
+            step.attn = (weights, cache)
+            center = np.sum(weights * centers, axis=1)
         elif cfg.intersection_mode == "average":
-            center = centers.mean(axis=0)
+            center = centers.mean(axis=1)
         else:
-            center, trace.center_ds = _deepsets_trace(params, "center_net", xs)
-        if point or shared:
-            offset = produced_offset(zeros)
-        else:
-            mins = offsets.min(axis=0)
-            argmin = offsets.argmin(axis=0)
+            center, step.center_ds = _deepsets_trace(params, "center_net", xs)
+        if fixed is None:
+            mins = offsets.min(axis=1)
+            argmin = offsets.argmin(axis=1)
             raw, cache = _deepsets_trace(params, "offset_net", xs)
             shrink = sigmoid(raw)
             offset = mins * shrink
-            trace.offset_ds = (cache, shrink, mins, argmin)
-        traces[nid] = trace
-        boxes[nid] = Box(center, offset)
-    return boxes[graph.target.id], traces, order
+            step.offset_ds = (cache, shrink, mins, argmin)
+        else:
+            offset = fixed
+        boxes[nid] = (center, offset)
+    center, offset = boxes[shape.target.id]
+    return center, offset, steps
 
 
-def _backward_conjunctive(
-    graph: ComputationGraph,
-    params: ModelParams,
-    traces,
-    order,
-    d_center: np.ndarray,
-    d_offset: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Accumulate parameter gradients given adjoints of the final box."""
+def _branch_backward(steps, params: ModelParams, d_center, d_offset, grads, table_rows):
+    """Accumulate parameter gradients given (B, d) adjoints of the final
+    boxes. Entity and relation rows go to `table_rows` as (ids, rows)."""
     cfg = params.config
-    d = cfg.dim
     point = cfg.geometry == "point"
     shared = cfg.offset_mode == "shared" and not point
     shared_sign = np.sign(params.tensors["shared_offset"]) if shared else None
+    b, d = d_center.shape
+    rows = np.arange(b)[:, None]
 
-    adjoints: dict[int, list[np.ndarray]] = {
-        graph.target.id: [d_center.copy(), d_offset.copy()]
-    }
-
-    def divert_offset(do):
-        # a produced offset is abs(shared) in shared mode and constant zero in
-        # point mode; either way nothing flows back through the inputs
-        if shared:
-            grads["shared_offset"] += shared_sign * do
-        return np.zeros(d)
-
-    for nid in reversed(order):
-        if nid not in adjoints:
+    adjoints = {steps[-1].node: [d_center, d_offset]}  # the target comes last
+    for step in reversed(steps):
+        if step.node not in adjoints:
             continue
-        dc, do = adjoints.pop(nid)
-        trace = traces[nid]
+        dc, do = adjoints.pop(step.node)
         if point or shared:
-            do = divert_offset(do)
-        if trace.op == "anchor":
-            grads["entity"][trace.entity] += dc
+            # a produced offset is abs(shared) in shared mode and constant
+            # zero in point mode; either way nothing flows back through the inputs
+            if shared:
+                grads["shared_offset"] += shared_sign * do.sum(axis=0)
+            do = np.zeros((b, d))
+        if step.sources is None:
+            table_rows["entity"].append((step.entities, dc))
             continue
 
-        # one row of center and offset adjoints per input
-        n_in = len(trace.inputs)
-        in_dc = np.zeros((n_in, d))
-        in_do = np.zeros((n_in, d))
+        # one row of center and offset adjoints per input, per query
+        n_in = len(step.sources)
         if n_in == 1:
-            in_dc += dc
-            in_do += do
+            in_dc, in_do = dc[:, None], do[:, None]
         else:
+            in_dc = np.zeros((b, n_in, d))
+            in_do = np.zeros((b, n_in, d))
             if cfg.intersection_mode == "attention":
-                weights, cache = trace.attn
-                centers = cache[0][:, :d]  # the MLP input rows are [center, offset]
-                in_dc += weights * dc
-                dxs = _attention_backward(dc * centers, weights, cache, params, grads)
-                in_dc += dxs[:, :d]
-                in_do += dxs[:, d:]
+                weights, cache = step.attn
+                # the MLP input rows are [center, offset]
+                centers = cache[0].reshape(b, n_in, 2 * d)[:, :, :d]
+                in_dc += weights * dc[:, None]
+                dxs = _attention_backward(dc[:, None] * centers, weights, cache, params, grads)
+                in_dc += dxs[:, :, :d]
+                in_do += dxs[:, :, d:]
             elif cfg.intersection_mode == "average":
-                in_dc += dc / n_in
+                in_dc += dc[:, None] / n_in
             else:
-                dxs = _deepsets_backward(dc, trace.center_ds, params, "center_net", grads)
-                in_dc += dxs[:, :d]
-                in_do += dxs[:, d:]
-            if trace.offset_ds is not None:
-                cache, shrink, mins, argmin = trace.offset_ds
-                in_do[argmin, np.arange(d)] += do * shrink
+                dxs = _deepsets_backward(dc, step.center_ds, params, "center_net", grads)
+                in_dc += dxs[:, :, :d]
+                in_do += dxs[:, :, d:]
+            if step.offset_ds is not None:
+                cache, shrink, mins, argmin = step.offset_ds
+                in_do[rows, argmin, np.arange(d)] += do * shrink
                 draw = (do * mins) * shrink * (1.0 - shrink)
                 dxs = _deepsets_backward(draw, cache, params, "offset_net", grads)
-                in_dc += dxs[:, :d]
-                in_do += dxs[:, d:]
+                in_dc += dxs[:, :, :d]
+                in_do += dxs[:, :, d:]
+            # back from canonical order to the order of the input edges
+            in_dc[rows, step.order] = in_dc.copy()
+            in_do[rows, step.order] = in_do.copy()
 
-        for i, (src, relation) in enumerate(trace.inputs):
-            grads["relation_center"][relation] += in_dc[i]
-            parent = adjoints.setdefault(src, [np.zeros(d), np.zeros(d)])
-            parent[0] += in_dc[i]
-            if point:
-                continue
-            if shared:
-                grads["shared_offset"] += shared_sign * in_do[i]
-            else:
-                raw = params.tensors["relation_offset"][relation]
-                grads["relation_offset"][relation] += np.sign(raw) * in_do[i]
-                parent[1] += in_do[i]
+        table_rows["relation_center"].append((step.relations.ravel(), in_dc.reshape(-1, d)))
+        if shared:
+            grads["shared_offset"] += shared_sign * in_do.sum(axis=(0, 1))
+        elif not point:
+            raw = params.tensors["relation_offset"][step.relations]
+            table_rows["relation_offset"].append(
+                (step.relations.ravel(), (np.sign(raw) * in_do).reshape(-1, d))
+            )
+        for i, src in enumerate(step.sources):
+            parent = adjoints.setdefault(src, [np.zeros((b, d)), np.zeros((b, d))])
+            parent[0] += in_dc[:, i]
+            if not (point or shared):
+                parent[1] += in_do[:, i]
+
+
+def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """target[ids] += rows, where ids may repeat: the k-th occurrence of each
+    id is added in round k, so every fancy-indexed add sees distinct ids and
+    the rows of one id are added in their given order."""
+    order = np.argsort(ids, kind="stable")
+    at = np.arange(len(ids))
+    sorted_ids = ids[order]
+    first = np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+    rank = np.empty_like(at)
+    rank[order] = at - np.maximum.accumulate(np.where(first, at, 0))
+    for k in range(rank.max() + 1):
+        target[ids[rank == k]] += rows[rank == k]
+
+
+def _graph(query: GroundedQuery | ComputationGraph) -> ComputationGraph:
+    return query.graph if isinstance(query, GroundedQuery) else query
 
 
 def embed_conjunctive(query: GroundedQuery | ComputationGraph, params: ModelParams) -> Box:
     """Embed a union-free grounded query as a single box."""
-    graph = query.graph if isinstance(query, GroundedQuery) else query
-    box, _, _ = _forward_conjunctive(graph, params)
-    return box
+    center, offset, _ = _branch_forward([_graph(query)], params)
+    return Box(center[0], offset[0])
 
 
 def embed_epfo(query: GroundedQuery | ComputationGraph, params: ModelParams) -> list[Box]:
     """Embed any grounded query as one box per DNF branch."""
-    graph = query.graph if isinstance(query, GroundedQuery) else query
-    branches, _ = to_dnf(graph)
+    branches, _ = to_dnf(_graph(query))
     return [embed_conjunctive(b, params) for b in branches]
 
 
 class QueryForward:
-    """Forward pass over all DNF branches, kept for a later backward call."""
+    """Forward pass of B queries of one structure over all DNF branches, one
+    stack of B boxes per branch, kept for a later backward call."""
 
-    def __init__(self, query: GroundedQuery | ComputationGraph, params: ModelParams):
-        graph = query.graph if isinstance(query, GroundedQuery) else query
+    def __init__(self, queries: list[GroundedQuery], params: ModelParams):
+        if len({q.structure_name for q in queries}) != 1:
+            raise ValueError("a batch holds queries of one structure")
         self.params = params
-        self.branches, _ = to_dnf(graph)
-        self.records = [_forward_conjunctive(b, params) for b in self.branches]
-        self.boxes = [box for box, _, _ in self.records]
-        self._adjoints = [
-            (np.zeros(params.config.dim), np.zeros(params.config.dim))
-            for _ in self.branches
-        ]
+        branches = zip(*(to_dnf(q.graph)[0] for q in queries), strict=True)
+        self.records = [_branch_forward(list(graphs), params) for graphs in branches]
+        self.boxes = [Box(center, offset) for center, offset, _ in self.records]
 
-    def add_box_adjoint(self, branch: int, d_center: np.ndarray, d_offset: np.ndarray):
-        dc, do = self._adjoints[branch]
-        dc += d_center
-        do += d_offset
-
-    def backward(self, grads: dict[str, np.ndarray]) -> None:
-        for branch, (graph, record) in enumerate(zip(self.branches, self.records)):
-            dc, do = self._adjoints[branch]
-            if not dc.any() and not do.any():
-                continue
-            _, traces, order = record
-            _backward_conjunctive(graph, self.params, traces, order, dc, do, grads)
+    def backward(self, box_adjoints, grads: dict[str, np.ndarray], entity_rows) -> None:
+        """Accumulate gradients given (d_center, d_offset) (B, d) adjoints per branch and
+        (ids, rows) pairs of entity gradients in `entity_rows`; each table is scattered once."""
+        table_rows = {"entity": list(entity_rows), "relation_center": [], "relation_offset": []}
+        for (_, _, steps), (dc, do) in zip(self.records, box_adjoints):
+            if dc.any() or do.any():
+                _branch_backward(steps, self.params, dc, do, grads, table_rows)
+        for name, parts in table_rows.items():
+            if parts:
+                ids, rows = zip(*parts)
+                _scatter_rows(grads[name], np.concatenate(ids), np.concatenate(rows))
 
 
 @dataclass
@@ -469,6 +476,8 @@ def adam_step(
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
+        if not (g.any() or m.any() or v.any()):
+            continue  # the update is exactly zero, e.g. for a network the mode never reads
         m *= _ADAM_BETA1
         m += (1.0 - _ADAM_BETA1) * g
         v *= _ADAM_BETA2
@@ -524,6 +533,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
         params.n_entities = header["n_entities"]
         params.n_relations = header["n_relations"]
         params.tensors = {}
+        d, n_rel = config.dim, params.n_relations
+        expected = dict(_net_tensor_specs(d), entity=(params.n_entities, d), shared_offset=(d,),
+                        relation_center=(n_rel, d), relation_offset=(n_rel, d))
+        found = {spec["name"]: tuple(spec["shape"]) for spec in header["tensors"]}
+        for name in sorted(expected.keys() | found.keys()):
+            if found.get(name) != expected.get(name):
+                raise CompatibilityError(f"{path}: tensor {name!r} has shape {found.get(name)}, "
+                                         f"the model needs {expected.get(name)} (None: absent)")
         for spec in header["tensors"]:
             shape = tuple(spec["shape"])
             dtype = np.dtype(spec["dtype"])
@@ -533,7 +550,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
                 raise CompatibilityError(
                     f"{path}: truncated checkpoint, tensor {spec['name']!r} is incomplete"
                 )
-            params.tensors[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            tensor = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            if not np.all(np.isfinite(tensor)):
+                raise CompatibilityError(f"{path}: tensor {spec['name']!r} has non-finite values")
+            params.tensors[spec["name"]] = tensor
         if f.read(1):
             raise CompatibilityError(f"{path}: trailing bytes after the last tensor")
     return params, header["entity_hash"], header["relation_hash"]

@@ -15,27 +15,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SamplingError, TrainingError
-from .geometry import dist_box, grad_dist_box
+from .geometry import Box, dist_box, grad_dist_box
 from .kg import GraphSplits
 from .model import AdamState, ModelConfig, ModelParams, QueryForward, adam_step, sigmoid
 from .sampling import GroundedQuery
 
 _TRAIN_STREAM = 7
+_CANDIDATE_BLOCK = 1 << 15  # candidate-vector elements scored and differentiated at a time
 
 
-def _log_sigmoid(x: float) -> float:
+def _log_sigmoid(x):
     # -log(1 + exp(-x)), stable on both tails
     return -np.logaddexp(0.0, -x)
+
+
+def _losses(dists: np.ndarray, gamma: float) -> np.ndarray:
+    # one loss per row of (positive, negative...) distances; the sorted
+    # negative terms are summed left to right (cumsum is sequential)
+    terms = np.sort(_log_sigmoid(dists[:, 1:] - gamma), axis=1)
+    return -_log_sigmoid(gamma - dists[:, 0]) - np.cumsum(terms, axis=1)[:, -1] / terms.shape[1]
 
 
 def loss(pos_dist: float, neg_dists, gamma: float) -> float:
     """Negative-sampling loss: pull the positive inside the margin, push the
     negatives beyond it. The negative term is averaged; summing in sorted
     order makes the value exactly independent of negative order."""
-    value = -_log_sigmoid(gamma - pos_dist)
-    terms = sorted(_log_sigmoid(nd - gamma) for nd in neg_dists)
-    value -= sum(terms) / len(terms)
-    return float(value)
+    return float(_losses(np.concatenate(([pos_dist], neg_dists))[None].astype(float), gamma)[0])
 
 
 def sample_negatives(
@@ -45,9 +50,9 @@ def sample_negatives(
     of the query on the train graph."""
     if q.answers is None:
         raise ValueError("query must carry answer sets")
-    candidates = np.setdiff1d(
-        np.arange(splits.train.n_entities), np.asarray(q.answers.train, dtype=int)
-    )
+    allowed = np.ones(splits.train.n_entities, dtype=bool)
+    allowed[np.asarray(q.answers.train, dtype=int)] = False
+    candidates = np.flatnonzero(allowed)
     if len(candidates) < k:
         raise SamplingError(
             f"need {k} negatives but only {len(candidates)} non-answers exist"
@@ -55,43 +60,46 @@ def sample_negatives(
     return rng.choice(candidates, size=k, replace=False)
 
 
-def query_loss_and_grads(
-    q: GroundedQuery,
-    params: ModelParams,
-    positive: int,
-    negatives: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> float:
-    """Loss for one (query, positive, negatives) sample; gradients of the
-    loss are accumulated into `grads`."""
+def batch_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, positives,
+                         negatives: np.ndarray, grads: dict[str, np.ndarray]) -> float:
+    """Summed loss of B samples of one structure: query i with positive
+    positives[i] and the k negatives in row i of `negatives`. Gradients of
+    the loss are accumulated into `grads`."""
     cfg = params.config
-    forward = QueryForward(q, params)
+    forward = QueryForward(queries, params)
+    candidates = np.concatenate((np.asarray(positives)[:, None], negatives), axis=1).astype(int)
+    b, width = candidates.shape
+    adjoints = [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim))) for _ in forward.boxes]
+    losses, entity_rows = [], []
+    # the candidates of a few queries at a time, so their blocks stay small
+    chunk = max(1, _CANDIDATE_BLOCK // (width * cfg.dim))
+    for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
+        vecs = params.entity[candidates[rows]]
+        boxes = [Box(box.center[rows], box.offset[rows]) for box in forward.boxes]
+        per_box = np.stack([dist_box(vecs, box, cfg.alpha) for box in boxes])
+        branches = np.argmin(per_box, axis=0)
+        dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
+        losses.append(_losses(dists, cfg.gamma))
+        # d loss / d distance, then chain through the box distance of the
+        # branch that is closest to each candidate
+        dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
+                                      -sigmoid(cfg.gamma - dists[:, 1:]) / (width - 1)), axis=1)
+        for branch, (box, (d_center, d_offset)) in enumerate(zip(boxes, adjoints)):
+            weight = np.where(branches == branch, dloss_ddist, 0.0)[:, :, None]
+            dv, dc, do = grad_dist_box(vecs, box, cfg.alpha)
+            dv *= weight  # zero in the rows of candidates another branch won
+            entity_rows.append((candidates[rows].ravel(), dv.reshape(-1, cfg.dim)))
+            d_center[rows] = (weight * dc).sum(axis=1)
+            d_offset[rows] = (weight * do).sum(axis=1)
+    forward.backward(adjoints, grads, entity_rows)
+    return float(sum(np.concatenate(losses).tolist()))
 
-    candidates = np.concatenate(([positive], negatives)).astype(int)
-    vecs = params.entity[candidates]
-    per_box = np.stack([dist_box(vecs, box, cfg.alpha) for box in forward.boxes])
-    branches = np.argmin(per_box, axis=0)
-    dists = per_box[branches, np.arange(len(candidates))].astype(float)
-    total = loss(dists[0], dists[1:], cfg.gamma)
 
-    # d loss / d distance, then chain through the box distance of the
-    # branch that is closest to each candidate
-    dloss_ddist = np.concatenate((
-        [sigmoid(dists[0] - cfg.gamma)],
-        -sigmoid(cfg.gamma - dists[1:]) / len(negatives),
-    ))
-    for branch, box in enumerate(forward.boxes):
-        rows = np.flatnonzero(branches == branch)
-        if len(rows) == 0:
-            continue
-        dv, dc, do = grad_dist_box(vecs[rows], box, cfg.alpha)
-        weight = dloss_ddist[rows, None]
-        np.add.at(grads["entity"], candidates[rows], weight * dv)
-        forward.add_box_adjoint(
-            branch, np.sum(weight * dc, axis=0), np.sum(weight * do, axis=0)
-        )
-    forward.backward(grads)
-    return total
+def query_loss_and_grads(q: GroundedQuery, params: ModelParams, positive: int,
+                         negatives: np.ndarray, grads: dict[str, np.ndarray]) -> float:
+    """Loss for one (query, positive, negatives) sample, the batch of one of
+    `batch_loss_and_grads`; gradients of the loss are accumulated into `grads`."""
+    return batch_loss_and_grads([q], params, [positive], np.asarray(negatives)[None], grads)
 
 
 @dataclass
@@ -162,22 +170,23 @@ def train(
             for s in structures:
                 qs = by_structure[s]
                 order = orders[s]
+                batch_qs, positives, negatives = [], [], []
                 # lists shorter than the batch cycle, so every structure
                 # contributes the same number of samples per iteration
                 for _ in range(batch):
                     q = qs[order[cursors[s] % len(qs)]]
                     cursors[s] += 1
-                    positive = int(
-                        q.answers.train[rng.integers(len(q.answers.train))]
-                    )
-                    negatives = sample_negatives(q, config.negatives, splits, rng)
-                    samples.append((q, positive, negatives))
+                    batch_qs.append(q)
+                    positives.append(int(q.answers.train[rng.integers(len(q.answers.train))]))
+                    negatives.append(sample_negatives(q, config.negatives, splits, rng))
+                samples.append((batch_qs, positives, np.stack(negatives)))
             grads = params.zero_grads()
+            # one forward and backward pass per structure over its whole batch
             batch_loss = sum(
-                query_loss_and_grads(q, params, positive, negatives, grads)
-                for q, positive, negatives in samples
+                batch_loss_and_grads(qs, params, positives, negatives, grads)
+                for qs, positives, negatives in samples
             )
-            n_queries += len(samples)
+            n_queries += batch * len(samples)
             if not np.isfinite(batch_loss):
                 message = f"non-finite loss at epoch {epoch} step {state.step + 1}"
                 if diagnostic_path is not None:

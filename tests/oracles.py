@@ -3,10 +3,12 @@
 The answer oracles deliberately avoid the library's set-traversal code path:
 answers are found by enumerating variable assignments and checking
 satisfaction per entity, so agreement with the traversal is a real two-route
-check. The loss oracle scores and differentiates one candidate at a time,
-against which the library's per-branch block form is compared; the MLP
-oracle builds each weight gradient from one outer product per input row,
-against which the library's row-block form is compared. The distance
+check. The loss oracle embeds one query at a time, walking its graph node by
+node (`PerQueryForward`), and scores and differentiates one candidate at a
+time, against which the library's batched per-structure form is compared.
+The Adam oracle updates every tensor, where the library skips exact no-ops.
+The MLP oracle builds each weight gradient from one outer product per input
+row, against which the library's row-block form is compared. The distance
 oracles measure against the box corners, not the |v - c| form of the
 library's blocked kernel, and the rank oracle builds one mask per answer
 where the library sorts the non-answers once per query.
@@ -19,10 +21,18 @@ import math
 
 import numpy as np
 
-from boxquery.geometry import dist_box, grad_dist_box
+from boxquery.geometry import Box, dist_box, grad_dist_box
 from boxquery.kg import KnowledgeGraph
-from boxquery.model import QueryForward
-from boxquery.queries import ANCHOR, UNION, ComputationGraph
+from boxquery.model import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
+    ModelParams,
+    _mlp_backward,
+    _mlp_forward,
+    sigmoid,
+)
+from boxquery.queries import ANCHOR, UNION, ComputationGraph, to_dnf
 from boxquery.sampling import GroundedQuery
 from boxquery.training import loss
 
@@ -91,7 +101,7 @@ def query_loss_and_grads_per_candidate(q, params, positive, negatives, grads) ->
     """Reference for `training.query_loss_and_grads`: each candidate picks
     its closest DNF branch and chains its own gradient through that box."""
     cfg = params.config
-    forward = QueryForward(q, params)
+    forward = PerQueryForward(q, params)
     boxes = forward.boxes
 
     candidates = [positive] + [int(n) for n in negatives]
@@ -116,6 +126,253 @@ def query_loss_and_grads_per_candidate(q, params, positive, negatives, grads) ->
         forward.add_box_adjoint(branch, dloss_ddist * dc, dloss_ddist * do)
     forward.backward(grads)
     return total
+
+
+# The per-query forward and backward: one (n, 2d) block of input rows per
+# intersection node, one graph walk per query.
+
+
+def _attention_trace(params, xs):
+    logits, cache = _mlp_forward(params, "attn", xs)
+    shifted = logits - logits.max(axis=0)
+    expd = np.exp(shifted)
+    weights = expd / expd.sum(axis=0)
+    return weights, cache
+
+
+def _attention_backward(dweights, weights, cache, params, grads):
+    dlogits = weights * (dweights - np.sum(weights * dweights, axis=0))
+    return _mlp_backward(dlogits, cache, params, "attn", grads)
+
+
+def _deepsets_trace(params, net, xs):
+    inner, inner_cache = _mlp_forward(params, f"{net}.inner", xs)
+    pooled = inner.mean(axis=0, keepdims=True)
+    out, outer_cache = _mlp_forward(params, f"{net}.outer", pooled)
+    return out[0], (inner_cache, outer_cache)
+
+
+def _deepsets_backward(dout, cache, params, net, grads):
+    inner_cache, outer_cache = cache
+    dpooled = _mlp_backward(dout[None], outer_cache, params, f"{net}.outer", grads)
+    n = len(inner_cache[0])
+    dinner = np.broadcast_to(dpooled / n, (n, dpooled.shape[1]))
+    return _mlp_backward(dinner, inner_cache, params, f"{net}.inner", grads)
+
+
+class _NodeTrace:
+    __slots__ = ("op", "entity", "inputs", "attn", "center_ds", "offset_ds")
+
+    def __init__(self, op):
+        self.op = op
+        self.entity = None
+        self.inputs = []  # list of (src_id, relation), in canonical order
+        self.attn = None  # (weights, mlp cache)
+        self.center_ds = None
+        self.offset_ds = None  # (cache, shrink, mins, argmin)
+
+
+def _forward_conjunctive(graph: ComputationGraph, params: ModelParams):
+    """Embed a union-free grounded graph, recording every intermediate."""
+    cfg = params.config
+    d = cfg.dim
+    dtype = np.dtype(cfg.dtype)
+    point = cfg.geometry == "point"
+    shared = cfg.offset_mode == "shared" and not point
+    zeros = np.zeros(d, dtype=dtype)
+    shared_offset = params.effective_shared_offset() if shared else None
+
+    def produced_offset(offset):
+        if point:
+            return zeros
+        if shared:
+            return shared_offset
+        return offset
+
+    traces: dict[int, _NodeTrace] = {}
+    boxes: dict[int, Box] = {}
+    order = graph.topological_order()
+    for nid in order:
+        node = graph.node(nid)
+        in_es = graph.in_edges(nid)
+        if not in_es:
+            if node.kind != ANCHOR:
+                raise ValueError(f"source node {nid} is not an anchor")
+            trace = _NodeTrace("anchor")
+            trace.entity = node.entity
+            traces[nid] = trace
+            boxes[nid] = Box(params.entity[node.entity].copy(), produced_offset(zeros))
+            continue
+        if any(e.op == UNION for e in in_es):
+            raise ValueError("conjunctive embedding received a union edge")
+        trace = _NodeTrace("proj" if len(in_es) == 1 else "intersect")
+        projected = []
+        for e in in_es:
+            parent = boxes[e.src]
+            center = parent.center + params.relation_center[e.relation]
+            if point or shared:
+                offset = produced_offset(zeros)
+            else:
+                offset = parent.offset + params.effective_relation_offset(e.relation)
+            projected.append((center, offset, e.src, e.relation))
+        if len(projected) == 1:
+            center, offset, src, relation = projected[0]
+            trace.inputs = [(src, relation)]
+            traces[nid] = trace
+            boxes[nid] = Box(center, offset)
+            continue
+        # canonical input order makes every reduction bit-identical under
+        # permutation of the branches
+        projected.sort(key=lambda p: (p[0].tobytes(), p[1].tobytes(), p[3]))
+        trace.inputs = [(src, relation) for _, _, src, relation in projected]
+        centers = np.stack([p[0] for p in projected])
+        offsets = np.stack([p[1] for p in projected])
+        xs = np.concatenate([centers, offsets], axis=1)
+        if cfg.intersection_mode == "attention":
+            weights, cache = _attention_trace(params, xs)
+            trace.attn = (weights, cache)
+            center = np.sum(weights * centers, axis=0)
+        elif cfg.intersection_mode == "average":
+            center = centers.mean(axis=0)
+        else:
+            center, trace.center_ds = _deepsets_trace(params, "center_net", xs)
+        if point or shared:
+            offset = produced_offset(zeros)
+        else:
+            mins = offsets.min(axis=0)
+            argmin = offsets.argmin(axis=0)
+            raw, cache = _deepsets_trace(params, "offset_net", xs)
+            shrink = sigmoid(raw)
+            offset = mins * shrink
+            trace.offset_ds = (cache, shrink, mins, argmin)
+        traces[nid] = trace
+        boxes[nid] = Box(center, offset)
+    return boxes[graph.target.id], traces, order
+
+
+def _backward_conjunctive(
+    graph: ComputationGraph,
+    params: ModelParams,
+    traces,
+    order,
+    d_center: np.ndarray,
+    d_offset: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> None:
+    """Accumulate parameter gradients given adjoints of the final box."""
+    cfg = params.config
+    d = cfg.dim
+    point = cfg.geometry == "point"
+    shared = cfg.offset_mode == "shared" and not point
+    shared_sign = np.sign(params.tensors["shared_offset"]) if shared else None
+
+    adjoints: dict[int, list[np.ndarray]] = {
+        graph.target.id: [d_center.copy(), d_offset.copy()]
+    }
+
+    def divert_offset(do):
+        # a produced offset is abs(shared) in shared mode and constant zero in
+        # point mode; either way nothing flows back through the inputs
+        if shared:
+            grads["shared_offset"] += shared_sign * do
+        return np.zeros(d)
+
+    for nid in reversed(order):
+        if nid not in adjoints:
+            continue
+        dc, do = adjoints.pop(nid)
+        trace = traces[nid]
+        if point or shared:
+            do = divert_offset(do)
+        if trace.op == "anchor":
+            grads["entity"][trace.entity] += dc
+            continue
+
+        # one row of center and offset adjoints per input
+        n_in = len(trace.inputs)
+        in_dc = np.zeros((n_in, d))
+        in_do = np.zeros((n_in, d))
+        if n_in == 1:
+            in_dc += dc
+            in_do += do
+        else:
+            if cfg.intersection_mode == "attention":
+                weights, cache = trace.attn
+                centers = cache[0][:, :d]  # the MLP input rows are [center, offset]
+                in_dc += weights * dc
+                dxs = _attention_backward(dc * centers, weights, cache, params, grads)
+                in_dc += dxs[:, :d]
+                in_do += dxs[:, d:]
+            elif cfg.intersection_mode == "average":
+                in_dc += dc / n_in
+            else:
+                dxs = _deepsets_backward(dc, trace.center_ds, params, "center_net", grads)
+                in_dc += dxs[:, :d]
+                in_do += dxs[:, d:]
+            if trace.offset_ds is not None:
+                cache, shrink, mins, argmin = trace.offset_ds
+                in_do[argmin, np.arange(d)] += do * shrink
+                draw = (do * mins) * shrink * (1.0 - shrink)
+                dxs = _deepsets_backward(draw, cache, params, "offset_net", grads)
+                in_dc += dxs[:, :d]
+                in_do += dxs[:, d:]
+
+        for i, (src, relation) in enumerate(trace.inputs):
+            grads["relation_center"][relation] += in_dc[i]
+            parent = adjoints.setdefault(src, [np.zeros(d), np.zeros(d)])
+            parent[0] += in_dc[i]
+            if point:
+                continue
+            if shared:
+                grads["shared_offset"] += shared_sign * in_do[i]
+            else:
+                raw = params.tensors["relation_offset"][relation]
+                grads["relation_offset"][relation] += np.sign(raw) * in_do[i]
+                parent[1] += in_do[i]
+
+
+class PerQueryForward:
+    """Forward pass over all DNF branches, kept for a later backward call."""
+
+    def __init__(self, query: GroundedQuery | ComputationGraph, params: ModelParams):
+        graph = query.graph if isinstance(query, GroundedQuery) else query
+        self.params = params
+        self.branches, _ = to_dnf(graph)
+        self.records = [_forward_conjunctive(b, params) for b in self.branches]
+        self.boxes = [box for box, _, _ in self.records]
+        self._adjoints = [
+            (np.zeros(params.config.dim), np.zeros(params.config.dim))
+            for _ in self.branches
+        ]
+
+    def add_box_adjoint(self, branch: int, d_center: np.ndarray, d_offset: np.ndarray):
+        dc, do = self._adjoints[branch]
+        dc += d_center
+        do += d_offset
+
+    def backward(self, grads: dict[str, np.ndarray]) -> None:
+        for branch, (graph, record) in enumerate(zip(self.branches, self.records)):
+            dc, do = self._adjoints[branch]
+            if not dc.any() and not do.any():
+                continue
+            _, traces, order = record
+            _backward_conjunctive(graph, self.params, traces, order, dc, do, grads)
+
+
+def adam_step_dense(params, grads, state, lr, t) -> None:
+    """Reference for `model.adam_step`: every tensor is updated, including
+    those whose gradient and moments are all zero."""
+    bc1 = 1.0 - _ADAM_BETA1**t
+    bc2 = 1.0 - _ADAM_BETA2**t
+    for name, tensor in params.tensors.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * (g * g)
+        tensor -= lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 def mlp_backward_per_row(dy, cache, params, prefix, grads) -> np.ndarray:

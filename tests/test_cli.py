@@ -184,6 +184,21 @@ class TestTrainEvalAnalyze:
         # both hash prefixes appear in the message
         assert err.count("entities") >= 2
 
+    def test_eval_nonfinite_checkpoint_exits_2(self, capsys, pipeline, checkpoint, tmp_path):
+        from boxquery.model import load_checkpoint, save_checkpoint
+
+        root, snapshot, queries = pipeline
+        params, ent_hash, rel_hash = load_checkpoint(checkpoint)
+        params.tensors["attn.w2"][0, 0] = float("inf")
+        bad = tmp_path / "inf.ckpt"
+        save_checkpoint(bad, params, ent_hash, rel_hash)
+        code, out, err = run(capsys, "eval", "--checkpoint", str(bad),
+                             "--snapshot", str(snapshot), "--queries", str(queries),
+                             "--stage", "train")
+        assert code == 2
+        assert str(bad) in err and "attn.w2" in err
+        assert "overall" not in out
+
     def test_analyze_offsets(self, capsys, pipeline, checkpoint):
         root, snapshot, _ = pipeline
         code, out, _ = run(capsys, "analyze", "offsets", "--snapshot", str(snapshot),

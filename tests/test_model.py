@@ -1,9 +1,10 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from boxquery.errors import TrainingError
+from boxquery.errors import CompatibilityError, TrainingError
 from boxquery.geometry import Box
 from boxquery.model import (
     AdamState,
@@ -238,7 +239,7 @@ class TestEmbedConjunctive:
             assert np.all(box.offset >= 0)
 
     def test_saturated_shrink_is_zero_without_warning(self):
-        from boxquery.model import _forward_conjunctive
+        from boxquery.model import _branch_forward
 
         kg = make_graph([("A", "r", "B"), ("C", "s", "B")], augment=True)
         v = kg.vocab
@@ -251,10 +252,10 @@ class TestEmbedConjunctive:
         params.tensors["offset_net.outer.b2"][:] = -1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            box, traces, _ = _forward_conjunctive(g, params)
-        shrink = traces[g.target.id].offset_ds[1]
+            _, offset, steps = _branch_forward([g], params)
+        shrink = steps[-1].offset_ds[1]
         assert np.all(shrink == 0.0)
-        assert np.all(box.offset == 0.0)
+        assert np.all(offset == 0.0)
 
     def test_mode_aliases_accepted(self):
         config = ModelConfig(
@@ -434,6 +435,29 @@ class TestAdam:
             assert state.m[name].shape == tensor.shape
             assert state.v[name].shape == tensor.shape
 
+    def test_skipped_tensors_match_dense_update(self, rng):
+        # attention mode never reads center_net.*, so its gradient and moments
+        # stay zero and the update is skipped; the result must not change.
+        # Even steps get zero gradients, so only the moments move the rest.
+        from oracles import adam_step_dense
+
+        instance = None
+        while instance is None:
+            instance = make_instance(rng, ("attention", "per-relation", "box"), structure_name="3i")
+        params, query, positive, negatives = instance
+        start, dense = params.copy(), params.copy()
+        state, dense_state = AdamState.init(params), AdamState.init(dense)
+        for t in range(1, 5):
+            for p, s, step in ((params, state, adam_step), (dense, dense_state, adam_step_dense)):
+                grads = p.zero_grads()
+                if t % 2:
+                    query_loss_and_grads(query, p, positive, negatives, grads)
+                step(p, grads, s, lr=0.01, t=t)
+        for name in params.tensors:
+            assert np.array_equal(params.tensors[name], dense.tensors[name]), name
+            if name.startswith("center_net."):
+                assert np.array_equal(params.tensors[name], start.tensors[name]), name
+
     def test_nonfinite_gradient_names_parameter(self):
         params = small_params()
         grads = params.zero_grads()
@@ -486,5 +510,39 @@ class TestCheckpoint:
         save_checkpoint(path, small_params(), "e", "r")
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(CompatibilityError, match="trailing") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    @staticmethod
+    def edit_header(path, edit):
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        for spec in header["tensors"]:
+            edit(spec)
+        path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+
+    def rename(spec):
+        if spec["name"] == "attn.w1":
+            spec["name"] = "attn.weight1"
+
+    def reshape(spec):
+        if spec["name"] == "relation_center":
+            spec["shape"] = [spec["shape"][0], spec["shape"][1] + 1]
+
+    @pytest.mark.parametrize("edit, tensor", [(rename, "attn.w1"), (reshape, "relation_center")])
+    def test_tensor_set_checked(self, tmp_path, edit, tensor):
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(path, small_params(), "e", "r")
+        self.edit_header(path, edit)
+        with pytest.raises(CompatibilityError, match=tensor) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_nonfinite_value_rejected(self, tmp_path):
+        params = small_params()
+        params.tensors["offset_net.inner.b1"][1] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, params, "e", "r")
+        with pytest.raises(CompatibilityError, match="offset_net.inner.b1.*non-finite") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)

@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 from boxquery.errors import SamplingError, TrainingError
-from boxquery.geometry import Box
-from boxquery.model import ModelConfig, ModelParams, save_checkpoint
+from boxquery.geometry import Box, dist_box
+from boxquery.model import ModelConfig, ModelParams, embed_epfo, save_checkpoint
 from boxquery.queries import bind, structure_templates, template
-from boxquery.sampling import AnswerSet, GroundedQuery, generate_queries
-from boxquery.training import loss, query_loss_and_grads, sample_negatives, train
+from boxquery.sampling import AnswerSet, GroundedQuery, answer_exact, generate_queries, try_instantiate
+from boxquery.training import (
+    batch_loss_and_grads,
+    loss,
+    query_loss_and_grads,
+    sample_negatives,
+    train,
+)
 
-from conftest import make_splits
+from conftest import make_splits, random_graph
 from gradcheck import MODE_GRID, make_instance
 from oracles import query_loss_and_grads_per_candidate
 
@@ -73,6 +79,87 @@ class TestLossAndGradsMatchReference:
                     assert np.max(np.abs(got[name] - want[name])) <= 1e-12, (structure.name, name)
 
 
+def make_batch(rng, mode, structure_name, size, k=2, dim=8):
+    """One random graph and model, and `size` samples of one structure, the
+    last a repeat of the first; None when the graph cannot supply them."""
+    intersection_mode, offset_mode, geometry = mode
+    kg = random_graph(rng, n_entities=6, n_relations=2, n_edges=14, augment=True)
+    samples = []
+    for _ in range(200):
+        query = try_instantiate(template(structure_name), kg, rng)
+        if query is None:
+            continue
+        answers = sorted(answer_exact(kg, query))
+        non_answers = sorted(set(range(kg.n_entities)) - set(answers))
+        if len(non_answers) < k:
+            continue
+        positive = answers[int(rng.integers(len(answers)))]
+        samples.append((query, positive, rng.choice(non_answers, size=k, replace=False)))
+        if len(samples) == max(1, size - 1):
+            break
+    else:
+        return None
+    if size > 1:
+        samples.append(samples[0])
+    config = ModelConfig(
+        dim=dim, alpha=0.2, gamma=1.0, negatives=k, intersection_mode=intersection_mode,
+        offset_mode=offset_mode, geometry=geometry, seed=int(rng.integers(1 << 31)),
+    )
+    return ModelParams(config, kg.n_entities, kg.n_relations), samples
+
+
+class TestBatchMatchesPerQueryOracle:
+    """One batched pass per structure against the per-query oracle summed
+    over the batch: shared negatives, a repeated query and union candidates
+    that split between the DNF branches."""
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_every_structure(self, mode, size, monkeypatch):
+        import boxquery.training as training_module
+
+        # candidates of two queries per chunk, so a batch of 5 spans three
+        monkeypatch.setattr(training_module, "_CANDIDATE_BLOCK", 2 * 3 * 8)
+        rng = np.random.default_rng(2000 + 10 * MODE_GRID.index(mode) + size)
+        shared_negatives = 0
+        for structure in structure_templates():
+            union = structure.name in ("2u", "up")
+            split = 0
+            for attempt in range(30):
+                if attempt >= 2 and (split or not union):
+                    break
+                made = None
+                while made is None:
+                    made = make_batch(rng, mode, structure.name, size)
+                params, samples = made
+                queries, positives, negatives = zip(*samples)
+                got, want = params.zero_grads(), params.zero_grads()
+                batch = batch_loss_and_grads(
+                    list(queries), params, list(positives), np.stack(negatives), got
+                )
+                total = sum(
+                    query_loss_and_grads_per_candidate(q, params, pos, negs, want)
+                    for q, pos, negs in samples
+                )
+                if size == 1:
+                    assert batch == total
+                assert abs(batch - total) <= 1e-12 * abs(total), structure.name
+                for name in got:
+                    assert np.max(np.abs(got[name] - want[name])) <= 1e-12, (structure.name, name)
+
+                distinct = {id(q): set(n.tolist()) for q, _, n in samples}
+                pairs = [(a, b) for a in distinct.values() for b in distinct.values() if a is not b]
+                shared_negatives += any(a & b for a, b in pairs)
+                for q, pos, negs in samples:
+                    boxes = embed_epfo(q, params)
+                    vecs = params.entity[np.concatenate(([pos], negs))]
+                    closest = np.argmin([dist_box(vecs, b, params.config.alpha) for b in boxes], axis=0)
+                    split += len(set(closest.tolist())) > 1
+            assert split or not union, structure.name
+        if size > 2:  # two distinct queries at least
+            assert shared_negatives > 0
+
+
 class TestSampleNegatives:
     def splits_and_query(self):
         splits = make_splits(
@@ -94,6 +181,24 @@ class TestSampleNegatives:
         splits, q, _ = self.splits_and_query()
         with pytest.raises(SamplingError):
             sample_negatives(q, 4, splits, rng)
+
+    def test_draws_match_setdiff_candidates(self, rng):
+        # the complement mask yields the setdiff1d array, so the same
+        # generator state draws the same negatives
+        triples = [(f"e{i}", "r", f"e{(i + 1) % 100}") for i in range(100)]
+        splits = make_splits(triples, augment=False)
+        n = splits.train.n_entities
+        g = bind(template("1p").graph, {0: 0}, {0: 0})
+        k = 5
+        for trial in range(500):
+            size = n - k if trial % 10 == 0 else int(rng.integers(0, n - k + 1))
+            answers = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            q = GroundedQuery(g, "1p", AnswerSet(answers, answers, answers))
+            seed = int(rng.integers(1 << 31))
+            got = sample_negatives(q, k, splits, np.random.default_rng(seed))
+            candidates = np.setdiff1d(np.arange(n), np.asarray(answers, dtype=int))
+            want = np.random.default_rng(seed).choice(candidates, size=k, replace=False)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_uniform_distribution(self, rng):
         triples = [(f"e{i}", "r", f"e{(i + 1) % 100}") for i in range(100)]
@@ -189,7 +294,7 @@ class TestTrainLoop:
 
         splits, queries, config = self.tiny_setup()
         monkeypatch.setattr(
-            training_module, "query_loss_and_grads", lambda *a, **k: float("nan")
+            training_module, "batch_loss_and_grads", lambda *a, **k: float("nan")
         )
         diag = tmp_path / "failed.ckpt.diag"
         with pytest.raises(TrainingError, match="non-finite loss"):
@@ -199,6 +304,30 @@ class TestTrainLoop:
 
         loaded, _, _ = load_checkpoint(diag)
         assert loaded.config == config
+
+    def test_one_mlp_backward_per_network_and_structure(self, monkeypatch):
+        # a batch of one intersection structure runs each network once:
+        # attention, then the offset set network's outer and inner MLPs
+        import boxquery.model as model_module
+
+        ring = [(f"e{i}", "r", f"e{(i + 1) % 8}") for i in range(8)]
+        chords = [(f"e{i}", "s", f"e{(i + 3) % 8}") for i in range(8)]
+        splits = make_splits(ring + chords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            queries = generate_queries(splits, {"2i": 6, "3i": 6}, seed=2)["train"]
+        assert {q.structure_name for q in queries} == {"2i", "3i"}
+        config = ModelConfig(dim=8, gamma=2.0, negatives=3, batch_per_structure=5, seed=5)
+        calls = []
+        original = model_module._mlp_backward
+
+        def counted(dy, cache, params, prefix, grads):
+            calls.append(prefix)
+            return original(dy, cache, params, prefix, grads)
+
+        monkeypatch.setattr(model_module, "_mlp_backward", counted)
+        train(splits, queries, config, max_iterations=1)
+        assert sorted(calls) == sorted(["attn", "offset_net.outer", "offset_net.inner"] * 2)
 
     def test_best_checkpoint_tracking(self):
         ring = [(f"e{i}", "r", f"e{(i + 1) % 8}") for i in range(8)]

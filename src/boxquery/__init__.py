@@ -16,8 +16,6 @@ from .geometry import (
     dist_inside,
     dist_outside,
     grad_dist_box,
-    intersect,
-    project,
 )
 from .kg import (
     GraphSplits,
@@ -34,8 +32,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     adam_step,
-    attention_weights,
-    deepsets_forward,
     embed_conjunctive,
     embed_epfo,
     load_checkpoint,
@@ -68,7 +64,6 @@ from .evaluation import (
     count_disjoint_queries,
     metrics_for_query,
     offset_report,
-    rank_entity,
 )
 
 __version__ = "0.1.0"

@@ -55,7 +55,8 @@ def cmd_synthesize_kg(args) -> int:
         triples, args.out, args.valid_fraction, args.test_fraction, args.seed
     )
     for label, path in zip(("train", "valid", "test"), paths):
-        n = sum(1 for _ in open(path, encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            n = sum(1 for _ in f)
         print(f"{label}: {path} ({n} triples)")
     return 0
 
@@ -203,7 +204,8 @@ def cmd_eval(args) -> int:
     )
     print(report.render_table())
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        with kg._atomic_open(args.report) as f:
+            f.write(report.to_json() + "\n")
         print(f"report: {args.report}")
     return 0
 
@@ -220,7 +222,8 @@ def cmd_analyze(args) -> int:
         report = evaluation.offset_report(params, splits)
         print(report.render_table())
         if args.report:
-            Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+            with kg._atomic_open(args.report) as f:
+                f.write(report.to_json() + "\n")
     else:  # disjoint-m
         _print_header(args, {"seed": args.seed})
         graph = _strip_inverses(splits.test)

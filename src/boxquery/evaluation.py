@@ -53,19 +53,6 @@ def _filtered_ranks(distances: np.ndarray, answers: list[int], q: GroundedQuery)
     return 1 + np.searchsorted(closer, distances[answers], side="left")
 
 
-def rank_entity(
-    v: int,
-    q: GroundedQuery,
-    params: ModelParams,
-    splits: GraphSplits,
-    distances: np.ndarray | None = None,
-) -> int:
-    """Filtered optimistic rank of answer `v` among the non-answers."""
-    if distances is None:
-        distances = entity_distances(q, params)
-    return int(_filtered_ranks(distances, [v], q)[0])
-
-
 def metrics_for_query(
     q: GroundedQuery, params: ModelParams, splits: GraphSplits, stage: str
 ) -> dict[str, float]:

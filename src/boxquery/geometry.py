@@ -61,33 +61,6 @@ class Box:
 RelationBox = Box
 
 
-def project(p: Box, r: RelationBox) -> Box:
-    """Translate the center and grow the offset by the relation's box."""
-    if p.dim != r.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {r.dim}")
-    return Box(p.center + r.center, p.offset + r.offset)
-
-
-def intersect(
-    boxes: Sequence[Box], attn_weights: Sequence[np.ndarray], shrink: np.ndarray
-) -> Box:
-    """Combine boxes: attention-weighted center, shrunken minimum offset.
-
-    `attn_weights` holds one nonnegative d-vector per box, summing to one
-    per dimension; `shrink` lies in (0, 1)^d. Both are produced by the
-    learnable networks; this is only the geometric combination.
-    """
-    if not boxes:
-        raise ValueError("intersect requires at least one box")
-    if len(attn_weights) != len(boxes):
-        raise ValueError("need one weight vector per box")
-    center = np.zeros(boxes[0].dim)
-    for box, a in zip(boxes, attn_weights):
-        center = center + a * box.center
-    min_offset = np.min(np.stack([b.offset for b in boxes]), axis=0)
-    return Box(center, min_offset * shrink)
-
-
 def dist_outside(v: np.ndarray, p: Box) -> float | np.ndarray:
     """L1 distance from each point to the box hull; zero inside."""
     return _box_reduce(v, [p], lambda l1, out: out)

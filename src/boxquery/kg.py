@@ -8,6 +8,8 @@ lines are rejected.
 from __future__ import annotations
 
 import hashlib
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -355,11 +357,26 @@ def prepare_nell(
 
 
 def _write_triples(path: Path, edges: set[tuple[int, int, int]], vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path) as f:
         for h, r, t in sorted(edges):
             f.write(
                 f"{vocab.entity_names[h]}\t{vocab.relation_names[r]}\t{vocab.entity_names[t]}\n"
             )
+
+
+@contextmanager
+def _atomic_open(path: str | Path, mode: str = "w"):
+    """Write a temporary file beside `path` and move it over `path` once the
+    block completes: readers see the old file or the whole new one. On an
+    error the old file stays and the temporary is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_splits(splits: GraphSplits, path: str | Path) -> None:
@@ -369,7 +386,7 @@ def save_splits(splits: GraphSplits, path: str | Path) -> None:
     valid_extra = sorted(splits.valid.edges - splits.train.edges)
     test_extra = sorted(splits.test.edges - splits.valid.edges)
     stats = splits.raw_stats or {}
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path) as f:
         f.write(SNAPSHOT_MAGIC + "\n")
         f.write("stats " + " ".join(f"{k}={stats[k]}" for k in sorted(stats)) + "\n")
         f.write(f"entities {vocab.n_entities}\n")

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CompatibilityError, TrainingError
-from .geometry import Box
+from .geometry import _BLOCK_ELEMENTS, Box
+from .kg import _atomic_open
 from .queries import ANCHOR, UNION, ComputationGraph, to_dnf
 from .sampling import GroundedQuery
 
@@ -192,17 +193,6 @@ def _deepsets_backward(dout, cache, params: ModelParams, net: str, grads):
     return _mlp_backward(dinner, inner_cache, params, f"{net}.inner", grads).reshape(b, n, -1)
 
 
-def deepsets_forward(inputs, params: ModelParams, net: str = "offset_net") -> np.ndarray:
-    """Permutation-invariant set encoding: outer MLP of the mean of inner MLPs.
-
-    The rows are put in a canonical order first, so the pooled sum, and with
-    it the output, is bit-identical under any permutation of the inputs."""
-    if len(inputs) == 0:
-        raise ValueError("deepsets_forward requires at least one input")
-    xs = sorted((np.asarray(x) for x in inputs), key=lambda x: x.tobytes())
-    return _deepsets_trace(params, net, np.stack(xs)[None])[0][0]
-
-
 def _attention_trace(params: ModelParams, xs):
     # weights of shape (B, n, d) for B sets of n input rows
     logits, cache = _mlp_forward(params, "attn", xs.reshape(-1, xs.shape[2]))
@@ -218,14 +208,6 @@ def _attention_backward(dweights, weights, cache, params: ModelParams, grads):
     dlogits = weights * (dweights - np.sum(weights * dweights, axis=1, keepdims=True))
     b, n, d = dlogits.shape
     return _mlp_backward(dlogits.reshape(b * n, d), cache, params, "attn", grads).reshape(b, n, -1)
-
-
-def attention_weights(boxes, params: ModelParams) -> list[np.ndarray]:
-    """Dimension-wise softmax over the attention MLP outputs, one weight
-    vector per box; each dimension's weights sum to one across boxes."""
-    xs = np.stack([np.concatenate([b.center, b.offset]) for b in boxes])
-    weights, _ = _attention_trace(params, xs[None])
-    return list(weights[0])
 
 
 class _Step:
@@ -445,10 +427,15 @@ class QueryForward:
 
 @dataclass
 class AdamState:
-    """First and second moment estimates, mirroring the parameter tensors."""
+    """First and second moment estimates, mirroring the parameter tensors.
+
+    `live` names the tensors whose moments may be nonzero: None until the
+    first `adam_step`, which seeds it from the moments it is handed; from
+    then on only `adam_step` writes the moments."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    live: set[str] | None = None
 
     @classmethod
     def init(cls, params: ModelParams) -> "AdamState":
@@ -465,24 +452,51 @@ def adam_step(
     lr: float,
     t: int,
 ) -> None:
-    """Bias-corrected Adam update, applied in place (t counts from 1)."""
+    """Bias-corrected Adam update, applied in place (t counts from 1).
+
+    Each tensor is streamed once, in blocks of `_BLOCK_ELEMENTS` elements of
+    its flat view that meet two scratch blocks of its dtype; the arithmetic
+    is the textbook update's, in its order, so the result is bit-identical
+    to it. Each gradient block is zeroed once applied: `grads` comes back
+    all zero, ready to accumulate the next step. A tensor whose gradient and
+    moments are all zero is skipped, as its update is exactly zero (e.g. a
+    network the mode never reads); `state.live` saves scanning the moments.
+    A non-finite gradient raises `TrainingError` and leaves the step half
+    applied."""
     if t < 1:
         raise ValueError("Adam timestep counts from 1")
     bc1 = 1.0 - _ADAM_BETA1**t
     bc2 = 1.0 - _ADAM_BETA2**t
+    if state.live is None:
+        state.live = {k for k in state.m if state.m[k].any() or state.v[k].any()}
+    block = _BLOCK_ELEMENTS
+    scratch = {}
     for name, tensor in params.tensors.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        if not (g.any() or m.any() or v.any()):
-            continue  # the update is exactly zero, e.g. for a network the mode never reads
-        m *= _ADAM_BETA1
-        m += (1.0 - _ADAM_BETA1) * g
-        v *= _ADAM_BETA2
-        v += (1.0 - _ADAM_BETA2) * (g * g)
-        tensor -= lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+        if name not in state.live:
+            if not g.any():  # NaN is nonzero, so it reaches the finiteness check
+                continue
+            state.live.add(name)
+        if tensor.dtype not in scratch:
+            scratch[tensor.dtype] = (np.empty(block, tensor.dtype), np.empty(block, tensor.dtype),
+                                     np.empty(block, bool))
+        # flat views: every tensor, gradient and moment is C-contiguous
+        flats = [a.reshape(-1) for a in (tensor, g, state.m[name], state.v[name])]
+        for start in range(0, tensor.size, block):
+            x, gb, m, v = (a[start : start + block] for a in flats)
+            step, denom, finite = (s[: len(x)] for s in scratch[tensor.dtype])
+            if not np.isfinite(gb, out=finite).all():
+                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            m *= _ADAM_BETA1
+            m += np.multiply(1.0 - _ADAM_BETA1, gb, out=step)
+            v *= _ADAM_BETA2
+            v += np.multiply(1.0 - _ADAM_BETA2, np.multiply(gb, gb, out=step), out=step)
+            # x -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(lr, np.divide(m, bc1, out=step), out=step)
+            np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), _ADAM_EPS, out=denom)
+            x -= np.divide(step, denom, out=step)
+            gb.fill(0.0)
 
 
 def save_checkpoint(
@@ -507,7 +521,7 @@ def save_checkpoint(
             for n in names
         ],
     }
-    with open(path, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for n in names:
             f.write(np.ascontiguousarray(params.tensors[n]).tobytes())

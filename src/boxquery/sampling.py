@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CompatibilityError, SamplingError
-from .kg import GraphSplits, KnowledgeGraph, Vocabulary
+from .kg import GraphSplits, KnowledgeGraph, Vocabulary, _atomic_open
 from .queries import (
     ANCHOR,
     PROJECTION,
@@ -353,7 +353,7 @@ def _ids_from_text(text: str) -> tuple[int, ...]:
 
 def write_query_file(path: str | Path, queries: list[GroundedQuery]) -> None:
     """One query per line: structure, graph, and the three answer id lists."""
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_open(path) as f:
         for q in queries:
             if q.answers is None:
                 raise ValueError("queries must carry answer sets")

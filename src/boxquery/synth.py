@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .kg import _atomic_open
+
 KINDS = ("chain", "tree", "bipartite")
 
 
@@ -75,7 +77,7 @@ def write_synthetic_split(
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = (out_dir / "train.txt", out_dir / "valid.txt", out_dir / "test.txt")
     for path, rows in zip(paths, (train, sorted(valid_kept), sorted(test_kept))):
-        with open(path, "w", encoding="utf-8") as f:
+        with _atomic_open(path) as f:
             for h, r, t in rows:
                 f.write(f"{h}\t{r}\t{t}\n")
     return paths

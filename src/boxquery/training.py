@@ -157,6 +157,7 @@ def train(
     largest = max(len(by_structure[s]) for s in structures)
     iters_per_epoch = max(1, math.ceil(largest / batch))
 
+    grads = params.zero_grads()  # reused: adam_step hands them back zeroed
     stop = False
     for epoch in range(1, config.epochs + 1):
         orders = {
@@ -180,7 +181,6 @@ def train(
                     positives.append(int(q.answers.train[rng.integers(len(q.answers.train))]))
                     negatives.append(sample_negatives(q, config.negatives, splits, rng))
                 samples.append((batch_qs, positives, np.stack(negatives)))
-            grads = params.zero_grads()
             # one forward and backward pass per structure over its whole batch
             batch_loss = sum(
                 batch_loss_and_grads(qs, params, positives, negatives, grads)

@@ -6,32 +6,42 @@ satisfaction per entity, so agreement with the traversal is a real two-route
 check. The loss oracle embeds one query at a time, walking its graph node by
 node (`PerQueryForward`), and scores and differentiates one candidate at a
 time, against which the library's batched per-structure form is compared.
-The Adam oracle updates every tensor, where the library skips exact no-ops.
+The Adam oracles update each tensor in whole-tensor expressions, where the
+library streams it in blocks of scratch buffers; the dense one updates every
+tensor, where the library skips exact no-ops.
 The MLP oracle builds each weight gradient from one outer product per input
 row, against which the library's row-block form is compared. The distance
 oracles measure against the box corners, not the |v - c| form of the
 library's blocked kernel, and the rank oracle builds one mask per answer
-where the library sorts the non-answers once per query.
+where the library sorts the non-answers once per query. The last section
+keeps entry points the library no longer needs, for the tests of the
+operators behind them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
-from boxquery.geometry import Box, dist_box, grad_dist_box
-from boxquery.kg import KnowledgeGraph
+from boxquery.errors import TrainingError
+from boxquery.evaluation import _filtered_ranks, entity_distances
+from boxquery.geometry import Box, RelationBox, dist_box, grad_dist_box
+from boxquery.kg import GraphSplits, KnowledgeGraph
 from boxquery.model import (
     _ADAM_BETA1,
     _ADAM_BETA2,
     _ADAM_EPS,
+    AdamState,
     ModelParams,
     _mlp_backward,
     _mlp_forward,
     sigmoid,
 )
+from boxquery.model import _attention_trace as _stacked_attention_trace
+from boxquery.model import _deepsets_trace as _stacked_deepsets_trace
 from boxquery.queries import ANCHOR, UNION, ComputationGraph, to_dnf
 from boxquery.sampling import GroundedQuery
 from boxquery.training import loss
@@ -359,6 +369,35 @@ class PerQueryForward:
             _backward_conjunctive(graph, self.params, traces, order, dc, do, grads)
 
 
+def adam_step_reference(
+    params: ModelParams,
+    grads: dict[str, np.ndarray],
+    state: AdamState,
+    lr: float,
+    t: int,
+) -> None:
+    """Reference for `model.adam_step`: the same update in whole-tensor
+    expressions, skipping a tensor whose gradient and moments are all zero
+    after scanning all three; `grads` is left as it was."""
+    if t < 1:
+        raise ValueError("Adam timestep counts from 1")
+    bc1 = 1.0 - _ADAM_BETA1**t
+    bc2 = 1.0 - _ADAM_BETA2**t
+    for name, tensor in params.tensors.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        m = state.m[name]
+        v = state.v[name]
+        if not (g.any() or m.any() or v.any()):
+            continue  # the update is exactly zero, e.g. for a network the mode never reads
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * (g * g)
+        tensor -= lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+
+
 def adam_step_dense(params, grads, state, lr, t) -> None:
     """Reference for `model.adam_step`: every tensor is updated, including
     those whose gradient and moments are all zero."""
@@ -417,3 +456,67 @@ def rank_per_answer(v, distances, test_answers) -> int:
     allowed[list(test_answers)] = False
     allowed[v] = True
     return 1 + int(np.count_nonzero(allowed & (distances < distances[v])))
+
+
+# Entry points the library no longer calls: the geometric operators in
+# their one-box form, the intersection networks over one set of boxes, and
+# the rank of a single answer.
+
+
+def project(p: Box, r: RelationBox) -> Box:
+    """Translate the center and grow the offset by the relation's box."""
+    if p.dim != r.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {r.dim}")
+    return Box(p.center + r.center, p.offset + r.offset)
+
+
+def intersect(
+    boxes: Sequence[Box], attn_weights: Sequence[np.ndarray], shrink: np.ndarray
+) -> Box:
+    """Combine boxes: attention-weighted center, shrunken minimum offset.
+
+    `attn_weights` holds one nonnegative d-vector per box, summing to one
+    per dimension; `shrink` lies in (0, 1)^d. Both are produced by the
+    learnable networks; this is only the geometric combination.
+    """
+    if not boxes:
+        raise ValueError("intersect requires at least one box")
+    if len(attn_weights) != len(boxes):
+        raise ValueError("need one weight vector per box")
+    center = np.zeros(boxes[0].dim)
+    for box, a in zip(boxes, attn_weights):
+        center = center + a * box.center
+    min_offset = np.min(np.stack([b.offset for b in boxes]), axis=0)
+    return Box(center, min_offset * shrink)
+
+
+def attention_weights(boxes, params: ModelParams) -> list[np.ndarray]:
+    """Dimension-wise softmax over the attention MLP outputs, one weight
+    vector per box; each dimension's weights sum to one across boxes."""
+    xs = np.stack([np.concatenate([b.center, b.offset]) for b in boxes])
+    weights, _ = _stacked_attention_trace(params, xs[None])
+    return list(weights[0])
+
+
+def deepsets_forward(inputs, params: ModelParams, net: str = "offset_net") -> np.ndarray:
+    """Permutation-invariant set encoding: outer MLP of the mean of inner MLPs.
+
+    The rows are put in a canonical order first, so the pooled sum, and with
+    it the output, is bit-identical under any permutation of the inputs."""
+    if len(inputs) == 0:
+        raise ValueError("deepsets_forward requires at least one input")
+    xs = sorted((np.asarray(x) for x in inputs), key=lambda x: x.tobytes())
+    return _stacked_deepsets_trace(params, net, np.stack(xs)[None])[0][0]
+
+
+def rank_entity(
+    v: int,
+    q: GroundedQuery,
+    params: ModelParams,
+    splits: GraphSplits,
+    distances: np.ndarray | None = None,
+) -> int:
+    """Filtered optimistic rank of answer `v` among the non-answers."""
+    if distances is None:
+        distances = entity_distances(q, params)
+    return int(_filtered_ranks(distances, [v], q)[0])

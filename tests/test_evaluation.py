@@ -7,7 +7,6 @@ from boxquery.evaluation import (
     entity_distances,
     metrics_for_query,
     offset_report,
-    rank_entity,
     spearman,
 )
 from boxquery.model import ModelConfig, ModelParams
@@ -15,7 +14,7 @@ from boxquery.queries import bind, template
 from boxquery.sampling import AnswerSet, GroundedQuery
 
 from conftest import make_graph, make_splits
-from oracles import rank_per_answer
+from oracles import rank_entity, rank_per_answer
 
 
 def line_world(positions, test_answers, train_answers=()):

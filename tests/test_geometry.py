@@ -11,11 +11,16 @@ from boxquery.geometry import (
     dist_inside,
     dist_outside,
     grad_dist_box,
+)
+
+from oracles import (
+    dist_agg_corner,
+    dist_box_corner,
+    dist_inside_corner,
+    dist_outside_corner,
     intersect,
     project,
 )
-
-from oracles import dist_agg_corner, dist_box_corner, dist_inside_corner, dist_outside_corner
 
 
 def box(center, offset):

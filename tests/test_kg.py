@@ -2,6 +2,7 @@ import pytest
 
 from boxquery.errors import ParseError, VocabularyError
 from boxquery.kg import (
+    _atomic_open,
     INVERSE_MARKER,
     Vocabulary,
     augment_inverses,
@@ -199,6 +200,11 @@ class TestBuildSplitGraphs:
         }
 
 
+def line_count(path) -> int:
+    with open(path, encoding="utf-8") as f:
+        return sum(1 for _ in f)
+
+
 class TestPrepareNell:
     def chain_files(self, tmp_path, n=10):
         lines = [f"e{i}\tr\te{i + 1}" for i in range(n)]
@@ -207,19 +213,19 @@ class TestPrepareNell:
     def test_fixed_seed_split(self, tmp_path):
         files = self.chain_files(tmp_path)
         out = prepare_nell(files, valid_size=2, test_size=2, seed=7, out_dir=tmp_path / "o")
-        counts = [sum(1 for _ in open(p, encoding="utf-8")) for p in out]
+        counts = [line_count(p) for p in out]
         assert counts[0] >= 6
         assert counts[1] <= 2 and counts[2] <= 2
         assert sum(counts) == 10  # nothing dropped
 
         # filter predicate, checked by brute force
-        train_lines = open(out[0], encoding="utf-8").read().splitlines()
+        train_lines = out[0].read_text(encoding="utf-8").splitlines()
         covered = set()
         for line in train_lines:
             h, _, t = line.split("\t")
             covered.update((h, t))
         for path in out[1:]:
-            for line in open(path, encoding="utf-8").read().splitlines():
+            for line in path.read_text(encoding="utf-8").splitlines():
                 h, _, t = line.split("\t")
                 assert h in covered and t in covered
 
@@ -233,8 +239,8 @@ class TestPrepareNell:
     def test_zero_sizes_put_all_in_train(self, tmp_path):
         files = self.chain_files(tmp_path)
         out = prepare_nell(files, 0, 0, seed=1, out_dir=tmp_path / "o")
-        assert sum(1 for _ in open(out[0], encoding="utf-8")) == 10
-        assert open(out[1], encoding="utf-8").read() == ""
+        assert line_count(out[0]) == 10
+        assert out[1].read_text(encoding="utf-8") == ""
 
     def test_oversized_sample_rejected(self, tmp_path):
         files = self.chain_files(tmp_path)
@@ -272,3 +278,23 @@ class TestSnapshotRoundTrip:
         bad = write(tmp_path / "trunc.txt", "boxquery-splits v1\nstats \nentities 5\na\n")
         with pytest.raises(ParseError, match="corrupt"):
             load_splits(bad)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(b"previous")
+        with pytest.raises(RuntimeError, match="serializer"):
+            with _atomic_open(path, "wb") as f:
+                f.write(b"partial")
+                raise RuntimeError("serializer failed part-way")
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "artifact.txt"
+        path.write_text("previous\n", encoding="utf-8")
+        with _atomic_open(path) as f:
+            f.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]

@@ -11,8 +11,6 @@ from boxquery.model import (
     ModelConfig,
     ModelParams,
     adam_step,
-    attention_weights,
-    deepsets_forward,
     embed_conjunctive,
     embed_epfo,
     load_checkpoint,
@@ -24,6 +22,7 @@ from boxquery.training import query_loss_and_grads
 
 from conftest import make_graph, random_graph
 from gradcheck import MODE_GRID, check_instance, make_instance
+from oracles import attention_weights, deepsets_forward
 
 
 def small_params(n_entities=6, n_relations=4, dim=4, **kwargs) -> ModelParams:
@@ -464,6 +463,60 @@ class TestAdam:
         grads["attn.w1"][0, 0] = np.nan
         with pytest.raises(TrainingError, match="attn.w1"):
             adam_step(params, grads, AdamState.init(params), lr=0.1, t=1)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_blocked_update_matches_reference(self, dtype, rng, monkeypatch):
+        # blocks of 37 elements: every tensor but the biases spans several
+        # and ends on a partial one; step 3 has an all-zero gradient, and
+        # center_net.* never gets one, as in attention mode
+        import boxquery.model as model_module
+        from oracles import adam_step_reference
+
+        monkeypatch.setattr(model_module, "_BLOCK_ELEMENTS", 37)
+        params = small_params(n_entities=9, n_relations=5, dim=6, dtype=dtype)
+        reference = params.copy()
+        state, ref_state = AdamState.init(params), AdamState.init(reference)
+        for t in range(1, 6):
+            grads = params.zero_grads()
+            if t != 3:
+                for name, g in grads.items():
+                    if not name.startswith("center_net."):
+                        g[...] = rng.standard_normal(g.shape)
+            ref_grads = {name: g.copy() for name, g in grads.items()}
+            adam_step(params, grads, state, lr=0.01, t=t)
+            adam_step_reference(reference, ref_grads, ref_state, lr=0.01, t=t)
+            assert not any(g.any() for g in grads.values())  # handed back zeroed
+            for name in params.tensors:
+                for got, want in ((params.tensors, reference.tensors), (state.m, ref_state.m),
+                                  (state.v, ref_state.v)):
+                    assert got[name].dtype == np.dtype(dtype)
+                    assert got[name].tobytes() == want[name].tobytes(), (t, name)
+
+    def test_peak_memory_is_a_few_blocks(self, rng):
+        # one step over every tensor of a d=400 model allocates scratch
+        # blocks only; the reference's tensor-sized temporaries exceed that
+        import tracemalloc
+
+        import boxquery.model as model_module
+        from oracles import adam_step_reference
+
+        params = small_params(n_entities=10, n_relations=4, dim=400, dtype="float32")
+        bound = 4 * model_module._BLOCK_ELEMENTS * np.dtype(np.float32).itemsize
+        assert params.tensors["attn.w1"].nbytes > 4 * bound
+        peaks = []
+        for step in (adam_step, adam_step_reference):
+            state = AdamState.init(params)
+            grads = params.zero_grads()
+            for g in grads.values():
+                g[...] = rng.standard_normal(g.shape, dtype=np.float32)
+            tracemalloc.start()
+            try:
+                step(params, grads, state, lr=0.01, t=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del state, grads
+        assert peaks[0] < bound < peaks[1], peaks
 
 
 class TestCheckpoint:

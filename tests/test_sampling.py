@@ -264,3 +264,18 @@ class TestQueryFiles:
         write_query_file(path, queries)
         back = read_query_file(path)
         assert back == queries
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        # the serializer raises part-way, at a query without answer sets
+        import dataclasses
+
+        splits = make_splits([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "A")])
+        queries = generate_heldin_queries(splits, {"1p": 3, "2p": 3}, seed=4)
+        path = tmp_path / "queries.txt"
+        write_query_file(path, queries)
+        before = path.read_bytes()
+        broken = queries + [dataclasses.replace(queries[0], answers=None)]
+        with pytest.raises(ValueError, match="answer sets"):
+            write_query_file(path, broken)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["queries.txt"]

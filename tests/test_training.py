@@ -346,6 +346,69 @@ class TestTrainLoop:
         assert all("val_mrr" in rec for rec in result.state.history)
 
 
+class TestBlockedAdamInTraining:
+    """`train` keeps one gradient dict for the run, which `adam_step` hands
+    back zeroed, and updates in blocks; a replay of its samples with fresh
+    `zero_grads()` per step and the whole-tensor reference step must give
+    bit-equal parameters and moments. The block constant is patched down so
+    that tensors span several blocks and end on a partial one, and the
+    second step gets no gradient at all, so a leaked gradient would show."""
+
+    ZERO_STEP = 2
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_four_steps_match_fresh_buffers_and_reference(self, mode, dtype, monkeypatch):
+        import boxquery.model as model_module
+        import boxquery.training as training_module
+        from boxquery.model import AdamState
+        from oracles import adam_step_reference
+
+        monkeypatch.setattr(model_module, "_BLOCK_ELEMENTS", 37)
+        intersection_mode, offset_mode, geometry = mode
+        ring = [(f"e{i}", "r", f"e{(i + 1) % 8}") for i in range(8)]
+        chords = [(f"e{i}", "s", f"e{(i + 3) % 8}") for i in range(8)]
+        splits = make_splits(ring + chords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            queries = generate_queries(splits, {n: 6 for n in ("1p", "2p", "2i", "3i")},
+                                       seed=2)["train"]
+        config = ModelConfig(
+            dim=8, gamma=2.0, negatives=3, learning_rate=0.01, epochs=4,
+            batch_per_structure=6, seed=5, dtype=dtype, intersection_mode=intersection_mode,
+            offset_mode=offset_mode, geometry=geometry,
+        )
+        per_step = len({q.structure_name for q in queries})  # one batch per structure
+        steps = []  # the samples of each step
+
+        def recorded(qs, params, positives, negatives, grads):
+            if not steps or len(steps[-1]) == per_step:
+                steps.append([])
+            steps[-1].append((qs, positives, negatives))
+            if len(steps) == self.ZERO_STEP:
+                return 0.0
+            return batch_loss_and_grads(qs, params, positives, negatives, grads)
+
+        monkeypatch.setattr(training_module, "batch_loss_and_grads", recorded)
+        result = train(splits, queries, config, log=None)
+        assert result.state.step == len(steps) == 4
+
+        params = ModelParams(config, splits.train.n_entities, splits.train.n_relations)
+        state = AdamState.init(params)
+        for t, samples in enumerate(steps, start=1):
+            grads = params.zero_grads()
+            if t != self.ZERO_STEP:
+                for qs, positives, negatives in samples:
+                    batch_loss_and_grads(qs, params, positives, negatives, grads)
+            adam_step_reference(params, grads, state, config.learning_rate, t)
+        got = result.final_params
+        for name, tensor in params.tensors.items():
+            assert got.tensors[name].dtype == np.dtype(dtype)
+            assert got.tensors[name].tobytes() == tensor.tobytes(), name
+            assert result.state.adam.m[name].tobytes() == state.m[name].tobytes(), name
+            assert result.state.adam.v[name].tobytes() == state.v[name].tobytes(), name
+
+
 class TestFloat32Switch:
     def test_float32_training_and_checkpoint(self, tmp_path):
         ring = [(f"e{i}", "r", f"e{(i + 1) % 8}") for i in range(8)]

@@ -88,14 +88,22 @@ def cmd_prepare_data(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a count >= 0")
+    return int(text)
+
+
 def _parse_counts(text: str | None, default: int | None) -> dict[str, int]:
     from .queries import STRUCTURE_NAMES
 
     counts = {name: default or 0 for name in STRUCTURE_NAMES}
     if text:
         for part in text.split(","):
-            name, value = part.split("=")
+            name, _, value = part.partition("=")
             name = name.strip()
+            if not value.strip().isdecimal():
+                raise _UsageError(f"--counts entry {part!r} is not name=count with a count >= 0")
             if name not in counts:
                 raise _UsageError(f"unknown query structure {name!r} in --counts")
             counts[name] = int(value)
@@ -200,7 +208,7 @@ def cmd_eval(args) -> int:
         print(f"#   {line}")
     report = evaluation.aggregate(
         queries, params, splits, args.stage,
-        checkpoint_id=_checkpoint_id(args.checkpoint), workers=args.workers,
+        checkpoint_id=_checkpoint_id(args.checkpoint),
     )
     print(report.render_table())
     if args.report:
@@ -277,11 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-queries", help="instantiate and answer query datasets")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--count", type=_count, default=None,
                    help="default per-structure query count")
     p.add_argument("--counts", default=None,
                    help="per-structure overrides, e.g. '1p=500,2i=100'")
-    p.add_argument("--heldin-count", type=int, default=None,
+    p.add_argument("--heldin-count", type=_count, default=None,
                    help="also emit an evaluation set answered on the train graph")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate_queries)
@@ -310,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--stage", choices=("validation", "test", "train"), default="test")
     p.add_argument("--report", default=None, help="write the JSON report here")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="offset-size and disjoint-query analyses")

@@ -5,6 +5,13 @@ not answers of the same query on the test graph. Ties are broken
 optimistically (rank = 1 + number of strictly closer candidates). Metrics
 are averaged per query first and per structure second, so a query with many
 answers counts no more than a query with one.
+
+Queries are scored per structure chunk: `aggregate` groups them by
+structure, embeds up to `_QUERY_CHUNK` queries of one structure with one
+batched forward pass, and scores the chunk against the entity table in one
+blocked pass, so the table is read once per chunk rather than once per
+query; each query is then ranked on its own row of distances. A single
+query (`entity_distances`, `metrics_for_query`) is a chunk of one.
 """
 
 from __future__ import annotations
@@ -16,30 +23,44 @@ import numpy as np
 
 from .geometry import dist_agg
 from .kg import GraphSplits, KnowledgeGraph
-from .model import ModelParams, embed_epfo
+from .model import ModelParams, QueryForward
 from .sampling import GroundedQuery
 
 STAGES = ("train", "validation", "test")
 
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
 
+# queries of one structure embedded and scored together; the (chunk, N)
+# distance table bounds evaluation memory whatever the number of queries
+_QUERY_CHUNK = 64
+
 
 def _stage_answers(q: GroundedQuery, stage: str) -> list[int]:
     if q.answers is None:
         raise ValueError("query must carry answer sets")
     if stage == "validation":
-        return sorted(set(q.answers.valid) - set(q.answers.train))
-    if stage == "test":
-        return sorted(set(q.answers.test) - set(q.answers.valid))
-    if stage == "train":
-        return sorted(q.answers.train)
-    raise ValueError(f"unknown stage {stage!r}")
+        answers = set(q.answers.valid) - set(q.answers.train)
+    elif stage == "test":
+        answers = set(q.answers.test) - set(q.answers.valid)
+    elif stage == "train":
+        answers = set(q.answers.train)
+    else:
+        raise ValueError(f"unknown stage {stage!r}")
+    if not answers:
+        raise ValueError(f"query has no answers to evaluate at stage {stage!r}")
+    return sorted(answers)
+
+
+def _chunk_distances(queries: list[GroundedQuery], params: ModelParams) -> np.ndarray:
+    """(B, N) aggregated box distances from every entity to B queries of one
+    structure: one forward pass, one blocked pass over the entity table."""
+    boxes = QueryForward(queries, params).boxes
+    return dist_agg(params.entity, boxes, params.config.alpha, shared=True)
 
 
 def entity_distances(q: GroundedQuery, params: ModelParams) -> np.ndarray:
     """Aggregated box distance from every entity to the query."""
-    boxes = embed_epfo(q, params)
-    return dist_agg(params.entity, boxes, params.config.alpha)
+    return _chunk_distances([q], params)[0]
 
 
 def _filtered_ranks(distances: np.ndarray, answers: list[int], q: GroundedQuery) -> np.ndarray:
@@ -53,21 +74,40 @@ def _filtered_ranks(distances: np.ndarray, answers: list[int], q: GroundedQuery)
     return 1 + np.searchsorted(closer, distances[answers], side="left")
 
 
-def metrics_for_query(
-    q: GroundedQuery, params: ModelParams, splits: GraphSplits, stage: str
-) -> dict[str, float]:
-    """Mean of the rank metrics over the stage's non-trivial answers."""
-    answers = _stage_answers(q, stage)
-    if not answers:
-        raise ValueError(f"query has no answers to evaluate at stage {stage!r}")
-    ranks = _filtered_ranks(entity_distances(q, params), answers, q)
+def _metrics(ranks: np.ndarray) -> dict[str, float]:
     totals = dict.fromkeys(METRIC_NAMES, 0.0)
     for rank in ranks.tolist():
         totals["mrr"] += 1.0 / rank
         totals["h1"] += 1.0 if rank <= 1 else 0.0
         totals["h3"] += 1.0 if rank <= 3 else 0.0
         totals["h10"] += 1.0 if rank <= 10 else 0.0
-    return {k: t / len(answers) for k, t in totals.items()}
+    return {k: t / len(ranks) for k, t in totals.items()}
+
+
+def _ranks(queries: list[GroundedQuery], params: ModelParams, stage: str) -> list[np.ndarray]:
+    """Filtered ranks of each query's stage answers, in the order of
+    `queries`, scored one structure chunk at a time."""
+    answers = [_stage_answers(q, stage) for q in queries]
+    by_structure: dict[str, list[int]] = {}
+    for i, q in enumerate(queries):
+        by_structure.setdefault(q.structure_name, []).append(i)
+    ranks = [None] * len(queries)
+    for members in by_structure.values():
+        for start in range(0, len(members), _QUERY_CHUNK):
+            chunk = members[start : start + _QUERY_CHUNK]
+            table = _chunk_distances([queries[i] for i in chunk], params)
+            for i, row in zip(chunk, table):
+                ranks[i] = _filtered_ranks(row, answers[i], queries[i])
+            del table, row  # one (chunk, N) table alive at a time
+    return ranks
+
+
+def metrics_for_query(
+    q: GroundedQuery, params: ModelParams, splits: GraphSplits, stage: str
+) -> dict[str, float]:
+    """Mean of the rank metrics over the stage's non-trivial answers."""
+    answers = _stage_answers(q, stage)
+    return _metrics(_filtered_ranks(entity_distances(q, params), answers, q))
 
 
 @dataclass
@@ -115,23 +155,13 @@ def aggregate(
     splits: GraphSplits,
     stage: str,
     checkpoint_id: str = "-",
-    workers: int = 1,
 ) -> EvalReport:
     """Per-structure means of per-query metrics; overall is the unweighted
-    mean of the structure means. Evaluation is read-only on the checkpoint,
-    so queries may be scored in parallel; the merge order is fixed."""
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda q: metrics_for_query(q, params, splits, stage), queries)
-            )
-    else:
-        rows = [metrics_for_query(q, params, splits, stage) for q in queries]
+    mean of the structure means. Each structure's queries are averaged in
+    their order in `queries`."""
     per_structure: dict[str, list[dict[str, float]]] = {}
-    for q, row in zip(queries, rows):
-        per_structure.setdefault(q.structure_name, []).append(row)
+    for q, ranks in zip(queries, _ranks(queries, params, stage)):
+        per_structure.setdefault(q.structure_name, []).append(_metrics(ranks))
     structures = {}
     for name, rows in sorted(per_structure.items()):
         means = {m: float(np.mean([r[m] for r in rows])) for m in METRIC_NAMES}

@@ -6,7 +6,12 @@ The distances and their gradients reduce over the last axis, so each takes
 either one point of shape (d,) or a block of points of shape (n, d) and
 returns one value, or gradient row, per point. A box may also be a stack of
 B boxes, center and offset of shape (B, d); its points then have shape
-(B, ..., d), and the points v[b] are measured against box b.
+(B, ..., d), and the points v[b] are measured against box b. The third
+form, `dist_agg(v, boxes, alpha, shared=True)`, measures one block of
+points v of shape (N, d), shared by all boxes, against every box of (B, d)
+stacks and returns a (B, N) table: row b is the distance of every point to
+the boxes b of the stacks, as evaluation scores B queries against all
+entities.
 
 The distances use the |v - c| form (outside = sum max(|v - c| - o, 0),
 inside = sum min(|v - c|, o)) and score the points in fixed-size row blocks
@@ -79,11 +84,14 @@ def dist_box(v: np.ndarray, p: Box, alpha: float) -> float | np.ndarray:
     return dist_agg(v, [p], alpha)
 
 
-def dist_agg(v: np.ndarray, boxes: Sequence[Box], alpha: float) -> float | np.ndarray:
-    """Minimum box distance over a set of boxes (one per DNF branch)."""
+def dist_agg(
+    v: np.ndarray, boxes: Sequence[Box], alpha: float, shared: bool = False
+) -> float | np.ndarray:
+    """Minimum box distance over a set of boxes (one per DNF branch); with
+    `shared`, from every point of an (N, d) block to each of B stacked boxes."""
     if not boxes:
         raise ValueError("dist_agg requires at least one box")
-    return _box_reduce(v, boxes, lambda l1, out: out + alpha * (l1 - out))
+    return _box_reduce(v, boxes, lambda l1, out: out + alpha * (l1 - out), shared)
 
 
 def grad_dist_box(
@@ -110,36 +118,43 @@ def grad_dist_box(
     return np.subtract(outside, s, out=outside), dc, do
 
 
-def _box_reduce(v: np.ndarray, boxes: Sequence[Box], combine) -> float | np.ndarray:
-    """Minimum over `boxes` of `combine(l1, outside)` for each point of `v`.
+def _box_reduce(v: np.ndarray, boxes: Sequence[Box], combine, shared: bool = False):
+    """Minimum over `boxes` of `combine(l1, outside)` for each point of `v`,
+    or with `shared`, for each (box b of the stacks, point of `v`) pair.
 
     A block of rows meets every box before the next block is read."""
-    for p in boxes:
-        _check_dim(v, p)
     d = v.shape[-1]
+    b = len(boxes[0].center)
+    for p in boxes:
+        if not shared:
+            _check_dim(v, p)
+        elif v.ndim != 2 or p.center.shape != (b, d):
+            raise ValueError(f"dimension mismatch: shared points {v.shape} vs {p.center.shape}")
     rows = v.reshape(-1, d)
     dtype = np.result_type(v, *(p.center for p in boxes), *(p.offset for p in boxes), 0.0)
     # a stack of boxes is repeated row by row, box b once for each of its points
-    stacked = boxes[0].center.ndim == 2
+    stacked = boxes[0].center.ndim == 2 and not shared
     repeats = len(rows) // max(1, len(boxes[0].center)) if stacked else 1
     planes = [(np.repeat(p.center, repeats, 0), np.repeat(p.offset, repeats, 0)) if stacked
               else (p.center, p.offset) for p in boxes]
-    result = np.full(len(rows), np.inf, dtype)
+    # one group of planes per output row: box b of every stack when shared
+    groups = [[(c[i], o[i]) for c, o in planes] for i in range(b)] if shared else [planes]
+    result = np.full((len(groups), len(rows)), np.inf, dtype)
     block = max(1, _BLOCK_ELEMENTS // max(d, 1))
     scratch = np.empty((min(block, len(rows)), d), dtype)
     for start in range(0, len(rows), block):
         v_block = rows[start : start + block]
         t = scratch[: len(v_block)]
         at = slice(start, start + block) if stacked else ...
-        for center, offset in planes:
-            np.subtract(v_block, center[at], out=t)
-            np.abs(t, out=t)
-            l1 = t.sum(axis=1)
-            t -= offset[at]
-            np.maximum(t, 0.0, out=t)
-            res = result[start : start + block]
-            np.minimum(res, combine(l1, t.sum(axis=1)), out=res)
-    return result.reshape(v.shape[:-1])[()]
+        for res, group in zip(result[:, start : start + block], groups):
+            for center, offset in group:
+                np.subtract(v_block, center[at], out=t)
+                np.abs(t, out=t)
+                l1 = t.sum(axis=1)
+                t -= offset[at]
+                np.maximum(t, 0.0, out=t)
+                np.minimum(res, combine(l1, t.sum(axis=1)), out=res)
+    return result if shared else result[0].reshape(v.shape[:-1])[()]
 
 
 def _check_dim(v: np.ndarray, p: Box) -> None:

@@ -13,7 +13,9 @@ The MLP oracle builds each weight gradient from one outer product per input
 row, against which the library's row-block form is compared. The distance
 oracles measure against the box corners, not the |v - c| form of the
 library's blocked kernel, and the rank oracle builds one mask per answer
-where the library sorts the non-answers once per query. The last section
+where the library sorts the non-answers once per query. The evaluation
+oracle embeds and scores one query at a time, where the library scores a
+chunk of queries of one structure per pass over the entities. The last section
 keeps entry points the library no longer needs, for the tests of the
 operators behind them.
 """
@@ -27,7 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from boxquery.errors import TrainingError
-from boxquery.evaluation import _filtered_ranks, entity_distances
+from boxquery.evaluation import (
+    METRIC_NAMES,
+    EvalReport,
+    _filtered_ranks,
+    entity_distances,
+    metrics_for_query,
+)
 from boxquery.geometry import Box, RelationBox, dist_box, grad_dist_box
 from boxquery.kg import GraphSplits, KnowledgeGraph
 from boxquery.model import (
@@ -456,6 +464,25 @@ def rank_per_answer(v, distances, test_answers) -> int:
     allowed[list(test_answers)] = False
     allowed[v] = True
     return 1 + int(np.count_nonzero(allowed & (distances < distances[v])))
+
+
+def aggregate_per_query(queries, params, splits, stage, checkpoint_id="-") -> EvalReport:
+    """Reference for `aggregate`: `metrics_for_query` on each query in turn,
+    then the per-structure means of the rows in query order."""
+    per_structure: dict[str, list[dict[str, float]]] = {}
+    for q in queries:
+        row = metrics_for_query(q, params, splits, stage)
+        per_structure.setdefault(q.structure_name, []).append(row)
+    structures = {}
+    for name, rows in sorted(per_structure.items()):
+        means = {m: float(np.mean([r[m] for r in rows])) for m in METRIC_NAMES}
+        means["count"] = float(len(rows))
+        structures[name] = means
+    overall = {
+        m: float(np.mean([structures[name][m] for name in structures]))
+        for m in METRIC_NAMES
+    }
+    return EvalReport(stage, checkpoint_id, structures, overall)
 
 
 # Entry points the library no longer calls: the geometric operators in

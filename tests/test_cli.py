@@ -104,6 +104,23 @@ class TestGenerateQueries:
         assert code == 2
         assert "count" in err
 
+    @pytest.mark.parametrize("entry", ["1p", "1p=x", "1p=-3"])
+    def test_malformed_counts_exit_2(self, capsys, pipeline, tmp_path, entry):
+        _, snapshot, _ = pipeline
+        code, _, err = run(capsys, "generate-queries", "--snapshot", str(snapshot),
+                           "--out", str(tmp_path / "q"), "--counts", f"2i=3,{entry}")
+        assert code == 2
+        assert repr(entry) in err
+        assert not (tmp_path / "q").exists()
+
+    @pytest.mark.parametrize("flag", ["--count", "--heldin-count"])
+    def test_negative_count_exits_2(self, pipeline, tmp_path, flag):
+        _, snapshot, _ = pipeline
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate-queries", "--snapshot", str(snapshot), "--out", str(tmp_path / "q"),
+                  "--count", "3", flag, "-3"])
+        assert excinfo.value.code == 2
+
     def test_rerun_is_byte_identical(self, capsys, pipeline, tmp_path):
         _, snapshot, _ = pipeline
         blobs = []
@@ -217,6 +234,13 @@ class TestTrainEvalAnalyze:
         _, snapshot, _ = pipeline
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", "--no-such-flag", "--snapshot", str(snapshot)])
+        assert excinfo.value.code == 2
+
+    def test_eval_has_no_workers_option(self, pipeline, checkpoint):
+        _, snapshot, queries = pipeline
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--checkpoint", str(checkpoint), "--snapshot", str(snapshot),
+                  "--queries", str(queries), "--workers", "2"])
         assert excinfo.value.code == 2
 
 

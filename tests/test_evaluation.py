@@ -1,7 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from boxquery import evaluation, geometry
 from boxquery.evaluation import (
+    _chunk_distances,
+    _filtered_ranks,
+    _ranks,
+    _stage_answers,
     aggregate,
     count_disjoint_queries,
     entity_distances,
@@ -10,11 +18,12 @@ from boxquery.evaluation import (
     spearman,
 )
 from boxquery.model import ModelConfig, ModelParams
-from boxquery.queries import bind, template
-from boxquery.sampling import AnswerSet, GroundedQuery
+from boxquery.queries import STRUCTURE_NAMES, bind, template
+from boxquery.sampling import AnswerSet, GroundedQuery, generate_queries
 
 from conftest import make_graph, make_splits
-from oracles import rank_entity, rank_per_answer
+from gradcheck import MODE_GRID
+from oracles import aggregate_per_query, rank_entity, rank_per_answer
 
 
 def line_world(positions, test_answers, train_answers=()):
@@ -221,12 +230,6 @@ class TestAggregate:
         untrained_report = aggregate(queries, untrained, splits, "train")
         assert trained_report.overall["mrr"] > untrained_report.overall["mrr"]
 
-    def test_workers_do_not_change_report(self, trained_bipartite):
-        splits, queries, _, result = trained_bipartite
-        seq = aggregate(queries[:20], result.params, splits, "train")
-        par = aggregate(queries[:20], result.params, splits, "train", workers=4)
-        assert seq.to_json() == par.to_json()
-
     def test_point_1p_order_matches_translation(self, rng):
         splits, params, q, v = line_world([10, 1, 2, 3, 4, 5], ["e5"])
         distances = entity_distances(q, params)
@@ -234,6 +237,101 @@ class TestAggregate:
         shift = params.tensors["relation_center"][v.relation_id("r")]
         manual = np.sum(np.abs(anchor + shift - params.entity), axis=1)
         assert np.argsort(distances).tolist() == np.argsort(manual).tolist()
+
+
+@pytest.fixture(scope="module")
+def mixed_structures():
+    """Test-stage queries of all nine structures, five each, interleaved
+    structure by structure, on a random 24-entity graph."""
+    rng = np.random.default_rng(5)
+    triples = sorted({(f"e{rng.integers(24)}", f"r{rng.integers(3)}", f"e{rng.integers(24)}")
+                      for _ in range(90)})
+    order = rng.permutation(len(triples))
+    train, valid, test = ([triples[i] for i in part] for part in np.split(order, [70, 80]))
+    splits = make_splits(train, valid, valid + test)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        queries = generate_queries(splits, {s: 5 for s in STRUCTURE_NAMES}, 3)["test"]
+    by_structure = [[q for q in queries if q.structure_name == s] for s in STRUCTURE_NAMES]
+    assert all(len(group) == 5 for group in by_structure)
+    return splits, [q for round_ in zip(*by_structure) for q in round_]
+
+
+class TestAggregateMatchesPerQueryOracle:
+    """Structure chunks scored in one pass over the entity blocks against
+    one query at a time, with entity blocks of 7 rows and query chunks of 3,
+    so both split mid-structure, and with duplicated entity vectors, so
+    answers tie with non-answers."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_every_structure(self, mixed_structures, mode, dtype, monkeypatch):
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 7 * 8)
+        monkeypatch.setattr(evaluation, "_QUERY_CHUNK", 3)
+        splits, queries = mixed_structures
+        intersection_mode, offset_mode, geometry_name = mode
+        config = ModelConfig(dim=8, intersection_mode=intersection_mode, offset_mode=offset_mode,
+                             geometry=geometry_name, dtype=dtype, seed=11)
+        params = ModelParams(config, splits.train.n_entities, splits.train.n_relations)
+        entity = params.tensors["entity"]
+        entity[1::3] = entity[0::3][: len(entity[1::3])]
+        # the forward pass is not bit-identical across batch sizes, so a
+        # distance may move by a rounding; ranks may differ only where an
+        # answer ties a non-answer within that
+        eps = 8 * np.finfo(dtype).eps
+        tied = flipped = 0
+        for q, got in zip(queries, _ranks(queries, params, "test")):
+            answers = _stage_answers(q, "test")
+            distances = entity_distances(q, params)
+            want = _filtered_ranks(distances, answers, q)
+            others = np.setdiff1d(np.arange(len(distances)), q.answers.test)
+            tied += np.isin(distances[answers], distances[others]).sum()
+            for a, g, w in zip(answers, got, want):
+                if g != w:
+                    flipped += 1
+                    gap = np.min(np.abs(distances[others] - distances[a]))
+                    assert gap <= eps * max(1.0, abs(distances[a])), (q.structure_name, a)
+        assert tied > 0
+        for name in STRUCTURE_NAMES:
+            group = [q for q in queries if q.structure_name == name]
+            batched = _chunk_distances(group, params)
+            single = np.stack([entity_distances(q, params) for q in group])
+            assert np.all(np.abs(batched - single) <= eps * np.maximum(1.0, np.abs(single))), name
+
+        report = aggregate(queries, params, splits, "test", checkpoint_id="c")
+        assert report.to_json() == aggregate(queries, params, splits, "test", "c").to_json()
+        if not flipped:  # equal ranks give equal means, summed in the same order
+            oracle = aggregate_per_query(queries, params, splits, "test", "c")
+            assert report.to_json() == oracle.to_json()
+
+    def test_peak_memory_bounded_by_one_chunk(self):
+        # ten chunks of 1p queries on 4,000 entities peak no higher than one
+        # chunk plus its (chunk, N) distance table; scoring a structure at
+        # once would hold ten such tables
+        n = 4000
+        splits = make_splits([(f"e{i}", "r", f"e{(i + 1) % n}") for i in range(n)],
+                             augment=False)
+        params = ModelParams(ModelConfig(dim=8, seed=0), n, 1)
+        queries = [
+            GroundedQuery(bind(template("1p").graph, {0: i}, {0: 0}), "1p",
+                          AnswerSet((), (), ((i + 1) % n,)))
+            for i in range(10 * evaluation._QUERY_CHUNK)
+        ]
+        one = queries[: evaluation._QUERY_CHUNK]
+        aggregate(one, params, splits, "test")
+        peaks = []
+        tracemalloc.start()
+        try:
+            for batch in (one, queries):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                aggregate(batch, params, splits, "test")
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        table = evaluation._QUERY_CHUNK * n * params.entity.itemsize
+        assert peaks[0] > table
+        assert peaks[1] - peaks[0] < table
 
 
 class TestSpearman:

@@ -227,7 +227,7 @@ class TestVectorizedForms:
 class TestKernelMatchesCornerForm:
     """The blocked |v - c| kernel against the corner-form reference, on
     block-boundary row counts, point boxes and points on the center and
-    the corners."""
+    the corners, in the per-point and the shared-points forms."""
 
     @staticmethod
     def close(new, ref):
@@ -262,6 +262,35 @@ class TestKernelMatchesCornerForm:
                 assert agg.shape == (n,) and np.all(agg >= 0)
                 self.close(agg, dist_agg_corner(vs, boxes, 0.2))
 
+    @pytest.mark.parametrize("d", [1, 4, 64, 400])
+    def test_shared_points(self, rng, d):
+        # (N, d) points against (B, d) stacks: entry (b, n) is the distance
+        # of point n to the boxes b of the stacks, and row b is exactly the
+        # per-point form's result for those boxes
+        block = max(1, geometry._BLOCK_ELEMENTS // d)
+        b = 3
+        for n in sorted({1, block - 1, block, block + 1, 999} - {0}):
+            for n_stacks in (1, 2, 3):
+                stacks = [Box(rng.uniform(-2, 2, (b, d)), rng.uniform(0, 2, (b, d)))
+                          for _ in range(n_stacks)]
+                stacks[-1] = Box(stacks[-1].center, np.zeros((b, d)))  # point geometry
+                vs = self.points(rng, [Box(stacks[0].center[1], stacks[0].offset[1])], n, d)
+                table = dist_agg(vs, stacks, 0.2, shared=True)
+                assert table.shape == (b, n) and np.all(table >= 0)
+                for i in range(b):
+                    boxes = [Box(p.center[i], p.offset[i]) for p in stacks]
+                    self.close(table[i], dist_agg_corner(vs, boxes, 0.2))
+                    assert np.array_equal(table[i], dist_agg(vs, boxes, 0.2))
+
+    def test_shared_points_shapes_checked(self, rng):
+        stack = Box(rng.uniform(-2, 2, (3, 4)), rng.uniform(0, 2, (3, 4)))
+        with pytest.raises(ValueError):
+            dist_agg(np.zeros((5, 3)), [stack], 0.2, shared=True)
+        with pytest.raises(ValueError):
+            dist_agg(np.zeros((2, 5, 4)), [stack], 0.2, shared=True)
+        with pytest.raises(ValueError):
+            dist_agg(np.zeros((5, 4)), [stack, random_box(rng, 4)], 0.2, shared=True)
+
     def test_nonnegative_and_dtype_kept(self, rng):
         d = 64
         boxes = [random_box(rng, d) for _ in range(2)]
@@ -278,6 +307,8 @@ class TestKernelMatchesCornerForm:
             assert dist_agg(vs32, boxes32, alpha).dtype == np.float32
             assert dist_box(vs32, boxes32[0], alpha).dtype == np.float32
             assert np.ndim(dist_agg(vs32[0], boxes32, alpha)) == 0
+            stack32 = Box(np.stack([p.center for p in boxes32]), np.stack([p.offset for p in boxes32]))
+            assert dist_agg(vs32, [stack32], alpha, shared=True).dtype == np.float32
 
     def test_one_block_of_scratch(self, rng):
         # the only (n, d)-scale allocation is the block-sized scratch buffer

@@ -10,12 +10,11 @@ from .errors import (
 )
 from .geometry import (
     Box,
-    RelationBox,
     dist_agg,
     dist_box,
+    dist_box_grad,
     dist_inside,
     dist_outside,
-    grad_dist_box,
 )
 from .kg import (
     GraphSplits,

@@ -98,6 +98,7 @@ def _parse_counts(text: str | None, default: int | None) -> dict[str, int]:
     from .queries import STRUCTURE_NAMES
 
     counts = {name: default or 0 for name in STRUCTURE_NAMES}
+    given = set()
     if text:
         for part in text.split(","):
             name, _, value = part.partition("=")
@@ -106,6 +107,9 @@ def _parse_counts(text: str | None, default: int | None) -> dict[str, int]:
                 raise _UsageError(f"--counts entry {part!r} is not name=count with a count >= 0")
             if name not in counts:
                 raise _UsageError(f"unknown query structure {name!r} in --counts")
+            if name in given:
+                raise _UsageError(f"--counts entry {part!r} repeats structure {name!r}")
+            given.add(name)
             counts[name] = int(value)
     return counts
 

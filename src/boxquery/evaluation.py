@@ -55,7 +55,7 @@ def _chunk_distances(queries: list[GroundedQuery], params: ModelParams) -> np.nd
     """(B, N) aggregated box distances from every entity to B queries of one
     structure: one forward pass, one blocked pass over the entity table."""
     boxes = QueryForward(queries, params).boxes
-    return dist_agg(params.entity, boxes, params.config.alpha, shared=True)
+    return dist_agg(params.entity, boxes, params.config.alpha)
 
 
 def entity_distances(q: GroundedQuery, params: ModelParams) -> np.ndarray:

@@ -2,22 +2,25 @@
 
 A box is a (center, offset) pair in R^d with offset >= 0 elementwise; its
 corners are center - offset and center + offset. All functions are pure.
-The distances and their gradients reduce over the last axis, so each takes
-either one point of shape (d,) or a block of points of shape (n, d) and
-returns one value, or gradient row, per point. A box may also be a stack of
-B boxes, center and offset of shape (B, d); its points then have shape
-(B, ..., d), and the points v[b] are measured against box b. The third
-form, `dist_agg(v, boxes, alpha, shared=True)`, measures one block of
-points v of shape (N, d), shared by all boxes, against every box of (B, d)
-stacks and returns a (B, N) table: row b is the distance of every point to
-the boxes b of the stacks, as evaluation scores B queries against all
-entities.
 
-The distances use the |v - c| form (outside = sum max(|v - c| - o, 0),
-inside = sum min(|v - c|, o)) and score the points in fixed-size row blocks
-of one scratch buffer; grad_dist_box keeps the corner form. Subgradient
-convention at kinks: Max(x, 0) uses derivative 0 at x = 0, the corner
-clamp uses the interior branch at boundary equality, and sign(0) = 0.
+One kernel measures points against boxes, in one of two uses chosen by the
+boxes' shape. Single boxes, center and offset of shape (d,): the points v
+are one point (d,) or a block (..., d), and each point gets one value.
+Stacks of B boxes, center and offset of shape (B, d): the points are one
+(N, d) block shared by all boxes, and `dist_agg` returns a (B, N) table
+whose row b measures every point against box b of each stack, as
+evaluation scores B queries against all entities. Mixing the two raises
+ValueError.
+
+The distances use the |v - c| form: with t = |v - c|, outside = sum
+max(t - o, 0), inside = sum t - outside and dist_box = outside + alpha *
+inside. The kernel scores the points in fixed-size row blocks of one
+scratch buffer. Training calls `dist_box_grad` instead, one fused pass
+over the (q, m, d) candidates of q boxes that returns the distances, in
+the kernel's operation order, together with their subgradients. A
+coordinate is outside when |v - c| > o, the kernel's own test, so the
+distance and its gradient always agree on the side of a kink; at |v - c|
+== o the inside branch is taken, and sign(0) = 0.
 """
 
 from __future__ import annotations
@@ -62,10 +65,6 @@ class Box:
         return bool(np.all(self.lower <= v) and np.all(v <= self.upper))
 
 
-# Relation embeddings are boxes under the same nonnegativity constraint.
-RelationBox = Box
-
-
 def dist_outside(v: np.ndarray, p: Box) -> float | np.ndarray:
     """L1 distance from each point to the box hull; zero inside."""
     return _box_reduce(v, [p], lambda l1, out: out)
@@ -84,80 +83,69 @@ def dist_box(v: np.ndarray, p: Box, alpha: float) -> float | np.ndarray:
     return dist_agg(v, [p], alpha)
 
 
-def dist_agg(
-    v: np.ndarray, boxes: Sequence[Box], alpha: float, shared: bool = False
-) -> float | np.ndarray:
-    """Minimum box distance over a set of boxes (one per DNF branch); with
-    `shared`, from every point of an (N, d) block to each of B stacked boxes."""
+def dist_agg(v: np.ndarray, boxes: Sequence[Box], alpha: float) -> float | np.ndarray:
+    """Minimum box distance over a set of boxes (one per DNF branch); for
+    (B, d) stacks, a (B, N) table over the points of an (N, d) block."""
     if not boxes:
         raise ValueError("dist_agg requires at least one box")
-    return _box_reduce(v, boxes, lambda l1, out: out + alpha * (l1 - out), shared)
+    return _box_reduce(v, boxes, lambda l1, out: out + alpha * (l1 - out))
 
 
-def grad_dist_box(
-    v: np.ndarray, p: Box, alpha: float
+def dist_box_grad(
+    v: np.ndarray, center: np.ndarray, offset: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact subgradients of dist_box with respect to (v, center, offset),
-    one row per point of `v`."""
-    _check_dim(v, p)
-    # a stack of boxes gets an axis per extra axis of its points
-    shape = p.center.shape[:-1] + (1,) * (v.ndim - p.center.ndim) + p.center.shape[-1:]
-    center, offset = p.center.reshape(shape), p.offset.reshape(shape)
-    upper = center + offset
-    lower = center - offset
-    above = v > upper
-    below = v < lower
-    inside = ~(above | below)
-    # sign of the inside term |center - clamp(v)|
-    s = np.sign(center - np.minimum(upper, np.maximum(lower, v)))
-    # outside, |center - corner| grows with the offset and the overshoot shrinks
-    do = np.where(inside, 0.0, np.add(alpha * np.abs(s), -1.0, dtype=float))
-    s *= alpha * inside  # outside dims: d(center - clamp)/dcenter = 0
-    outside = np.subtract(above, below, dtype=float)  # gradient of the outside term in v
-    dc = s - outside
-    return np.subtract(outside, s, out=outside), dc, do
+    """dist_box of the points v[i] of a (q, m, d) block to box i of the
+    (q, d) center and offset stacks, with its subgradients in v and in the
+    offset; the subgradient in the center is -dv.
+
+    Each distance row equals `dist_box` of its points. The slope inside the
+    box is alpha rounded to the points' dtype; the gradients are float64."""
+    t = np.subtract(v, center[:, None], dtype=np.result_type(v, center, offset, 0.0))
+    a = np.abs(t)
+    l1 = a.sum(axis=-1)
+    a -= offset[:, None]
+    outside = a > 0
+    np.maximum(a, 0.0, out=a)
+    out = a.sum(axis=-1)
+    dist = (out + alpha * (l1 - out)).astype(t.dtype, copy=False)
+    slope = float(t.dtype.type(alpha))
+    dv = np.where(outside, 1.0, slope)
+    dv *= np.sign(t, out=t)
+    # outside, the overshoot shrinks as the offset grows while the inside
+    # term, alpha * o, grows unless the box is a point
+    do = np.where(outside, np.where(offset > 0, slope, 0.0)[:, None] - 1.0, 0.0)
+    return dist, dv, do
 
 
-def _box_reduce(v: np.ndarray, boxes: Sequence[Box], combine, shared: bool = False):
+def _box_reduce(v: np.ndarray, boxes: Sequence[Box], combine):
     """Minimum over `boxes` of `combine(l1, outside)` for each point of `v`,
-    or with `shared`, for each (box b of the stacks, point of `v`) pair.
+    or for (B, d) stacks, for each (box b of the stacks, point) pair.
 
     A block of rows meets every box before the next block is read."""
-    d = v.shape[-1]
-    b = len(boxes[0].center)
-    for p in boxes:
-        if not shared:
-            _check_dim(v, p)
-        elif v.ndim != 2 or p.center.shape != (b, d):
-            raise ValueError(f"dimension mismatch: shared points {v.shape} vs {p.center.shape}")
+    shape = boxes[0].center.shape
+    if (any(p.center.shape != shape for p in boxes) or v.shape[-1:] != shape[-1:]
+            or (len(shape) == 2 and v.ndim != 2)):
+        raise ValueError(
+            f"dimension mismatch: points {v.shape} vs boxes {[p.center.shape for p in boxes]}")
+    d = shape[-1]
     rows = v.reshape(-1, d)
     dtype = np.result_type(v, *(p.center for p in boxes), *(p.offset for p in boxes), 0.0)
-    # a stack of boxes is repeated row by row, box b once for each of its points
-    stacked = boxes[0].center.ndim == 2 and not shared
-    repeats = len(rows) // max(1, len(boxes[0].center)) if stacked else 1
-    planes = [(np.repeat(p.center, repeats, 0), np.repeat(p.offset, repeats, 0)) if stacked
-              else (p.center, p.offset) for p in boxes]
-    # one group of planes per output row: box b of every stack when shared
-    groups = [[(c[i], o[i]) for c, o in planes] for i in range(b)] if shared else [planes]
+    # one group of boxes per output row, box b of every stack; a single box
+    # is a stack of one
+    stacks = [(np.atleast_2d(p.center), np.atleast_2d(p.offset)) for p in boxes]
+    groups = [[(c[i], o[i]) for c, o in stacks] for i in range(len(stacks[0][0]))]
     result = np.full((len(groups), len(rows)), np.inf, dtype)
     block = max(1, _BLOCK_ELEMENTS // max(d, 1))
     scratch = np.empty((min(block, len(rows)), d), dtype)
     for start in range(0, len(rows), block):
         v_block = rows[start : start + block]
         t = scratch[: len(v_block)]
-        at = slice(start, start + block) if stacked else ...
         for res, group in zip(result[:, start : start + block], groups):
             for center, offset in group:
-                np.subtract(v_block, center[at], out=t)
+                np.subtract(v_block, center, out=t)
                 np.abs(t, out=t)
                 l1 = t.sum(axis=1)
-                t -= offset[at]
+                t -= offset
                 np.maximum(t, 0.0, out=t)
                 np.minimum(res, combine(l1, t.sum(axis=1)), out=res)
-    return result if shared else result[0].reshape(v.shape[:-1])[()]
-
-
-def _check_dim(v: np.ndarray, p: Box) -> None:
-    lead = p.center.ndim - 1  # the axes of a stack of boxes
-    if v.ndim <= lead or v.shape[:lead] + v.shape[-1:] != p.center.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {p.center.shape}")
+    return result if len(shape) == 2 else result[0].reshape(v.shape[:-1])[()]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SamplingError, TrainingError
-from .geometry import Box, dist_box, grad_dist_box
+from .geometry import dist_box_grad
 from .kg import GraphSplits
 from .model import AdamState, ModelConfig, ModelParams, QueryForward, adam_step, sigmoid
 from .sampling import GroundedQuery
@@ -75,8 +75,10 @@ def batch_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, posi
     chunk = max(1, _CANDIDATE_BLOCK // (width * cfg.dim))
     for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
         vecs = params.entity[candidates[rows]]
-        boxes = [Box(box.center[rows], box.offset[rows]) for box in forward.boxes]
-        per_box = np.stack([dist_box(vecs, box, cfg.alpha) for box in boxes])
+        # one fused distance and gradient pass per branch
+        passes = [dist_box_grad(vecs, box.center[rows], box.offset[rows], cfg.alpha)
+                  for box in forward.boxes]
+        per_box = np.stack([dist for dist, _, _ in passes])
         branches = np.argmin(per_box, axis=0)
         dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
         losses.append(_losses(dists, cfg.gamma))
@@ -84,22 +86,14 @@ def batch_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, posi
         # branch that is closest to each candidate
         dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
                                       -sigmoid(cfg.gamma - dists[:, 1:]) / (width - 1)), axis=1)
-        for branch, (box, (d_center, d_offset)) in enumerate(zip(boxes, adjoints)):
+        for branch, ((_, dv, do), (d_center, d_offset)) in enumerate(zip(passes, adjoints)):
             weight = np.where(branches == branch, dloss_ddist, 0.0)[:, :, None]
-            dv, dc, do = grad_dist_box(vecs, box, cfg.alpha)
             dv *= weight  # zero in the rows of candidates another branch won
             entity_rows.append((candidates[rows].ravel(), dv.reshape(-1, cfg.dim)))
-            d_center[rows] = (weight * dc).sum(axis=1)
+            d_center[rows] = -dv.sum(axis=1)  # the center gradient is -dv
             d_offset[rows] = (weight * do).sum(axis=1)
     forward.backward(adjoints, grads, entity_rows)
     return float(sum(np.concatenate(losses).tolist()))
-
-
-def query_loss_and_grads(q: GroundedQuery, params: ModelParams, positive: int,
-                         negatives: np.ndarray, grads: dict[str, np.ndarray]) -> float:
-    """Loss for one (query, positive, negatives) sample, the batch of one of
-    `batch_loss_and_grads`; gradients of the loss are accumulated into `grads`."""
-    return batch_loss_and_grads([q], params, [positive], np.asarray(negatives)[None], grads)
 
 
 @dataclass

@@ -7,10 +7,12 @@ within eps at that coordinate and the comparison is skipped.
 
 from __future__ import annotations
 
+import numpy as np
+
 from boxquery.model import ModelConfig, ModelParams
 from boxquery.queries import structure_templates
 from boxquery.sampling import answer_exact, try_instantiate
-from boxquery.training import query_loss_and_grads
+from boxquery.training import batch_loss_and_grads
 
 from conftest import random_graph
 
@@ -26,6 +28,12 @@ MODE_GRID = (
     ("deepsets", "per-relation", "point"),
     ("average", "per-relation", "point"),
 )
+
+
+def query_loss_and_grads(query, params, positive, negatives, grads) -> float:
+    """Loss of one (query, positive, negatives) sample, the batch of one of
+    `batch_loss_and_grads`; gradients of the loss are accumulated into `grads`."""
+    return batch_loss_and_grads([query], params, [positive], np.asarray(negatives)[None], grads)
 
 
 def make_instance(rng, mode, dim=4, structure_name=None):

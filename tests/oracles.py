@@ -11,9 +11,10 @@ library streams it in blocks of scratch buffers; the dense one updates every
 tensor, where the library skips exact no-ops.
 The MLP oracle builds each weight gradient from one outer product per input
 row, against which the library's row-block form is compared. The distance
-oracles measure against the box corners, not the |v - c| form of the
-library's blocked kernel, and the rank oracle builds one mask per answer
-where the library sorts the non-answers once per query. The evaluation
+oracles and the gradient oracle `grad_dist_box` measure against the box
+corners, not the |v - c| form of the library's blocked kernel and fused
+candidate pass, and the rank oracle builds one mask per answer where the
+library sorts the non-answers once per query. The evaluation
 oracle embeds and scores one query at a time, where the library scores a
 chunk of queries of one structure per pass over the entities. The last section
 keeps entry points the library no longer needs, for the tests of the
@@ -36,7 +37,7 @@ from boxquery.evaluation import (
     entity_distances,
     metrics_for_query,
 )
-from boxquery.geometry import Box, RelationBox, dist_box, grad_dist_box
+from boxquery.geometry import Box, dist_box
 from boxquery.kg import GraphSplits, KnowledgeGraph
 from boxquery.model import (
     _ADAM_BETA1,
@@ -116,8 +117,9 @@ def _sigmoid(x: float) -> float:
 
 
 def query_loss_and_grads_per_candidate(q, params, positive, negatives, grads) -> float:
-    """Reference for `training.query_loss_and_grads`: each candidate picks
-    its closest DNF branch and chains its own gradient through that box."""
+    """Reference for `training.batch_loss_and_grads` on a batch of one
+    sample: each candidate picks its closest DNF branch and chains its own
+    gradient through that box."""
     cfg = params.config
     forward = PerQueryForward(q, params)
     boxes = forward.boxes
@@ -457,6 +459,37 @@ def dist_agg_corner(v, boxes, alpha):
     return np.min([dist_box_corner(v, p, alpha) for p in boxes], axis=0)
 
 
+def grad_dist_box(
+    v: np.ndarray, p: Box, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for the gradients of `geometry.dist_box_grad`: exact
+    subgradients of dist_box with respect to (v, center, offset), one row
+    per point of `v`, from the box corners."""
+    _check_dim(v, p)
+    # a stack of boxes gets an axis per extra axis of its points
+    shape = p.center.shape[:-1] + (1,) * (v.ndim - p.center.ndim) + p.center.shape[-1:]
+    center, offset = p.center.reshape(shape), p.offset.reshape(shape)
+    upper = center + offset
+    lower = center - offset
+    above = v > upper
+    below = v < lower
+    inside = ~(above | below)
+    # sign of the inside term |center - clamp(v)|
+    s = np.sign(center - np.minimum(upper, np.maximum(lower, v)))
+    # outside, |center - corner| grows with the offset and the overshoot shrinks
+    do = np.where(inside, 0.0, np.add(alpha * np.abs(s), -1.0, dtype=float))
+    s *= alpha * inside  # outside dims: d(center - clamp)/dcenter = 0
+    outside = np.subtract(above, below, dtype=float)  # gradient of the outside term in v
+    dc = s - outside
+    return np.subtract(outside, s, out=outside), dc, do
+
+
+def _check_dim(v: np.ndarray, p: Box) -> None:
+    lead = p.center.ndim - 1  # the axes of a stack of boxes
+    if v.ndim <= lead or v.shape[:lead] + v.shape[-1:] != p.center.shape:
+        raise ValueError(f"dimension mismatch: {v.shape} vs {p.center.shape}")
+
+
 def rank_per_answer(v, distances, test_answers) -> int:
     """Reference for the filtered optimistic rank: one N-length mask of the
     non-answers, plus `v` itself, per answer."""
@@ -490,7 +523,7 @@ def aggregate_per_query(queries, params, splits, stage, checkpoint_id="-") -> Ev
 # the rank of a single answer.
 
 
-def project(p: Box, r: RelationBox) -> Box:
+def project(p: Box, r: Box) -> Box:
     """Translate the center and grow the offset by the relation's box."""
     if p.dim != r.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {r.dim}")

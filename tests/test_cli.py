@@ -104,7 +104,7 @@ class TestGenerateQueries:
         assert code == 2
         assert "count" in err
 
-    @pytest.mark.parametrize("entry", ["1p", "1p=x", "1p=-3"])
+    @pytest.mark.parametrize("entry", ["1p", "1p=x", "1p=-3", "2i=5"])
     def test_malformed_counts_exit_2(self, capsys, pipeline, tmp_path, entry):
         _, snapshot, _ = pipeline
         code, _, err = run(capsys, "generate-queries", "--snapshot", str(snapshot),

@@ -8,9 +8,9 @@ from boxquery.geometry import (
     Box,
     dist_agg,
     dist_box,
+    dist_box_grad,
     dist_inside,
     dist_outside,
-    grad_dist_box,
 )
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     dist_box_corner,
     dist_inside_corner,
     dist_outside_corner,
+    grad_dist_box,
     intersect,
     project,
 )
@@ -29,6 +30,13 @@ def box(center, offset):
 
 def random_box(rng, d=5, scale=2.0):
     return Box(rng.uniform(-scale, scale, d), rng.uniform(0, scale, d))
+
+
+def fused_grads(v, p, alpha):
+    """(dv, dc, do) of one point (d,) or block (n, d) against one box, by
+    the fused pass over a (1, n, d) candidate block."""
+    _, dv, do = dist_box_grad(v.reshape(1, -1, p.dim), p.center[None], p.offset[None], alpha)
+    return dv.reshape(v.shape), -dv.reshape(v.shape), do.reshape(v.shape)
 
 
 class TestBoxInvariants:
@@ -207,21 +215,22 @@ class TestVectorizedForms:
         out = dist_outside(vs, boxes[0])
         inside = dist_inside(vs, boxes[0])
         per_box = dist_box(vs, boxes[0], 0.2)
-        grads = grad_dist_box(vs, boxes[0], 0.2)
+        grads = fused_grads(vs, boxes[0], 0.2)
         assert agg.shape == out.shape == inside.shape == per_box.shape == (50,)
         for i in range(50):
             assert agg[i] == dist_agg(vs[i], boxes, 0.2)
             assert out[i] == dist_outside(vs[i], boxes[0])
             assert inside[i] == dist_inside(vs[i], boxes[0])
             assert per_box[i] == dist_box(vs[i], boxes[0], 0.2)
-            for block, point in zip(grads, grad_dist_box(vs[i], boxes[0], 0.2)):
+            for block, point in zip(grads, fused_grads(vs[i], boxes[0], 0.2)):
                 assert np.array_equal(block[i], point)
 
     def test_block_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             dist_box(np.zeros((4, 3)), random_box(rng), 0.2)
+        p = random_box(rng)
         with pytest.raises(ValueError):
-            grad_dist_box(np.zeros((4, 3)), random_box(rng), 0.2)
+            dist_box_grad(np.zeros((1, 4, 3)), p.center[None], p.offset[None], 0.2)
 
 
 class TestKernelMatchesCornerForm:
@@ -275,7 +284,7 @@ class TestKernelMatchesCornerForm:
                           for _ in range(n_stacks)]
                 stacks[-1] = Box(stacks[-1].center, np.zeros((b, d)))  # point geometry
                 vs = self.points(rng, [Box(stacks[0].center[1], stacks[0].offset[1])], n, d)
-                table = dist_agg(vs, stacks, 0.2, shared=True)
+                table = dist_agg(vs, stacks, 0.2)
                 assert table.shape == (b, n) and np.all(table >= 0)
                 for i in range(b):
                     boxes = [Box(p.center[i], p.offset[i]) for p in stacks]
@@ -283,13 +292,21 @@ class TestKernelMatchesCornerForm:
                     assert np.array_equal(table[i], dist_agg(vs, boxes, 0.2))
 
     def test_shared_points_shapes_checked(self, rng):
+        # stacks take one (N, d) block; stacks and single boxes do not mix
         stack = Box(rng.uniform(-2, 2, (3, 4)), rng.uniform(0, 2, (3, 4)))
+        other = Box(rng.uniform(-2, 2, (2, 4)), rng.uniform(0, 2, (2, 4)))
         with pytest.raises(ValueError):
-            dist_agg(np.zeros((5, 3)), [stack], 0.2, shared=True)
+            dist_agg(np.zeros((5, 3)), [stack], 0.2)
         with pytest.raises(ValueError):
-            dist_agg(np.zeros((2, 5, 4)), [stack], 0.2, shared=True)
+            dist_agg(np.zeros((3, 5, 4)), [stack], 0.2)
         with pytest.raises(ValueError):
-            dist_agg(np.zeros((5, 4)), [stack, random_box(rng, 4)], 0.2, shared=True)
+            dist_agg(np.zeros(4), [stack], 0.2)
+        with pytest.raises(ValueError):
+            dist_agg(np.zeros((5, 4)), [stack, other], 0.2)
+        with pytest.raises(ValueError):
+            dist_agg(np.zeros((5, 4)), [stack, random_box(rng, 4)], 0.2)
+        with pytest.raises(ValueError):
+            dist_agg(np.zeros((5, 4)), [random_box(rng, 4), stack], 0.2)
 
     def test_nonnegative_and_dtype_kept(self, rng):
         d = 64
@@ -308,7 +325,7 @@ class TestKernelMatchesCornerForm:
             assert dist_box(vs32, boxes32[0], alpha).dtype == np.float32
             assert np.ndim(dist_agg(vs32[0], boxes32, alpha)) == 0
             stack32 = Box(np.stack([p.center for p in boxes32]), np.stack([p.offset for p in boxes32]))
-            assert dist_agg(vs32, [stack32], alpha, shared=True).dtype == np.float32
+            assert dist_agg(vs32, [stack32], alpha).dtype == np.float32
 
     def test_one_block_of_scratch(self, rng):
         # the only (n, d)-scale allocation is the block-sized scratch buffer
@@ -326,17 +343,19 @@ class TestKernelMatchesCornerForm:
 
 
 class TestGradDistBox:
+    """The subgradients of the fused pass, point by point."""
+
     def test_outside_above_partial(self):
         b = box([0.0, 0.0], [1.0, 1.0])
         v = np.array([2.0, 0.0])
-        dv, dc, do = grad_dist_box(v, b, 0.2)
+        dv, dc, do = fused_grads(v, b, 0.2)
         assert dv[0] == 1.0  # outside term active, clamp saturated
         assert dv[1] == 0.0
 
     def test_inside_center_partial(self):
         b = box([0.0, 0.0], [1.0, 1.0])
         v = np.array([0.5, -0.25])
-        _, dc, _ = grad_dist_box(v, b, 0.2)
+        _, dc, _ = fused_grads(v, b, 0.2)
         assert np.allclose(dc, [0.2 * np.sign(-0.5), 0.2 * np.sign(0.25)])
 
     def test_matches_finite_differences(self, rng):
@@ -356,7 +375,7 @@ class TestGradDistBox:
             )
             if near_kink:
                 continue
-            dv, dc, do = grad_dist_box(v, b, alpha)
+            dv, dc, do = fused_grads(v, b, alpha)
             for vec, grad, make in (
                 (v, dv, lambda x: dist_box(x, b, alpha)),
                 (b.center, dc, lambda x: dist_box(v, Box(x, b.offset), alpha)),
@@ -371,3 +390,56 @@ class TestGradDistBox:
                     assert abs(fd - grad[j]) <= 1e-5 * max(1.0, abs(fd), abs(grad[j]))
             checked += 1
         assert checked > 150
+
+
+class TestFusedPassMatchesCornerForm:
+    """`dist_box_grad` over (q, m, d) candidate blocks against the corner-form
+    gradient oracle and the distance kernel: integer-lattice points on the
+    faces, corners and centers of integer boxes, so that coordinates sit on
+    every kink; zero-offset (point-geometry) boxes; random points."""
+
+    q, m = 3, 5
+
+    def lattice(self, rng, d):
+        center = rng.integers(-2, 3, (self.q, d)).astype(float)
+        offset = rng.integers(0, 3, (self.q, d)).astype(float)
+        offset[-1] = 0.0  # point geometry
+        choices = np.stack([center - offset, center, center + offset,
+                            rng.integers(-4, 5, (self.q, d)).astype(float)])
+        pick = rng.integers(0, 4, (self.q, self.m, d))
+        v = np.take_along_axis(choices[:, :, None], pick[None], axis=0)[0]
+        v[:, 0] = center  # every box's own center
+        return v, center, offset
+
+    def random(self, rng, d):
+        center = rng.uniform(-2, 2, (self.q, d))
+        offset = rng.uniform(0, 2, (self.q, d))
+        offset[-1] = 0.0
+        return rng.uniform(-4, 4, (self.q, self.m, d)), center, offset
+
+    @staticmethod
+    def check(v, center, offset, alpha):
+        dist, dv, do = dist_box_grad(v, center, offset, alpha)
+        assert dist.shape == v.shape[:2] and dv.shape == do.shape == v.shape
+        assert dist.dtype == v.dtype and dv.dtype == do.dtype == np.float64
+        for i in range(len(v)):
+            p = Box(center[i], offset[i])
+            ref_dv, ref_dc, ref_do = grad_dist_box(v[i], p, alpha)
+            assert np.array_equal(dv[i], ref_dv)
+            assert np.array_equal(-dv[i], ref_dc)
+            assert np.array_equal(do[i], ref_do)
+            for j, point in enumerate(v[i]):
+                assert dist[i, j] == dist_box(point, p, alpha)
+
+    @pytest.mark.parametrize("d", [1, 5, 64, 400])
+    def test_lattice_and_random(self, rng, d):
+        for _ in range(25):
+            for make in (self.lattice, self.random):
+                self.check(*make(rng, d), 0.2)
+
+    @pytest.mark.parametrize("d", [1, 5, 64])
+    def test_float32_in_float32_distance(self, rng, d):
+        for _ in range(10):
+            for make in (self.lattice, self.random):
+                v, center, offset = (a.astype(np.float32) for a in make(rng, d))
+                self.check(v, center, offset, 0.2)

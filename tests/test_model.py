@@ -18,10 +18,9 @@ from boxquery.model import (
 )
 from boxquery.queries import bind, template
 from boxquery.sampling import try_instantiate
-from boxquery.training import query_loss_and_grads
 
 from conftest import make_graph, random_graph
-from gradcheck import MODE_GRID, check_instance, make_instance
+from gradcheck import MODE_GRID, check_instance, make_instance, query_loss_and_grads
 from oracles import attention_weights, deepsets_forward
 
 

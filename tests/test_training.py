@@ -12,13 +12,12 @@ from boxquery.sampling import AnswerSet, GroundedQuery, answer_exact, generate_q
 from boxquery.training import (
     batch_loss_and_grads,
     loss,
-    query_loss_and_grads,
     sample_negatives,
     train,
 )
 
 from conftest import make_splits, random_graph
-from gradcheck import MODE_GRID, make_instance
+from gradcheck import MODE_GRID, make_instance, query_loss_and_grads
 from oracles import query_loss_and_grads_per_candidate
 
 

@@ -90,30 +90,26 @@ def _sha256_lines(names: Sequence[str]) -> str:
 
 
 class KnowledgeGraph:
-    """Immutable directed labeled graph with (entity, relation) adjacency indices."""
+    """Immutable labeled digraph; one pass checks each edge's ids and builds its indices."""
 
     def __init__(self, vocab: Vocabulary, edges: Iterable[tuple[int, int, int]]):
         self.vocab = vocab
-        edge_set = set()
-        for h, r, t in edges:
-            if not (0 <= h < vocab.n_entities and 0 <= t < vocab.n_entities):
-                raise VocabularyError(f"edge ({h},{r},{t}) references unknown entity id")
-            if not (0 <= r < vocab.n_relations):
-                raise VocabularyError(f"edge ({h},{r},{t}) references unknown relation id")
-            edge_set.add((h, r, t))
-        self.edges: frozenset[tuple[int, int, int]] = frozenset(edge_set)
-
+        self.edges: frozenset[tuple[int, int, int]] = frozenset(edges)
+        n_ent, n_rel = vocab.n_entities, vocab.n_relations
         out: dict[tuple[int, int], list[int]] = {}
         inc: dict[tuple[int, int], list[int]] = {}
         rels_in: dict[int, set[int]] = {}
-        for h, r, t in edge_set:
+        for h, r, t in self.edges:
+            if not (0 <= h < n_ent and 0 <= t < n_ent):
+                raise VocabularyError(f"edge ({h},{r},{t}) references unknown entity id")
+            if not 0 <= r < n_rel:
+                raise VocabularyError(f"edge ({h},{r},{t}) references unknown relation id")
             out.setdefault((h, r), []).append(t)
             inc.setdefault((t, r), []).append(h)
             rels_in.setdefault(t, set()).add(r)
         self._out = {k: tuple(sorted(v)) for k, v in out.items()}
         self._in = {k: tuple(sorted(v)) for k, v in inc.items()}
         self._relations_into = {e: tuple(sorted(rs)) for e, rs in rels_in.items()}
-        self._edge_columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n_entities(self) -> int:
@@ -135,28 +131,12 @@ class KnowledgeGraph:
     def project_frontier(self, entities: set[int], relation: int) -> set[int]:
         """Union of neighbors(v, relation) over a whole entity set.
 
-        Large frontiers go through vectorized edge-column filtering, which is
-        much faster than per-entity lookups on dense graphs.
+        One out-index lookup per frontier entity; ids are not range-checked.
         """
-        if len(entities) < 8:
-            out: set[int] = set()
-            for v in entities:
-                out.update(self._out.get((v, relation), ()))
-            return out
-        columns = self._edge_columns
-        if not columns:
-            grouped: dict[int, list[tuple[int, int]]] = {}
-            for h, r, t in self.edges:
-                grouped.setdefault(r, []).append((h, t))
-            columns = {
-                r: tuple(np.asarray(c, dtype=np.int64) for c in zip(*pairs))
-                for r, pairs in grouped.items()
-            }
-            self._edge_columns = columns
-        empty = np.empty(0, dtype=np.int64)
-        heads, tails = columns.get(relation, (empty, empty))
-        mask = np.isin(heads, np.fromiter(entities, dtype=np.int64, count=len(entities)))
-        return {int(t) for t in np.unique(tails[mask])}
+        out: set[int] = set()
+        for v in entities:
+            out.update(self._out.get((v, relation), ()))
+        return out
 
     def sources(self, entity: int, relation: int) -> tuple[int, ...]:
         """Entities with an edge into `entity` via `relation`, sorted."""
@@ -242,10 +222,10 @@ def load_triples(path: str | Path, vocab: Vocabulary | None = None) -> Knowledge
 
 
 def augment_inverses(kg: KnowledgeGraph) -> KnowledgeGraph:
-    """Add an inverse relation for every base relation and mirror every edge.
+    """A new graph with every edge of `kg` plus its mirror under the inverse relation.
 
-    The vocabulary is extended in place (splits share it); re-augmenting a
-    graph whose edges already use inverse relations is an error.
+    The vocabulary gains the inverse names in place (splits share it);
+    re-augmenting a graph whose edges already use inverse relations is an error.
     """
     vocab = kg.vocab
     for h, r, t in kg.edges:
@@ -253,12 +233,16 @@ def augment_inverses(kg: KnowledgeGraph) -> KnowledgeGraph:
             raise VocabularyError(
                 f"graph already contains inverse relation {vocab.relation_names[r]!r}"
             )
+    return KnowledgeGraph(vocab, _with_inverses(vocab, kg.edges))
+
+
+def _with_inverses(vocab: Vocabulary, edges: Iterable[tuple[int, int, int]]) -> frozenset:
+    """`edges` plus (t, inverse of r, h) for each, registering the inverse
+    name of every base relation in `vocab`. Edges must use base relations."""
     base_names = [n for n in vocab.relation_names if not n.endswith(INVERSE_MARKER)]
     inverse_ids = {vocab.relation_id(n): vocab.relation_id(n + INVERSE_MARKER) for n in base_names}
-    new_edges = set(kg.edges)
-    for h, r, t in kg.edges:
-        new_edges.add((t, inverse_ids[r], h))
-    return KnowledgeGraph(vocab, new_edges)
+    edges = frozenset(edges)
+    return edges.union([(t, inverse_ids[r], h) for h, r, t in edges])
 
 
 def build_split_graphs(
@@ -288,9 +272,9 @@ def build_split_graphs(
         "total_edges": len(train_edges | valid_only | test_only),
     }
 
-    train = augment_inverses(KnowledgeGraph(vocab, train_edges))
-    valid = augment_inverses(KnowledgeGraph(vocab, train_edges | valid_only))
-    test = augment_inverses(KnowledgeGraph(vocab, train_edges | valid_only | test_only))
+    train = KnowledgeGraph(vocab, _with_inverses(vocab, train_edges))
+    valid = KnowledgeGraph(vocab, _with_inverses(vocab, train_edges | valid_only))
+    test = KnowledgeGraph(vocab, _with_inverses(vocab, train_edges | valid_only | test_only))
     return GraphSplits(train, valid, test, raw_stats)
 
 
@@ -316,10 +300,10 @@ def prepare_nell(
 ) -> tuple[Path, Path, Path]:
     """Re-split a whole graph into train/valid/test triple files.
 
-    Combines all input triples, samples validation and test sets uniformly
-    without replacement, then returns to the training set any sampled triple
-    whose head or tail entity does not occur in the remaining training
-    triples. No triple is dropped, so the three files partition the input.
+    Combines all input triples and splits them with `sample_holdout`, which
+    samples validation and test sets uniformly without replacement and keeps
+    in train any triple whose head or tail would otherwise vanish from it.
+    No triple is dropped, so the three files partition the input.
     """
     vocab = Vocabulary()
     all_edges: set[tuple[int, int, int]] = set()
@@ -333,20 +317,7 @@ def prepare_nell(
             f"valid_size + test_size = {valid_size + test_size} must be < {total} triples"
         )
 
-    ordered = sorted(all_edges)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(total)
-    valid_sample = {ordered[i] for i in perm[:valid_size]}
-    test_sample = {ordered[i] for i in perm[valid_size : valid_size + test_size]}
-    train = all_edges - valid_sample - test_sample
-
-    covered = set()
-    for h, _, t in train:
-        covered.add(h)
-        covered.add(t)
-    valid_kept = {e for e in valid_sample if e[0] in covered and e[2] in covered}
-    test_kept = {e for e in test_sample if e[0] in covered and e[2] in covered}
-    train |= (valid_sample - valid_kept) | (test_sample - test_kept)
+    train, valid_kept, test_kept = sample_holdout(all_edges, valid_size, test_size, seed)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -354,6 +325,23 @@ def prepare_nell(
     for path, edges in zip(paths, (train, valid_kept, test_kept)):
         _write_triples(path, edges, vocab)
     return paths
+
+
+def sample_holdout(triples: Iterable[tuple], n_valid: int, n_test: int, seed: int) -> tuple:
+    """Split triples into partitioning train, valid and test sets: one seeded
+    permutation of the sorted distinct triples holds out the first `n_valid` and
+    the next `n_test`, then any whose head or tail left train goes back to it."""
+    ordered = sorted(set(triples))
+    perm = np.random.default_rng(seed).permutation(len(ordered))
+    valid = {ordered[i] for i in perm[:n_valid]}
+    test = {ordered[i] for i in perm[n_valid : n_valid + n_test]}
+    train = set(ordered) - valid - test
+
+    covered = {x for h, _, t in train for x in (h, t)}
+    valid_kept = {e for e in valid if e[0] in covered and e[2] in covered}
+    test_kept = {e for e in test if e[0] in covered and e[2] in covered}
+    train |= (valid - valid_kept) | (test - test_kept)
+    return train, valid_kept, test_kept
 
 
 def _write_triples(path: Path, edges: set[tuple[int, int, int]], vocab: Vocabulary) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CompatibilityError, TrainingError
 from .geometry import _BLOCK_ELEMENTS, Box
 from .kg import _atomic_open
-from .queries import ANCHOR, UNION, ComputationGraph, to_dnf
+from .queries import ANCHOR, TRAINABLE_NAMES, UNION, ComputationGraph, to_dnf
 from .sampling import GroundedQuery
 
 INTERSECTION_MODES = ("attention", "average", "deepsets")
@@ -64,8 +64,11 @@ class ModelConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.negatives < 1:
-            raise ValueError(f"need at least 1 negative, got {self.negatives}")
+        for field in ("dim", "negatives", "epochs", "batch_per_structure"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.intersection_mode not in INTERSECTION_MODES:
             raise ValueError(f"unknown intersection mode {self.intersection_mode!r}")
         if self.offset_mode not in OFFSET_MODES:
@@ -75,6 +78,9 @@ class ModelConfig:
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
         self.train_structures = tuple(self.train_structures)
+        if not self.train_structures or not set(self.train_structures) <= set(TRAINABLE_NAMES):
+            raise ValueError(f"train_structures must be a non-empty subset of {TRAINABLE_NAMES}, "
+                             f"got {self.train_structures}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -83,9 +89,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["train_structures"] = tuple(d.get("train_structures", ("1p", "2p", "3p", "2i", "3i")))
-        return cls(**d)
+        return cls(**d)  # __post_init__ turns the JSON list back into a tuple
 
 
 def _net_tensor_specs(d: int) -> list[tuple[str, tuple[int, ...]]]:

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CompatibilityError, SamplingError
+from .errors import CompatibilityError, ParseError, SamplingError
 from .kg import GraphSplits, KnowledgeGraph, Vocabulary, _atomic_open
 from .queries import (
     ANCHOR,
     PROJECTION,
+    STRUCTURE_NAMES,
     UNION,
     ComputationGraph,
     QueryStructure,
@@ -29,6 +30,7 @@ from .queries import (
     graph_from_text,
     graph_to_text,
     structure_templates,
+    template,
 )
 
 DEFAULT_ATTEMPTS = 1000
@@ -384,11 +386,25 @@ def _check_ids(q: GroundedQuery, vocab: Vocabulary, where: str) -> None:
             )
 
 
-def read_query_file(path: str | Path, vocab: Vocabulary | None = None) -> list[GroundedQuery]:
-    """Parse a query file; with `vocab`, every anchor, relation and answer
-    id must lie in its range, else CompatibilityError names the line."""
-    from .errors import ParseError
+def _check_structure(q: GroundedQuery) -> None:
+    # the graph must be the named template bound with the line's own slots
+    name = q.structure_name
+    if name not in STRUCTURE_NAMES:
+        raise ValueError(f"unknown query structure {name!r}")
+    anchors = {n.slot: n.entity for n in q.graph.anchors}
+    relations = {e.slot: e.relation for e in q.graph.edges if e.op == PROJECTION}
+    try:
+        expected = bind(template(name).graph, anchors, relations)
+    except KeyError:  # the line leaves a slot of the template unbound
+        expected = None
+    if expected is None or graph_to_text(expected) != graph_to_text(q.graph):
+        raise ValueError(f"graph is not a {name} query")
 
+
+def read_query_file(path: str | Path, vocab: Vocabulary | None = None) -> list[GroundedQuery]:
+    """Parse a query file; each line's graph must match its structure name.
+    With `vocab`, every anchor, relation and answer id must lie in its
+    range, else CompatibilityError names the line."""
     queries = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -403,6 +419,7 @@ def read_query_file(path: str | Path, vocab: Vocabulary | None = None) -> list[G
                         _ids_from_text(test),
                     ),
                 )
+                _check_structure(q)
             except ValueError as exc:
                 raise ParseError(str(exc), str(path), lineno) from exc
             if vocab is not None:

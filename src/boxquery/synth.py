@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from .kg import _atomic_open
+from .kg import _atomic_open, sample_holdout
 
 KINDS = ("chain", "tree", "bipartite")
 
@@ -54,30 +52,22 @@ def write_synthetic_split(
 ) -> tuple[Path, Path, Path]:
     """Write train/valid/test triple files, holding out random fractions.
 
-    Held-out triples whose head or tail would otherwise vanish from the
+    The split is `kg.sample_holdout`, the sampler of the NELL re-split:
+    held-out triples whose head or tail would otherwise vanish from the
     training file are kept in training, so the split always builds.
     """
     if valid_fraction + test_fraction >= 1.0:
         raise ValueError("held-out fractions must sum to less than 1")
-    triples = sorted(set(triples))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(triples))
+    triples = set(triples)
     n_valid = int(round(valid_fraction * len(triples)))
     n_test = int(round(test_fraction * len(triples)))
-    valid = {triples[i] for i in perm[:n_valid]}
-    test = {triples[i] for i in perm[n_valid : n_valid + n_test]}
-    train = [t for t in triples if t not in valid and t not in test]
-
-    covered = {x for h, _, t in train for x in (h, t)}
-    valid_kept = {t for t in valid if t[0] in covered and t[2] in covered}
-    test_kept = {t for t in test if t[0] in covered and t[2] in covered}
-    train = sorted(set(train) | (valid - valid_kept) | (test - test_kept))
+    train, valid, test = sample_holdout(triples, n_valid, n_test, seed)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = (out_dir / "train.txt", out_dir / "valid.txt", out_dir / "test.txt")
-    for path, rows in zip(paths, (train, sorted(valid_kept), sorted(test_kept))):
+    for path, rows in zip(paths, (train, valid, test)):
         with _atomic_open(path) as f:
-            for h, r, t in rows:
+            for h, r, t in sorted(rows):
                 f.write(f"{h}\t{r}\t{t}\n")
     return paths

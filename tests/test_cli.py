@@ -147,6 +147,25 @@ def checkpoint(pipeline):
 
 
 class TestTrainEvalAnalyze:
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", "0"),
+        ("--dim", "-3"),
+        ("--batch-per-structure", "0"),
+        ("--epochs", "0"),
+        ("--learning-rate", "-1"),
+        ("--train-structures", "1p,zz"),
+    ])
+    def test_out_of_range_config_exits_1(self, capsys, pipeline, tmp_path, flag, value):
+        root, snapshot, queries = pipeline
+        out_path = tmp_path / "x.ckpt"
+        code, _, err = run(capsys, "train", "--snapshot", str(snapshot),
+                           "--queries", str(queries), "--out", str(out_path),
+                           "--dim", "8", "--epochs", "1", "--batch-per-structure", "4",
+                           "--negatives", "4", flag, value)
+        assert code == 1
+        assert err.startswith("error:") and flag.lstrip("-").replace("-", "_") in err
+        assert not out_path.exists()
+
     def test_dry_run(self, capsys, pipeline):
         root, snapshot, queries = pipeline
         code, out, _ = run(capsys, "train", "--snapshot", str(snapshot),
@@ -294,6 +313,20 @@ class TestQueryFileIds:
         assert code == 2
         assert "heldin-queries.txt:1" in err
         assert kind in err
+        assert "overall" not in out
+
+    @pytest.mark.parametrize("label", ["2i", "zz"])
+    def test_eval_rejects_mislabelled_structure(self, capsys, pipeline, checkpoint, tmp_path,
+                                                label):
+        # the first held-in line is a 1p query
+        _, snapshot, queries = pipeline
+        bad = _corrupt_first_line(queries, tmp_path, "heldin-queries.txt",
+                                  lambda line: label + line[line.index("\t"):])
+        code, out, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
+                             "--snapshot", str(snapshot), "--queries", str(bad),
+                             "--stage", "train")
+        assert code == 1
+        assert err.startswith("error:") and "heldin-queries.txt:1" in err
         assert "overall" not in out
 
     def test_train_checks_ids(self, capsys, pipeline, tmp_path):

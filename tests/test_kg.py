@@ -4,6 +4,7 @@ from boxquery.errors import ParseError, VocabularyError
 from boxquery.kg import (
     _atomic_open,
     INVERSE_MARKER,
+    KnowledgeGraph,
     Vocabulary,
     augment_inverses,
     build_split_graphs,
@@ -12,6 +13,7 @@ from boxquery.kg import (
     prepare_nell,
     save_splits,
 )
+from boxquery.synth import synthesize_triples, write_synthetic_split
 
 from conftest import make_graph, random_graph
 
@@ -125,7 +127,7 @@ class TestNeighbors:
                 assert g.neighbors(e, r) == expected
 
     def test_project_frontier_matches_per_entity_lookups(self, rng):
-        # both the small-set and the vectorized paths must agree
+        # frontiers from one entity up to most of the graph
         g = random_graph(rng, n_entities=40, n_edges=200)
         for _ in range(50):
             size = int(rng.integers(1, 30))
@@ -185,6 +187,23 @@ class TestBuildSplitGraphs:
         with pytest.raises(VocabularyError, match="Z"):
             build_split_graphs(train, valid, test)
 
+    def test_graphs_equal_augmented_base_graphs(self, tmp_path):
+        train = write(tmp_path / "train.txt", "A\tr\tB\nB\ts\tC\nC\tr\tD\n")
+        valid = write(tmp_path / "valid.txt", "C\tr\tA\nD\ts\tB\n")
+        test = write(tmp_path / "test.txt", "A\ts\tC\nB\tr\tB\n")
+        splits = build_split_graphs(train, valid, test)
+        vocab = splits.vocab
+        for got in (splits.train, splits.valid, splits.test):
+            base = {e for e in got.edges
+                    if not vocab.relation_names[e[1]].endswith(INVERSE_MARKER)}
+            want = augment_inverses(KnowledgeGraph(vocab, base))
+            assert got.edges == want.edges
+            for e in range(vocab.n_entities):
+                assert got.relations_into(e) == want.relations_into(e)
+                for r in range(vocab.n_relations):
+                    assert got.neighbors(e, r) == want.neighbors(e, r)
+                    assert got.sources(e, r) == want.sources(e, r)
+
     def test_raw_stats(self, tmp_path):
         train = write(tmp_path / "train.txt", "A\tr\tB\nB\ts\tC\n")
         valid = write(tmp_path / "valid.txt", "C\tr\tA\n")
@@ -205,6 +224,19 @@ def line_count(path) -> int:
         return sum(1 for _ in f)
 
 
+def assert_held_out_entities_in_train(paths):
+    """The filter predicate, checked by brute force on written files."""
+    train_lines = paths[0].read_text(encoding="utf-8").splitlines()
+    covered = set()
+    for line in train_lines:
+        h, _, t = line.split("\t")
+        covered.update((h, t))
+    for path in paths[1:]:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            h, _, t = line.split("\t")
+            assert h in covered and t in covered
+
+
 class TestPrepareNell:
     def chain_files(self, tmp_path, n=10):
         lines = [f"e{i}\tr\te{i + 1}" for i in range(n)]
@@ -217,17 +249,17 @@ class TestPrepareNell:
         assert counts[0] >= 6
         assert counts[1] <= 2 and counts[2] <= 2
         assert sum(counts) == 10  # nothing dropped
+        assert_held_out_entities_in_train(out)
 
-        # filter predicate, checked by brute force
-        train_lines = out[0].read_text(encoding="utf-8").splitlines()
-        covered = set()
-        for line in train_lines:
-            h, _, t = line.split("\t")
-            covered.update((h, t))
-        for path in out[1:]:
-            for line in path.read_text(encoding="utf-8").splitlines():
-                h, _, t = line.split("\t")
-                assert h in covered and t in covered
+    def test_synthetic_split_applies_same_filter(self, tmp_path):
+        triples = synthesize_triples("tree", 15)
+        out = write_synthetic_split(triples, tmp_path / "o", 0.3, 0.3, seed=7)
+        counts = [line_count(p) for p in out]
+        assert sum(counts) == len(triples)  # nothing dropped
+        assert counts[1] > 0 and counts[2] > 0
+        # the round()ed draw holds out 4 + 4, the filter returns some of them
+        assert counts[1] + counts[2] < 8
+        assert_held_out_entities_in_train(out)
 
     def test_deterministic(self, tmp_path):
         files = self.chain_files(tmp_path)

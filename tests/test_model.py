@@ -36,6 +36,34 @@ def boxes_for(params, n, rng):
     ]
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 0),
+        ("dim", -3),
+        ("alpha", 0.0),
+        ("alpha", 1.0),
+        ("gamma", 0.0),
+        ("negatives", 0),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1.0),
+        ("learning_rate", float("inf")),
+        ("learning_rate", float("nan")),
+        ("epochs", 0),
+        ("batch_per_structure", 0),
+        ("train_structures", ()),
+        ("train_structures", ("1p", "zz")),
+        ("train_structures", ("2u",)),
+    ])
+    def test_out_of_range_value_names_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
+    def test_smallest_valid_values_accepted(self):
+        config = ModelConfig(dim=1, negatives=1, learning_rate=1e-12, epochs=1,
+                             batch_per_structure=1, train_structures=("3i",))
+        assert config.train_structures == ("3i",)
+
+
 class TestDeepSets:
     def test_permutation_invariance(self, rng):
         params = small_params()

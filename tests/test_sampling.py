@@ -244,13 +244,27 @@ class TestAnswerCountReport:
 
 
 class TestQueryFiles:
-    def test_malformed_line_reports_location(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        "1p\tnot-a-graph\t-\t-\t-\n",
+        "2i\t0:a:0:3,1:t;0-1:p:0:1\t-\t-\t-\n",
+        "zz\t0:a:0:3,1:t;0-1:p:0:1\t-\t-\t-\n",
+        "1p\t0:a:0:3,1:v,2:t;0-1:p:0:1,1-2:p:1:0\t-\t-\t-\n",
+    ], ids=["bad-graph", "1p-graph-as-2i", "unknown-structure", "2p-graph-as-1p"])
+    def test_malformed_line_reports_location(self, tmp_path, line):
         from boxquery.errors import ParseError
 
         path = tmp_path / "bad.txt"
-        path.write_text("1p\tnot-a-graph\t-\t-\t-\n", encoding="utf-8")
+        path.write_text(line, encoding="utf-8")
         with pytest.raises(ParseError, match="bad.txt:1"):
             read_query_file(path)
+
+    def test_structure_check_ignores_listing_order(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("2i\t2:t,1:a:1:2,0:a:0:3;1-2:p:1:0,0-2:p:0:1\t-\t-\t-\n",
+                        encoding="utf-8")
+        [q] = read_query_file(path)
+        assert q.structure_name == "2i"
+        assert len(q.graph.anchors) == 2
 
     def test_round_trip(self, rng, tmp_path):
         splits = make_splits(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, kg, model, sampling, synth, training
-from .config import build_model_config, format_config
+from .config import build_model_config, format_config, setting_parsers
 from .errors import BoxQueryError, CompatibilityError, ParseError, VocabularyError
 
 QUERY_FILES = {
@@ -153,12 +153,7 @@ def cmd_train(args) -> int:
     _require_files(args.snapshot)
     if args.config:
         _require_files(args.config)
-    overrides = {
-        key: getattr(args, key)
-        for key in ("dim", "alpha", "gamma", "negatives", "intersection_mode",
-                    "offset_mode", "geometry", "learning_rate", "epochs",
-                    "batch_per_structure", "seed", "train_structures", "dtype")
-    }
+    overrides = {key: getattr(args, key) for key in setting_parsers()}
     config = build_model_config(args.config, overrides)
     splits = kg.load_splits(args.snapshot)
     train_queries = _load_query_dir(args.queries, "train", splits.vocab)
@@ -304,16 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--dry-run", action="store_true")
-    for key in ("intersection-mode", "offset-mode", "geometry", "train-structures", "dtype"):
-        p.add_argument(f"--{key}", default=None, dest=key.replace("-", "_"))
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--negatives", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-per-structure", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for key, parse in setting_parsers().items():  # one flag per ModelConfig field
+        p.add_argument("--" + key.replace("_", "-"), type=parse, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="filtered-ranking evaluation of a checkpoint")

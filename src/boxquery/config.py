@@ -1,34 +1,32 @@
 """Flat key = value configuration files, with command-line overrides.
 
 Lines are `key = value`; `#` starts a comment; blank lines are ignored.
-Flags always win over file values, and every command prints the resolved
-configuration before running.
+The keys are the fields of `ModelConfig`, which is the one list of
+training settings. Flags always win over file values, and every command
+prints the resolved configuration before running.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .model import ModelConfig
 
-_MODEL_KEYS = {
-    "dim": int,
-    "alpha": float,
-    "gamma": float,
-    "negatives": int,
-    "intersection_mode": str,
-    "offset_mode": str,
-    "geometry": str,
-    "learning_rate": float,
-    "epochs": int,
-    "batch_per_structure": int,
-    "seed": int,
-    "dtype": str,
-    "train_structures": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-}
+
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+def setting_parsers() -> dict:
+    """Each `ModelConfig` field's parser of its text form: a comma-separated
+    list for a tuple default, otherwise the default's type."""
+    return {f.name: _comma_list if isinstance(f.default, tuple) else type(f.default)
+            for f in fields(ModelConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict:
+    parsers = setting_parsers()
     values: dict = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -38,25 +36,24 @@ def parse_config_file(path: str | Path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _MODEL_KEYS:
+            if key not in parsers:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _MODEL_KEYS[key](value)
+            try:
+                values[key] = parsers[key](value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: cannot read {key} = {value!r} "
+                                 f"as {parsers[key].__name__}") from None
     return values
 
 
 def build_model_config(file_path: str | None, overrides: dict) -> ModelConfig:
     """File values first, then non-None overrides on top of the defaults."""
-    values: dict = {}
-    if file_path:
-        values.update(parse_config_file(file_path))
-    for key, value in overrides.items():
-        if value is not None:
-            caster = _MODEL_KEYS[key]
-            values[key] = caster(value) if isinstance(value, str) else value
+    values = parse_config_file(file_path) if file_path else {}
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     return ModelConfig(**values)
 
 
 def format_config(config: ModelConfig) -> str:
-    d = config.to_dict()
-    d["train_structures"] = ",".join(d["train_structures"])
-    return "\n".join(f"{k} = {d[k]}" for k in sorted(d))
+    """The config as file lines, sorted by key; the inverse of `parse_config_file`."""
+    items = sorted(config.to_dict().items())
+    return "\n".join(f"{k} = {','.join(v) if isinstance(v, list) else v}" for k, v in items)

@@ -331,6 +331,9 @@ def sample_holdout(triples: Iterable[tuple], n_valid: int, n_test: int, seed: in
     """Split triples into partitioning train, valid and test sets: one seeded
     permutation of the sorted distinct triples holds out the first `n_valid` and
     the next `n_test`, then any whose head or tail left train goes back to it."""
+    for name, n in (("n_valid", n_valid), ("n_test", n_test)):
+        if n < 0:
+            raise ValueError(f"{name} must be at least 0, got {n}")
     ordered = sorted(set(triples))
     perm = np.random.default_rng(seed).permutation(len(ordered))
     valid = {ordered[i] for i in perm[:n_valid]}

@@ -13,7 +13,7 @@ there is no generic autodiff here.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,20 +89,39 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of `to_dict`: every field, each of its default's JSON type
+        (a list for a tuple; an int is a float too); ValueError otherwise."""
+        kinds = {f.name: list if isinstance(f.default, tuple) else type(f.default)
+                 for f in fields(cls)}
+        if d.keys() != kinds.keys():
+            raise ValueError(f"config keys unknown: {sorted(d.keys() - kinds.keys())}, "
+                             f"missing: {sorted(kinds.keys() - d.keys())}")
+        for name, value in d.items():
+            if type(value) is not kinds[name] and (kinds[name], type(value)) != (float, int):
+                raise ValueError(f"config {name} = {value!r} has type {type(value).__name__}, "
+                                 f"not {kinds[name].__name__}")
         return cls(**d)  # __post_init__ turns the JSON list back into a tuple
 
 
-def _net_tensor_specs(d: int) -> list[tuple[str, tuple[int, ...]]]:
-    specs: list[tuple[str, tuple[int, ...]]] = []
-    # attention MLP: 2d -> 2d -> d
-    specs += [("attn.w1", (2 * d, 2 * d)), ("attn.b1", (2 * d,)),
-              ("attn.w2", (2 * d, d)), ("attn.b2", (d,))]
+def _tensor_specs(d: int, n_entities: int, n_relations: int) -> list:
+    """(name, shape, uniform init range or None for zeros) of every tensor,
+    in the order `ModelParams` draws them."""
+    scale = 1.0 / np.sqrt(d)
+    specs = [("entity", (n_entities, d), (-scale, scale)),
+             ("relation_center", (n_relations, d), (-scale, scale)),
+             ("relation_offset", (n_relations, d), (0.0, scale)),
+             ("shared_offset", (d,), (0.0, scale))]
+    # attention MLP: 2d -> 2d -> d; the center and offset nets each have an
+    # inner MLP 2d -> 2d -> 2d and an outer MLP 2d -> 2d -> d
+    mlps = [("attn", d)]
     for net in ("center_net", "offset_net"):
-        # inner MLP: 2d -> 2d -> 2d, outer MLP: 2d -> 2d -> d
-        specs += [(f"{net}.inner.w1", (2 * d, 2 * d)), (f"{net}.inner.b1", (2 * d,)),
-                  (f"{net}.inner.w2", (2 * d, 2 * d)), (f"{net}.inner.b2", (2 * d,)),
-                  (f"{net}.outer.w1", (2 * d, 2 * d)), (f"{net}.outer.b1", (2 * d,)),
-                  (f"{net}.outer.w2", (2 * d, d)), (f"{net}.outer.b2", (d,))]
+        mlps += [(f"{net}.inner", 2 * d), (f"{net}.outer", d)]
+    bound = 1.0 / np.sqrt(2 * d)
+    for prefix, out in mlps:
+        specs += [(f"{prefix}.w1", (2 * d, 2 * d), (-bound, bound)),
+                  (f"{prefix}.b1", (2 * d,), None),
+                  (f"{prefix}.w2", (2 * d, out), (-bound, bound)),
+                  (f"{prefix}.b2", (out,), None)]
     return specs
 
 
@@ -114,20 +133,12 @@ class ModelParams:
         self.n_entities = n_entities
         self.n_relations = n_relations
         dtype = np.dtype(config.dtype)
-        d = config.dim
         rng = np.random.default_rng(config.seed)
-        scale = 1.0 / np.sqrt(d)
-        self.tensors: dict[str, np.ndarray] = {}
-        self.tensors["entity"] = rng.uniform(-scale, scale, (n_entities, d)).astype(dtype)
-        self.tensors["relation_center"] = rng.uniform(-scale, scale, (n_relations, d)).astype(dtype)
-        self.tensors["relation_offset"] = rng.uniform(0.0, scale, (n_relations, d)).astype(dtype)
-        self.tensors["shared_offset"] = rng.uniform(0.0, scale, (d,)).astype(dtype)
-        for name, shape in _net_tensor_specs(d):
-            if name.endswith(("b1", "b2")):
-                self.tensors[name] = np.zeros(shape, dtype=dtype)
-            else:
-                bound = 1.0 / np.sqrt(shape[0])
-                self.tensors[name] = rng.uniform(-bound, bound, shape).astype(dtype)
+        self.tensors: dict[str, np.ndarray] = {
+            name: np.zeros(shape, dtype) if bounds is None
+            else rng.uniform(*bounds, shape).astype(dtype)
+            for name, shape, bounds in _tensor_specs(config.dim, n_entities, n_relations)
+        }
 
     @property
     def entity(self) -> np.ndarray:
@@ -537,41 +548,51 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
         header_line = f.readline()
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise CompatibilityError(f"{path}: not a checkpoint file") from exc
-        if header.get("format") != CHECKPOINT_MAGIC:
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
             raise CompatibilityError(f"{path}: not a checkpoint file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise CompatibilityError(
                 f"{path}: unsupported checkpoint version {header.get('version')}"
             )
-        config = ModelConfig.from_dict(header["config"])
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            counts = (header["n_entities"], header["n_relations"])
+            hashes = (header["entity_hash"], header["relation_hash"])
+            if not all(type(n) is int and n >= 0 for n in counts):
+                raise ValueError(f"entity and relation counts {counts} are not counts")
+            if not all(type(h) is str for h in hashes):
+                raise ValueError(f"vocabulary hashes {hashes} are not strings")
+            names = [spec["name"] for spec in header["tensors"]]
+            found = {spec["name"]: tuple(spec["shape"]) for spec in header["tensors"]}
+            if any(spec["dtype"] != config.dtype for spec in header["tensors"]):
+                raise ValueError(f"tensor dtypes differ from the config's {config.dtype}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CompatibilityError(f"{path}: malformed checkpoint header "
+                                     f"({type(exc).__name__}: {exc})") from exc
         params = object.__new__(ModelParams)
         params.config = config
-        params.n_entities = header["n_entities"]
-        params.n_relations = header["n_relations"]
+        params.n_entities, params.n_relations = counts
         params.tensors = {}
-        d, n_rel = config.dim, params.n_relations
-        expected = dict(_net_tensor_specs(d), entity=(params.n_entities, d), shared_offset=(d,),
-                        relation_center=(n_rel, d), relation_offset=(n_rel, d))
-        found = {spec["name"]: tuple(spec["shape"]) for spec in header["tensors"]}
-        for name in sorted(expected.keys() | found.keys()):
+        expected = {name: shape for name, shape, _ in _tensor_specs(config.dim, *counts)}
+        for name in sorted(expected.keys() | found.keys(), key=str):
             if found.get(name) != expected.get(name):
                 raise CompatibilityError(f"{path}: tensor {name!r} has shape {found.get(name)}, "
                                          f"the model needs {expected.get(name)} (None: absent)")
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            dtype = np.dtype(spec["dtype"])
-            count = int(np.prod(shape)) if shape else 1
+        dtype = np.dtype(config.dtype)
+        for name in names:
+            shape = expected[name]
+            count = int(np.prod(shape))
             buf = f.read(count * dtype.itemsize)
             if len(buf) != count * dtype.itemsize:
                 raise CompatibilityError(
-                    f"{path}: truncated checkpoint, tensor {spec['name']!r} is incomplete"
+                    f"{path}: truncated checkpoint, tensor {name!r} is incomplete"
                 )
             tensor = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
             if not np.all(np.isfinite(tensor)):
-                raise CompatibilityError(f"{path}: tensor {spec['name']!r} has non-finite values")
-            params.tensors[spec["name"]] = tensor
+                raise CompatibilityError(f"{path}: tensor {name!r} has non-finite values")
+            params.tensors[name] = tensor
         if f.read(1):
             raise CompatibilityError(f"{path}: trailing bytes after the last tensor")
-    return params, header["entity_hash"], header["relation_hash"]
+    return params, *hashes

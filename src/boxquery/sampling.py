@@ -238,20 +238,8 @@ def generate_queries(
 
     Each (split, structure) pair draws from its own seeded stream.
     """
-    out: dict[str, list[GroundedQuery]] = {"train": [], "valid": [], "test": []}
-    for split_name in ("train", "valid", "test"):
-        kg = getattr(splits, split_name)
-        for struct_idx, structure in enumerate(structure_templates()):
-            if split_name == "train" and not structure.trainable:
-                continue
-            want = counts.get(structure.name, 0)
-            if want <= 0:
-                continue
-            rng = np.random.default_rng([seed, _SPLIT_STREAM[split_name], struct_idx])
-            out[split_name].extend(
-                _generate_for_structure(splits, kg, split_name, structure, want, rng, attempts)
-            )
-    return out
+    return {name: _generate_split(splits, name, counts, seed, attempts)
+            for name in ("train", "valid", "test")}
 
 
 def generate_heldin_queries(
@@ -265,43 +253,43 @@ def generate_heldin_queries(
     No non-trivial filter is applied; useful on graphs without held-out
     edges, where the standard valid/test generation is empty by design.
     """
-    queries: list[GroundedQuery] = []
+    return _generate_split(splits, "heldin", counts, seed, attempts)
+
+
+def _generate_split(
+    splits: GraphSplits,
+    split_name: str,
+    counts: dict[str, int],
+    seed: int,
+    attempts: int,
+) -> list[GroundedQuery]:
+    found: list[GroundedQuery] = []
     for struct_idx, structure in enumerate(structure_templates()):
         want = counts.get(structure.name, 0)
-        if want <= 0:
+        if want <= 0 or (split_name == "train" and not structure.trainable):
             continue
-        rng = np.random.default_rng([seed, _SPLIT_STREAM["heldin"], struct_idx])
-        queries.extend(
-            _generate_for_structure(
-                splits, splits.train, "heldin", structure, want, rng, attempts
-            )
-        )
-    return queries
+        rng = np.random.default_rng([seed, _SPLIT_STREAM[split_name], struct_idx])
+        found += _generate_for_structure(splits, split_name, structure, want, rng, attempts)
+    return found
 
 
 def _generate_for_structure(
     splits: GraphSplits,
-    kg: KnowledgeGraph,
     split_name: str,
     structure: QueryStructure,
     want: int,
     rng: np.random.Generator,
     attempts: int,
 ) -> list[GroundedQuery]:
+    kg = splits.train if split_name == "heldin" else getattr(splits, split_name)
     # without new edges over the previous snapshot, the non-trivial filter
     # can never pass; skip the doomed retry loop
-    if split_name == "valid" and splits.valid.n_edges == splits.train.n_edges:
+    previous = {"valid": splits.train, "test": splits.valid}.get(split_name)
+    if previous is not None and kg.n_edges == previous.n_edges:
         warnings.warn(
-            f"valid/{structure.name}: the valid graph adds no edges, "
+            f"{split_name}/{structure.name}: the {split_name} graph adds no edges, "
             "so no non-trivial queries exist",
-            stacklevel=3,
-        )
-        return []
-    if split_name == "test" and splits.test.n_edges == splits.valid.n_edges:
-        warnings.warn(
-            f"test/{structure.name}: the test graph adds no edges, "
-            "so no non-trivial queries exist",
-            stacklevel=3,
+            stacklevel=4,
         )
         return []
     found: list[GroundedQuery] = []

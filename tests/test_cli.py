@@ -95,6 +95,27 @@ class TestSynthesizeAndPrepare:
         assert code == 0
         assert (tmp_path / "resplit" / "train.txt").exists()
 
+    def test_negative_holdout_fraction_exits_1(self, capsys, tmp_path):
+        code, _, err = run(capsys, "synthesize-kg", "--kind", "bipartite", "--entities", "20",
+                           "--out", str(tmp_path / "d"), "--valid-fraction", "-0.5",
+                           "--test-fraction", "0.2")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "n_valid" in err
+        assert not list(tmp_path.glob("d/*.txt"))
+
+    def test_negative_resplit_size_exits_1(self, capsys, tmp_path):
+        data = tmp_path / "d"
+        main(["synthesize-kg", "--kind", "bipartite", "--entities", "20", "--out", str(data)])
+        capsys.readouterr()
+        code, _, err = run(capsys, "prepare-data", "--train", str(data / "train.txt"),
+                           "--valid", str(data / "valid.txt"),
+                           "--test", str(data / "test.txt"),
+                           "--nell-resplit", "--valid-size", "-20", "--test-size", "5",
+                           "--out", str(tmp_path / "s.snap"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "n_valid" in err and "-20" in err
+        assert not (tmp_path / "resplit").exists()
+
 
 class TestGenerateQueries:
     def test_requires_counts(self, capsys, pipeline):
@@ -190,6 +211,58 @@ class TestTrainEvalAnalyze:
         assert "dim = 8" in out  # from the file
         assert "epochs = 1" in out  # flag override wins
 
+    def test_setting_flags_and_keys_are_model_config_fields(self, tmp_path):
+        from dataclasses import fields
+
+        from boxquery.cli import build_parser
+        from boxquery.config import build_model_config, format_config, parse_config_file
+        from boxquery.model import ModelConfig
+
+        names = {f.name for f in fields(ModelConfig)}
+        config = ModelConfig(dim=8, gamma=2.5, intersection_mode="deepsets",
+                             train_structures=("2i", "1p"), dtype="float32")
+        lines = format_config(config).splitlines()
+        # every field is a key, and the printed form of a config reads back as it
+        path = tmp_path / "all.conf"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert parse_config_file(path).keys() == names
+        assert build_model_config(str(path), {}) == config
+        # every field is a flag, spelled with dashes, reading the same values
+        argv = ["train", "--snapshot", "s", "--queries", "q", "--out", "o"]
+        for line in lines:
+            key, value = line.split(" = ")
+            argv += ["--" + key.replace("_", "-"), value]
+        args = vars(build_parser().parse_args(argv))
+        others = {"command", "func", "snapshot", "queries", "out", "config", "dry_run"}
+        assert args.keys() - others == names
+        assert build_model_config(None, {name: args[name] for name in names}) == config
+
+    def test_flags_beat_file_values(self, capsys, pipeline, tmp_path):
+        root, snapshot, queries = pipeline
+        config_file = tmp_path / "run.conf"
+        config_file.write_text("dim = 6\ngamma = 3.5\nintersection_mode = average\n"
+                               "train_structures = 1p,2p\nnegatives = 4\n", encoding="utf-8")
+        code, out, _ = run(capsys, "train", "--snapshot", str(snapshot),
+                           "--queries", str(queries), "--out", str(root / "unused.ckpt"),
+                           "--config", str(config_file), "--dim", "8", "--gamma", "2.0",
+                           "--intersection-mode", "deepsets", "--train-structures", "1p,2i",
+                           "--batch-per-structure", "4", "--dry-run")
+        assert code == 0
+        for line in ("dim = 8", "gamma = 2.0", "intersection_mode = deepsets",
+                     "train_structures = 1p,2i", "negatives = 4"):
+            assert f"#   {line}\n" in out
+
+    @pytest.mark.parametrize("line, key", [("dim = abc", "dim"), ("gamma = x", "gamma")])
+    def test_config_value_cast_error_names_line(self, capsys, pipeline, tmp_path, line, key):
+        root, snapshot, queries = pipeline
+        config_file = tmp_path / "run.conf"
+        config_file.write_text(f"negatives = 4\n{line}\n", encoding="utf-8")
+        code, _, err = run(capsys, "train", "--snapshot", str(snapshot),
+                           "--queries", str(queries), "--out", str(root / "unused.ckpt"),
+                           "--config", str(config_file), "--dry-run")
+        assert code == 1
+        assert err.startswith(f"error: {config_file}:2: ") and key in err
+
     def test_eval_writes_report(self, capsys, pipeline, checkpoint, tmp_path):
         root, snapshot, queries = pipeline
         report_path = tmp_path / "report.json"
@@ -234,6 +307,38 @@ class TestTrainEvalAnalyze:
         assert code == 2
         assert str(bad) in err and "attn.w2" in err
         assert "overall" not in out
+
+    @staticmethod
+    def _unknown_key(header):
+        header["config"]["depth"] = 2
+
+    @staticmethod
+    def _string_dim(header):
+        header["config"]["dim"] = str(header["config"]["dim"])
+
+    @staticmethod
+    def _no_entity_count(header):
+        del header["n_entities"]
+
+    @pytest.mark.parametrize("edit", [_unknown_key, _string_dim, _no_entity_count, None])
+    @pytest.mark.parametrize("command", [("eval", "--stage", "train"), ("analyze", "offsets")])
+    def test_malformed_checkpoint_header_exits_2(self, capsys, pipeline, checkpoint, tmp_path,
+                                                 edit, command):
+        root, snapshot, queries = pipeline
+        header_line, payload = checkpoint.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if edit is None:  # a JSON value that is not an object
+            header = [header]
+        else:
+            edit.__func__(header)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+        extra = ("--queries", str(queries)) if command[0] == "eval" else ()
+        code, out, err = run(capsys, *command, "--checkpoint", str(bad),
+                             "--snapshot", str(snapshot), *extra)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and str(bad) in err
+        assert out == ""
 
     def test_analyze_offsets(self, capsys, pipeline, checkpoint):
         root, snapshot, _ = pipeline

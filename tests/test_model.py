@@ -626,3 +626,21 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match="offset_net.inner.b1.*non-finite") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["config"].update(dim=float(h["config"]["dim"])),
+        lambda h: h["config"].update(negatives=True),
+        lambda h: h["config"].update(alpha=1.5),
+        lambda h: h.update(entity_hash=7),
+        lambda h: h["tensors"][0].update(name=5),
+    ], ids=["float-dim", "bool-negatives", "alpha-range", "int-hash", "int-name"])
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(path, small_params(), "e", "r")
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+        with pytest.raises(CompatibilityError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)

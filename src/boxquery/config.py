@@ -2,8 +2,10 @@
 
 Lines are `key = value`; `#` starts a comment; blank lines are ignored.
 The keys are the fields of `ModelConfig`, which is the one list of
-training settings. Flags always win over file values, and every command
-prints the resolved configuration before running.
+training settings, and each value must be valid on its own; an invalid
+one is reported with its file and line. Flags always win over file
+values, and every command prints the resolved configuration before
+running.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def parse_config_file(path: str | Path) -> dict:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: cannot read {key} = {value!r} "
                                  f"as {parsers[key].__name__}") from None
+            try:  # the value on its own, against the defaults of the others
+                ModelConfig(**{key: values[key]})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

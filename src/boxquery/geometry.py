@@ -17,7 +17,10 @@ max(t - o, 0), inside = sum t - outside and dist_box = outside + alpha *
 inside. The kernel scores the points in fixed-size row blocks of one
 scratch buffer. Training calls `dist_box_grad` instead, one fused pass
 over the (q, m, d) candidates of q boxes that returns the distances, in
-the kernel's operation order, together with their subgradients. A
+the kernel's operation order, together with their subgradients; its
+distances alone are `dist_box_rows`. The gradients are products of the
+outside mask and per-box factors, with no masked select, and they go
+into buffers the caller may supply and reuse from call to call. A
 coordinate is outside when |v - c| > o, the kernel's own test, so the
 distance and its gradient always agree on the side of a kink; at |v - c|
 == o the inside branch is taken, and sign(0) = 0.
@@ -91,29 +94,52 @@ def dist_agg(v: np.ndarray, boxes: Sequence[Box], alpha: float) -> float | np.nd
     return _box_reduce(v, boxes, lambda l1, out: out + alpha * (l1 - out))
 
 
+def dist_box_rows(v: np.ndarray, center: np.ndarray, offset: np.ndarray, alpha: float,
+                  scratch=None) -> np.ndarray:
+    """dist_box of the points v[i] of a (q, m, d) block to box i of the (q, d)
+    center and offset stacks, in the points' dtype: the distances of
+    `dist_box_grad`, in the kernel's operation order. `scratch`, a pair of
+    arrays of v's shape in that dtype, allocated if None, is left holding
+    v - c and max(|v - c| - o, 0)."""
+    if scratch is None:
+        dtype = np.result_type(v, center, offset, 0.0)
+        scratch = (np.empty(v.shape, dtype), np.empty(v.shape, dtype))
+    t, a = scratch
+    np.subtract(v, center[:, None], out=t, dtype=t.dtype)
+    np.abs(t, out=a)
+    l1 = a.sum(axis=-1)
+    a -= offset[:, None]
+    np.maximum(a, 0.0, out=a)
+    out = a.sum(axis=-1)
+    return (out + alpha * (l1 - out)).astype(t.dtype, copy=False)
+
+
 def dist_box_grad(
-    v: np.ndarray, center: np.ndarray, offset: np.ndarray, alpha: float
+    v: np.ndarray, center: np.ndarray, offset: np.ndarray, alpha: float, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dist_box of the points v[i] of a (q, m, d) block to box i of the
-    (q, d) center and offset stacks, with its subgradients in v and in the
+    """dist_box of the points v[i] of a (q, m, d) block to box i of the (q, d)
+    center and offset stacks, with its subgradients dv in v and do in the
     offset; the subgradient in the center is -dv.
 
     Each distance row equals `dist_box` of its points. The slope inside the
-    box is alpha rounded to the points' dtype; the gradients are float64."""
-    t = np.subtract(v, center[:, None], dtype=np.result_type(v, center, offset, 0.0))
-    a = np.abs(t)
-    l1 = a.sum(axis=-1)
-    a -= offset[:, None]
+    box is alpha, in [0, 1], rounded to the points' dtype. The gradients are
+    float64; with `out`, a (dv, do) pair of float64 arrays of v's shape,
+    they are written there, and what the pair held before is never read."""
+    dv, do = (np.empty(v.shape), np.empty(v.shape)) if out is None else out
+    dtype = np.result_type(v, center, offset, 0.0)
+    # float64 points form v - c and |v - c| - o in the gradient buffers
+    t = dv if dtype == dv.dtype else np.empty(v.shape, dtype)
+    a = do if dtype == do.dtype else np.empty(v.shape, dtype)
+    dist = dist_box_rows(v, center, offset, alpha, scratch=(t, a))
     outside = a > 0
-    np.maximum(a, 0.0, out=a)
-    out = a.sum(axis=-1)
-    dist = (out + alpha * (l1 - out)).astype(t.dtype, copy=False)
     slope = float(t.dtype.type(alpha))
-    dv = np.where(outside, 1.0, slope)
-    dv *= np.sign(t, out=t)
+    # 1 outside and the slope inside, times sign(t); maximum selects exactly
+    # while 0 <= slope <= 1
+    np.multiply(np.sign(t, out=t), np.maximum(outside, slope, out=do), out=dv)
     # outside, the overshoot shrinks as the offset grows while the inside
-    # term, alpha * o, grows unless the box is a point
-    do = np.where(outside, np.where(offset > 0, slope, 0.0)[:, None] - 1.0, 0.0)
+    # term, alpha * o, grows unless the box is a point; inside, do is -0.0
+    np.copyto(do, outside)
+    do *= np.where(offset > 0, slope, 0.0)[:, None] - 1.0
     return dist, dv, do
 
 

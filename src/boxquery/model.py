@@ -385,10 +385,12 @@ def _branch_backward(steps, params: ModelParams, d_center, d_offset, grads, tabl
                 parent[1] += in_do[:, i]
 
 
-def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray, scratch=None) -> None:
     """target[ids] += rows, where ids may repeat: the k-th occurrence of each
     id is added in round k, so every fancy-indexed add sees distinct ids and
-    the rows of one id are added in their given order."""
+    the rows of one id are added in their given order. A round gathers its
+    target rows and its rows into `scratch`, a pair of arrays of at least
+    len(ids) rows in the dtypes of target and rows, when it is given."""
     order = np.argsort(ids, kind="stable")
     at = np.arange(len(ids))
     sorted_ids = ids[order]
@@ -396,7 +398,13 @@ def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None
     rank = np.empty_like(at)
     rank[order] = at - np.maximum.accumulate(np.where(first, at, 0))
     for k in range(rank.max() + 1):
-        target[ids[rank == k]] += rows[rank == k]
+        picked = np.flatnonzero(rank == k)
+        acc, add = (None, None) if scratch is None else (s[: len(picked)] for s in scratch)
+        # "wrap" indexes as the assignment below does and spares take's
+        # bounds-check copy; an id out of range still fails the assignment
+        acc = np.take(target, ids[picked], axis=0, out=acc, mode="wrap")
+        acc += np.take(rows, picked, axis=0, out=add, mode="wrap")
+        target[ids[picked]] = acc
 
 
 def _graph(query: GroundedQuery | ComputationGraph) -> ComputationGraph:
@@ -427,10 +435,10 @@ class QueryForward:
         self.records = [_branch_forward(list(graphs), params) for graphs in branches]
         self.boxes = [Box(center, offset) for center, offset, _ in self.records]
 
-    def backward(self, box_adjoints, grads: dict[str, np.ndarray], entity_rows) -> None:
-        """Accumulate gradients given (d_center, d_offset) (B, d) adjoints per branch and
-        (ids, rows) pairs of entity gradients in `entity_rows`; each table is scattered once."""
-        table_rows = {"entity": list(entity_rows), "relation_center": [], "relation_offset": []}
+    def backward(self, box_adjoints, grads: dict[str, np.ndarray]) -> None:
+        """Accumulate gradients given (d_center, d_offset) (B, d) adjoints per
+        branch; each table's rows are scattered once."""
+        table_rows = {"entity": [], "relation_center": [], "relation_offset": []}
         for (_, _, steps), (dc, do) in zip(self.records, box_adjoints):
             if dc.any() or do.any():
                 _branch_backward(steps, self.params, dc, do, grads, table_rows)

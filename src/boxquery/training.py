@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SamplingError, TrainingError
-from .geometry import dist_box_grad
+from .geometry import dist_box_grad, dist_box_rows
 from .kg import GraphSplits
-from .model import AdamState, ModelConfig, ModelParams, QueryForward, adam_step, sigmoid
+from .model import (AdamState, ModelConfig, ModelParams, QueryForward, _scatter_rows, adam_step,
+                    sigmoid)
 from .sampling import GroundedQuery
 
 _TRAIN_STREAM = 7
@@ -60,39 +61,78 @@ def sample_negatives(
     return rng.choice(candidates, size=k, replace=False)
 
 
+class Workspace:
+    """Scratch buffers of the candidate pass, reused from chunk to chunk and
+    from call to call, so that a run allocates them once: one flat buffer
+    per use, grown to the largest chunk asked of it, lent out as a view."""
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def buffer(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._buffers.get(key)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._buffers[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 def batch_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, positives,
-                         negatives: np.ndarray, grads: dict[str, np.ndarray]) -> float:
+                         negatives: np.ndarray, grads: dict[str, np.ndarray] | None = None,
+                         workspace: Workspace | None = None) -> float:
     """Summed loss of B samples of one structure: query i with positive
     positives[i] and the k negatives in row i of `negatives`. Gradients of
-    the loss are accumulated into `grads`."""
+    the loss are accumulated into `grads`; with None, only the loss is
+    computed. The candidate pass runs in `workspace`, a fresh one if None."""
     cfg = params.config
+    entity = params.entity
     forward = QueryForward(queries, params)
     candidates = np.concatenate((np.asarray(positives)[:, None], negatives), axis=1).astype(int)
     b, width = candidates.shape
-    adjoints = [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim))) for _ in forward.boxes]
-    losses, entity_rows = [], []
+    if candidates.min() < 0 or candidates.max() >= len(entity):
+        raise IndexError(f"candidate entity ids must lie in [0, {len(entity)})")
+    workspace = Workspace() if workspace is None else workspace
+    adjoints = [] if grads is None else [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim)))
+                                         for _ in forward.boxes]
+    losses = []
     # the candidates of a few queries at a time, so their blocks stay small
     chunk = max(1, _CANDIDATE_BLOCK // (width * cfg.dim))
     for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
-        vecs = params.entity[candidates[rows]]
-        # one fused distance and gradient pass per branch
-        passes = [dist_box_grad(vecs, box.center[rows], box.offset[rows], cfg.alpha)
-                  for box in forward.boxes]
-        per_box = np.stack([dist for dist, _, _ in passes])
+        ids = candidates[rows]
+        shape = (*ids.shape, cfg.dim)
+        vecs = np.take(entity, ids, axis=0, mode="wrap",  # in range: checked above
+                       out=workspace.buffer("vecs", shape, entity.dtype))
+        boxes = [(box.center[rows], box.offset[rows]) for box in forward.boxes]
+        if grads is None:
+            passes = [(dist_box_rows(vecs, center, offset, cfg.alpha),) for center, offset in boxes]
+        else:  # one fused distance and gradient pass per branch
+            passes = [dist_box_grad(vecs, center, offset, cfg.alpha,
+                                    out=(workspace.buffer(("dv", i), shape),
+                                         workspace.buffer(("do", i), shape)))
+                      for i, (center, offset) in enumerate(boxes)]
+        per_box = np.stack([dist for dist, *_ in passes])
         branches = np.argmin(per_box, axis=0)
         dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
         losses.append(_losses(dists, cfg.gamma))
+        if grads is None:
+            continue
         # d loss / d distance, then chain through the box distance of the
         # branch that is closest to each candidate
         dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
                                       -sigmoid(cfg.gamma - dists[:, 1:]) / (width - 1)), axis=1)
+        # entity rows go in per chunk and branch, then `backward` adds the
+        # anchors': each id receives its rows in that order, whatever the chunk
+        scratch = (workspace.buffer("acc", (ids.size, cfg.dim), entity.dtype),
+                   workspace.buffer("add", (ids.size, cfg.dim)))
         for branch, ((_, dv, do), (d_center, d_offset)) in enumerate(zip(passes, adjoints)):
             weight = np.where(branches == branch, dloss_ddist, 0.0)[:, :, None]
             dv *= weight  # zero in the rows of candidates another branch won
-            entity_rows.append((candidates[rows].ravel(), dv.reshape(-1, cfg.dim)))
+            _scatter_rows(grads["entity"], ids.ravel(), dv.reshape(-1, cfg.dim), scratch)
             d_center[rows] = -dv.sum(axis=1)  # the center gradient is -dv
-            d_offset[rows] = (weight * do).sum(axis=1)
-    forward.backward(adjoints, grads, entity_rows)
+            do *= weight
+            d_offset[rows] = do.sum(axis=1)
+    if grads is not None:
+        forward.backward(adjoints, grads)
     return float(sum(np.concatenate(losses).tolist()))
 
 
@@ -152,6 +192,7 @@ def train(
     iters_per_epoch = max(1, math.ceil(largest / batch))
 
     grads = params.zero_grads()  # reused: adam_step hands them back zeroed
+    workspace = Workspace()
     stop = False
     for epoch in range(1, config.epochs + 1):
         orders = {
@@ -177,7 +218,7 @@ def train(
                 samples.append((batch_qs, positives, np.stack(negatives)))
             # one forward and backward pass per structure over its whole batch
             batch_loss = sum(
-                batch_loss_and_grads(qs, params, positives, negatives, grads)
+                batch_loss_and_grads(qs, params, positives, negatives, grads, workspace)
                 for qs, positives, negatives in samples
             )
             n_queries += batch * len(samples)

@@ -72,8 +72,7 @@ def make_instance(rng, mode, dim=4, structure_name=None):
 
 
 def loss_only(params, query, positive, negatives) -> float:
-    grads = params.zero_grads()
-    return query_loss_and_grads(query, params, positive, negatives, grads)
+    return batch_loss_and_grads([query], params, [positive], np.asarray(negatives)[None])
 
 
 def check_instance(params, query, positive, negatives):

@@ -6,6 +6,9 @@ satisfaction per entity, so agreement with the traversal is a real two-route
 check. The loss oracle embeds one query at a time, walking its graph node by
 node (`PerQueryForward`), and scores and differentiates one candidate at a
 time, against which the library's batched per-structure form is compared.
+The allocating loss oracle is the batched form with fresh arrays for every
+chunk and one scatter of entity rows per batch, against which the
+library's reused workspace and per-chunk scatter are compared bit for bit.
 The Adam oracles update each tensor in whole-tensor expressions, where the
 library streams it in blocks of scratch buffers; the dense one updates every
 tensor, where the library skips exact no-ops.
@@ -39,12 +42,15 @@ from boxquery.evaluation import (
 )
 from boxquery.geometry import Box, dist_box
 from boxquery.kg import GraphSplits, KnowledgeGraph
+from boxquery import training
 from boxquery.model import (
     _ADAM_BETA1,
     _ADAM_BETA2,
     _ADAM_EPS,
     AdamState,
     ModelParams,
+    QueryForward,
+    _branch_backward,
     _mlp_backward,
     _mlp_forward,
     sigmoid,
@@ -146,6 +152,76 @@ def query_loss_and_grads_per_candidate(q, params, positive, negatives, grads) ->
         forward.add_box_adjoint(branch, dloss_ddist * dc, dloss_ddist * do)
     forward.backward(grads)
     return total
+
+
+def batch_loss_and_grads_allocating(queries, params, positives, negatives, grads) -> float:
+    """Reference for `training.batch_loss_and_grads` with the same arithmetic
+    and another memory plan: fresh arrays for every chunk, the masked-select
+    form of the fused pass, and every entity row of the batch, candidates
+    and anchors, gathered and scattered once at the end."""
+    cfg = params.config
+    forward = QueryForward(queries, params)
+    candidates = np.concatenate((np.asarray(positives)[:, None], negatives), axis=1).astype(int)
+    b, width = candidates.shape
+    adjoints = [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim))) for _ in forward.boxes]
+    losses, entity_rows = [], []
+    chunk = max(1, training._CANDIDATE_BLOCK // (width * cfg.dim))
+    for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
+        vecs = params.entity[candidates[rows]]
+        passes = [dist_box_grad_select(vecs, box.center[rows], box.offset[rows], cfg.alpha)
+                  for box in forward.boxes]
+        per_box = np.stack([dist for dist, _, _ in passes])
+        branches = np.argmin(per_box, axis=0)
+        dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
+        losses.append(training._losses(dists, cfg.gamma))
+        dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
+                                      -sigmoid(cfg.gamma - dists[:, 1:]) / (width - 1)), axis=1)
+        for branch, ((_, dv, do), (d_center, d_offset)) in enumerate(zip(passes, adjoints)):
+            weight = np.where(branches == branch, dloss_ddist, 0.0)[:, :, None]
+            dv *= weight
+            entity_rows.append((candidates[rows].ravel(), dv.reshape(-1, cfg.dim)))
+            d_center[rows] = -dv.sum(axis=1)
+            d_offset[rows] = (weight * do).sum(axis=1)
+    table_rows = {"entity": entity_rows, "relation_center": [], "relation_offset": []}
+    for (_, _, steps), (dc, do) in zip(forward.records, adjoints):
+        if dc.any() or do.any():
+            _branch_backward(steps, params, dc, do, grads, table_rows)
+    for name, parts in table_rows.items():
+        if parts:
+            ids, rows = zip(*parts)
+            scatter_rows_masked(grads[name], np.concatenate(ids), np.concatenate(rows))
+    return float(sum(np.concatenate(losses).tolist()))
+
+
+def dist_box_grad_select(v, center, offset, alpha):
+    """`geometry.dist_box_grad` with its gradients picked by masked selects
+    from freshly allocated arrays."""
+    t = np.subtract(v, center[:, None], dtype=np.result_type(v, center, offset, 0.0))
+    a = np.abs(t)
+    l1 = a.sum(axis=-1)
+    a -= offset[:, None]
+    outside = a > 0
+    np.maximum(a, 0.0, out=a)
+    out = a.sum(axis=-1)
+    dist = (out + alpha * (l1 - out)).astype(t.dtype, copy=False)
+    slope = float(t.dtype.type(alpha))
+    dv = np.where(outside, 1.0, slope)
+    dv *= np.sign(t, out=t)
+    do = np.where(outside, np.where(offset > 0, slope, 0.0)[:, None] - 1.0, 0.0)
+    return dist, dv, do
+
+
+def scatter_rows_masked(target, ids, rows) -> None:
+    """`model._scatter_rows` with each round's rows picked by a boolean mask
+    and added through a fancy-indexed copy of the target rows."""
+    order = np.argsort(ids, kind="stable")
+    at = np.arange(len(ids))
+    sorted_ids = ids[order]
+    first = np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+    rank = np.empty_like(at)
+    rank[order] = at - np.maximum.accumulate(np.where(first, at, 0))
+    for k in range(rank.max() + 1):
+        target[ids[rank == k]] += rows[rank == k]
 
 
 # The per-query forward and backward: one (n, 2d) block of input rows per

@@ -263,6 +263,23 @@ class TestTrainEvalAnalyze:
         assert code == 1
         assert err.startswith(f"error: {config_file}:2: ") and key in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("dim = 0", "dim must be at least 1, got 0"),
+        ("alpha = 1.5", "alpha must lie in (0, 1)"),
+        ("intersection_mode = sum", "unknown intersection mode 'sum'"),
+        ("train_structures = 1p,zz", "train_structures must be"),
+    ])
+    def test_config_value_range_error_names_line(self, capsys, pipeline, tmp_path, line,
+                                                  message):
+        root, snapshot, queries = pipeline
+        config_file = tmp_path / "run.conf"
+        config_file.write_text(f"negatives = 4\n{line}\n", encoding="utf-8")
+        code, _, err = run(capsys, "train", "--snapshot", str(snapshot),
+                           "--queries", str(queries), "--out", str(root / "unused.ckpt"),
+                           "--config", str(config_file), "--dry-run")
+        assert code == 1
+        assert err.startswith(f"error: {config_file}:2: {message}")
+
     def test_eval_writes_report(self, capsys, pipeline, checkpoint, tmp_path):
         root, snapshot, queries = pipeline
         report_path = tmp_path / "report.json"

@@ -9,6 +9,7 @@ from boxquery.geometry import (
     dist_agg,
     dist_box,
     dist_box_grad,
+    dist_box_rows,
     dist_inside,
     dist_outside,
 )
@@ -16,6 +17,7 @@ from boxquery.geometry import (
 from oracles import (
     dist_agg_corner,
     dist_box_corner,
+    dist_box_grad_select,
     dist_inside_corner,
     dist_outside_corner,
     grad_dist_box,
@@ -443,3 +445,27 @@ class TestFusedPassMatchesCornerForm:
             for make in (self.lattice, self.random):
                 v, center, offset = (a.astype(np.float32) for a in make(rng, d))
                 self.check(v, center, offset, 0.2)
+
+
+class TestFusedPassBuffers:
+    """`dist_box_grad` writing into NaN-filled caller buffers gives the bytes
+    of a call that allocates them, and `dist_box_rows` its distances; against
+    the masked-select form, only the sign of zero in do may differ."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stale_buffers_and_distances_alone(self, rng, dtype):
+        blocks = TestFusedPassMatchesCornerForm()
+        for d in (1, 5, 64):
+            for make in (blocks.lattice, blocks.random):
+                v, center, offset = (a.astype(dtype) for a in make(rng, d))
+                fresh = dist_box_grad(v, center, offset, 0.2)
+                out = (np.full(v.shape, np.nan), np.full(v.shape, np.nan))
+                got = dist_box_grad(v, center, offset, 0.2, out=out)
+                assert got[1] is out[0] and got[2] is out[1]
+                for a, b in zip(got, fresh):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                rows = dist_box_rows(v, center, offset, 0.2)
+                assert rows.dtype == dtype and rows.tobytes() == fresh[0].tobytes()
+                dist, dv, do = dist_box_grad_select(v, center, offset, 0.2)
+                assert dist.tobytes() == got[0].tobytes() and dv.tobytes() == got[1].tobytes()
+                assert np.array_equal(do, got[2])

@@ -10,6 +10,7 @@ from boxquery.model import ModelConfig, ModelParams, embed_epfo, save_checkpoint
 from boxquery.queries import bind, structure_templates, template
 from boxquery.sampling import AnswerSet, GroundedQuery, answer_exact, generate_queries, try_instantiate
 from boxquery.training import (
+    Workspace,
     batch_loss_and_grads,
     loss,
     sample_negatives,
@@ -18,7 +19,7 @@ from boxquery.training import (
 
 from conftest import make_splits, random_graph
 from gradcheck import MODE_GRID, make_instance, query_loss_and_grads
-from oracles import query_loss_and_grads_per_candidate
+from oracles import batch_loss_and_grads_allocating, query_loss_and_grads_per_candidate
 
 
 class TestLoss:
@@ -380,13 +381,13 @@ class TestBlockedAdamInTraining:
         per_step = len({q.structure_name for q in queries})  # one batch per structure
         steps = []  # the samples of each step
 
-        def recorded(qs, params, positives, negatives, grads):
+        def recorded(qs, params, positives, negatives, grads, workspace):
             if not steps or len(steps[-1]) == per_step:
                 steps.append([])
             steps[-1].append((qs, positives, negatives))
             if len(steps) == self.ZERO_STEP:
                 return 0.0
-            return batch_loss_and_grads(qs, params, positives, negatives, grads)
+            return batch_loss_and_grads(qs, params, positives, negatives, grads, workspace)
 
         monkeypatch.setattr(training_module, "batch_loss_and_grads", recorded)
         result = train(splits, queries, config, log=None)
@@ -406,6 +407,157 @@ class TestBlockedAdamInTraining:
             assert got.tensors[name].tobytes() == tensor.tobytes(), name
             assert result.state.adam.m[name].tobytes() == state.m[name].tobytes(), name
             assert result.state.adam.v[name].tobytes() == state.v[name].tobytes(), name
+
+
+class TestWorkspaceMatchesAllocatingPass:
+    """The candidate pass in one reused workspace, with each chunk's entity
+    rows scattered at once, against the allocating reference that scatters
+    every row of the batch at the end: the same loss and gradient bytes.
+    Chunks hold two queries, so a batch of 5 ends on a short chunk, and the
+    workspace is poisoned with NaN before every call, so a value left over
+    from another structure, batch size or chunk would show."""
+
+    @staticmethod
+    def poisoned(workspace):
+        for flat in workspace._buffers.values():
+            flat.fill(np.nan)
+        return workspace
+
+    @staticmethod
+    def with_dtype(params, dtype):
+        config = ModelConfig(**{**params.config.to_dict(), "dtype": dtype})
+        return ModelParams(config, params.n_entities, params.n_relations)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_every_structure(self, mode, dtype, monkeypatch):
+        import boxquery.training as training_module
+
+        monkeypatch.setattr(training_module, "_CANDIDATE_BLOCK", 2 * 3 * 8)
+        rng = np.random.default_rng(3000 + MODE_GRID.index(mode))
+        workspace = Workspace()
+        for structure in structure_templates():
+            for size in (5, 1, 3):
+                made = None
+                while made is None:
+                    made = make_batch(rng, mode, structure.name, size)
+                params = self.with_dtype(made[0], dtype)
+                queries, positives, negatives = (list(x) for x in zip(*made[1]))
+                negatives = np.stack(negatives)
+                got, fresh, want = params.zero_grads(), params.zero_grads(), params.zero_grads()
+                total = batch_loss_and_grads(queries, params, positives, negatives, got,
+                                             self.poisoned(workspace))
+                assert total == batch_loss_and_grads(queries, params, positives, negatives, fresh)
+                assert total == batch_loss_and_grads_allocating(
+                    queries, params, positives, negatives, want)
+                assert total == batch_loss_and_grads(queries, params, positives, negatives)
+                for name in got:
+                    assert got[name].dtype == np.dtype(dtype)
+                    assert got[name].tobytes() == fresh[name].tobytes(), (structure.name, name)
+                    assert got[name].tobytes() == want[name].tobytes(), (structure.name, name)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_four_train_steps_match_allocating_replay(self, mode, dtype, monkeypatch):
+        import boxquery.training as training_module
+        from boxquery.model import AdamState, adam_step
+
+        # 4 queries of 1 + 3 candidates per chunk: batches of 6 end on a short one
+        monkeypatch.setattr(training_module, "_CANDIDATE_BLOCK", 4 * 4 * 8)
+        intersection_mode, offset_mode, geometry = mode
+        ring = [(f"e{i}", "r", f"e{(i + 1) % 8}") for i in range(8)]
+        chords = [(f"e{i}", "s", f"e{(i + 3) % 8}") for i in range(8)]
+        splits = make_splits(ring + chords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            queries = generate_queries(splits, {n: 6 for n in ("1p", "2p", "2i", "3i")},
+                                       seed=2)["train"]
+        config = ModelConfig(
+            dim=8, gamma=2.0, negatives=3, learning_rate=0.01, epochs=4,
+            batch_per_structure=6, seed=5, dtype=dtype, intersection_mode=intersection_mode,
+            offset_mode=offset_mode, geometry=geometry,
+        )
+        per_step = len({q.structure_name for q in queries})
+        steps = []
+        workspaces = set()
+
+        def recorded(qs, params, positives, negatives, grads, workspace):
+            if not steps or len(steps[-1]) == per_step:
+                steps.append([])
+            steps[-1].append((qs, positives, negatives))
+            workspaces.add(id(workspace))
+            return batch_loss_and_grads(qs, params, positives, negatives, grads, workspace)
+
+        monkeypatch.setattr(training_module, "batch_loss_and_grads", recorded)
+        result = train(splits, queries, config, log=None)
+        assert result.state.step == len(steps) == 4
+        assert len(workspaces) == 1  # one workspace for the run
+
+        params = ModelParams(config, splits.train.n_entities, splits.train.n_relations)
+        state = AdamState.init(params)
+        for t, samples in enumerate(steps, start=1):
+            grads = params.zero_grads()
+            for qs, positives, negatives in samples:
+                batch_loss_and_grads_allocating(qs, params, positives, negatives, grads)
+            adam_step(params, grads, state, config.learning_rate, t)
+        got = result.final_params
+        for name, tensor in params.tensors.items():
+            assert got.tensors[name].tobytes() == tensor.tobytes(), name
+            assert result.state.adam.m[name].tobytes() == state.m[name].tobytes(), name
+            assert result.state.adam.v[name].tobytes() == state.v[name].tobytes(), name
+
+    def test_candidate_ids_out_of_range_rejected(self):
+        # the gather wraps ids instead of checking them, so the call checks
+        # them first, before any gradient is touched
+        rng = np.random.default_rng(7)
+        made = None
+        while made is None:
+            made = make_batch(rng, MODE_GRID[0], "1p", 3)
+        params, samples = made
+        queries, positives, negatives = (list(x) for x in zip(*samples))
+        negatives = np.stack(negatives)
+        wrapped = negatives.copy()
+        wrapped[-1, -1] = -1
+        for bad_positives, bad_negatives in (([params.n_entities] + positives[1:], negatives),
+                                             (positives, wrapped)):
+            grads = params.zero_grads()
+            with pytest.raises(IndexError, match="candidate entity ids"):
+                batch_loss_and_grads(queries, params, bad_positives, bad_negatives, grads)
+            assert not any(g.any() for g in grads.values())
+
+    def test_peak_memory_under_two_chunks(self, rng):
+        # with a warm workspace, a 1p batch at d=64, batch 64 and k=32 (five
+        # chunks of up to 15 queries) allocates only the forward pass, the
+        # (B, d) adjoints, the outside mask and per-row vectors: 1.3 chunks
+        # with numpy 2.4. The allocating reference builds several
+        # chunk-sized arrays per chunk and holds every entity row of the
+        # batch at once: 11 chunks
+        import tracemalloc
+
+        import boxquery.training as training_module
+
+        n, b, k = 300, 64, 32
+        params = ModelParams(ModelConfig(dim=64, negatives=k, seed=0), n, 4)
+        queries = [GroundedQuery(bind(template("1p").graph, {0: i}, {0: i % 4}), "1p")
+                   for i in range(b)]
+        positives = rng.integers(n, size=b).tolist()
+        negatives = rng.integers(n, size=(b, k))
+        chunk = training_module._CANDIDATE_BLOCK * np.dtype(np.float64).itemsize
+        workspace = Workspace()
+        grads = params.zero_grads()
+        batch_loss_and_grads(queries, params, positives, negatives, grads, workspace)
+        peaks = []
+        for call in (lambda: batch_loss_and_grads(queries, params, positives, negatives,
+                                                  grads, workspace),
+                     lambda: batch_loss_and_grads_allocating(queries, params, positives,
+                                                             negatives, grads)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2 * chunk and peaks[1] > 8 * chunk, [p / chunk for p in peaks]
 
 
 class TestFloat32Switch:

@@ -31,8 +31,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     adam_step,
-    embed_conjunctive,
-    embed_epfo,
     load_checkpoint,
     save_checkpoint,
 )
@@ -56,7 +54,7 @@ from .sampling import (
     read_query_file,
     write_query_file,
 )
-from .training import loss, sample_negatives, train
+from .training import sample_negatives, train
 from .evaluation import (
     EvalReport,
     aggregate,

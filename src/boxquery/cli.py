@@ -199,8 +199,10 @@ def cmd_eval(args) -> int:
     _require_files(args.checkpoint, args.snapshot)
     splits = kg.load_splits(args.snapshot)
     params = _load_compatible_checkpoint(args.checkpoint, splits)
-    split_for_stage = {"validation": "valid", "test": "test", "train": "heldin"}
-    queries = _load_query_dir(args.queries, split_for_stage[args.stage], splits.vocab)
+    split = {"validation": "valid", "test": "test", "train": "heldin"}[args.stage]
+    queries = _load_query_dir(args.queries, split, splits.vocab)
+    if not queries:
+        raise _UsageError(f"{Path(args.queries) / QUERY_FILES[split]}: no queries to evaluate")
     _print_header(args, {"stage": args.stage, "checkpoint": _checkpoint_id(args.checkpoint)})
     print("# effective config:")
     for line in format_config(params.config).splitlines():

@@ -158,7 +158,9 @@ def aggregate(
 ) -> EvalReport:
     """Per-structure means of per-query metrics; overall is the unweighted
     mean of the structure means. Each structure's queries are averaged in
-    their order in `queries`."""
+    their order in `queries`. No queries is a ValueError: there is no mean."""
+    if not queries:
+        raise ValueError("no queries to evaluate")
     per_structure: dict[str, list[dict[str, float]]] = {}
     for q, ranks in zip(queries, _ranks(queries, params, stage)):
         per_structure.setdefault(q.structure_name, []).append(_metrics(ranks))

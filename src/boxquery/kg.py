@@ -401,7 +401,7 @@ def load_splits(path: str | Path) -> GraphSplits:
         raise ParseError(f"not a splits snapshot (expected header {SNAPSHOT_MAGIC!r})", str(path), 1)
     try:
         return _parse_snapshot(lines, path)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, VocabularyError) as exc:
         raise ParseError(f"corrupt snapshot: {exc}", str(path)) from exc
 
 

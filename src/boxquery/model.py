@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CompatibilityError, TrainingError
 from .geometry import _BLOCK_ELEMENTS, Box
 from .kg import _atomic_open
-from .queries import ANCHOR, TRAINABLE_NAMES, UNION, ComputationGraph, to_dnf
+from .queries import PROJECTION, TRAINABLE_NAMES, ComputationGraph, template, to_dnf
 from .sampling import GroundedQuery
 
 INTERSECTION_MODES = ("attention", "average", "deepsets")
@@ -227,8 +227,8 @@ def _attention_backward(dweights, weights, cache, params: ModelParams, grads):
 
 class _Step:
     """One node of a batched branch, as its backward pass reads it: the (B,)
-    entity ids of an anchor, or the source node and (B,) relation ids of each
-    input edge, the canonical input order (B, n) and the network traces."""
+    entity ids of an anchor, or the source node and (B, n) relation ids of
+    its input edges, the canonical input order (B, n) and the network traces."""
 
     entities = sources = relations = order = attn = center_ds = offset_ds = None
 
@@ -236,18 +236,18 @@ class _Step:
         self.node = node
 
 
-def _branch_forward(graphs: list[ComputationGraph], params: ModelParams):
-    """Embed B union-free grounded graphs of one shape as (B, d) center and
-    offset blocks; also returns the steps the backward pass replays."""
+def _branch_forward(shape: ComputationGraph, anchors: np.ndarray, relations: np.ndarray,
+                    params: ModelParams):
+    """Embed B queries along `shape`, a union-free branch of their template,
+    as (B, d) center and offset blocks; `anchors` (B, n_anchor_slots) and
+    `relations` (B, n_relation_slots) hold their ids by slot. Also returns
+    the steps the backward pass replays."""
     cfg = params.config
     d = cfg.dim
     dtype = np.dtype(cfg.dtype)
     point = cfg.geometry == "point"
     shared = cfg.offset_mode == "shared" and not point
-    b = len(graphs)
-    shape = graphs[0]
-    entities = [{n.id: n.entity for n in g.nodes} for g in graphs]
-    relations = [{(e.src, e.dst): e.relation for e in g.edges} for g in graphs]
+    b = len(anchors)
     zeros = np.zeros((b, d), dtype=dtype)
     fixed = None  # the offset every node produces in point and shared mode
     if point or shared:
@@ -261,15 +261,11 @@ def _branch_forward(graphs: list[ComputationGraph], params: ModelParams):
         step = _Step(nid)
         steps.append(step)
         if not in_es:
-            if shape.node(nid).kind != ANCHOR:
-                raise ValueError(f"source node {nid} is not an anchor")
-            step.entities = np.array([ids[nid] for ids in entities])
+            step.entities = anchors[:, shape.node(nid).slot]
             boxes[nid] = (params.entity[step.entities], zeros if fixed is None else fixed)
             continue
-        if any(e.op == UNION for e in in_es):
-            raise ValueError("conjunctive embedding received a union edge")
         step.sources = [e.src for e in in_es]
-        step.relations = np.array([[ids[(src, nid)] for src in step.sources] for ids in relations])
+        step.relations = relations[:, [e.slot for e in in_es]]
         projected = [
             (boxes[src][0] + params.relation_center[r], fixed if fixed is not None
              else boxes[src][1] + np.abs(params.tensors["relation_offset"][r]))
@@ -407,32 +403,30 @@ def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray, scratch
         target[ids[picked]] = acc
 
 
-def _graph(query: GroundedQuery | ComputationGraph) -> ComputationGraph:
-    return query.graph if isinstance(query, GroundedQuery) else query
-
-
-def embed_conjunctive(query: GroundedQuery | ComputationGraph, params: ModelParams) -> Box:
-    """Embed a union-free grounded query as a single box."""
-    center, offset, _ = _branch_forward([_graph(query)], params)
-    return Box(center[0], offset[0])
-
-
-def embed_epfo(query: GroundedQuery | ComputationGraph, params: ModelParams) -> list[Box]:
-    """Embed any grounded query as one box per DNF branch."""
-    branches, _ = to_dnf(_graph(query))
-    return [embed_conjunctive(b, params) for b in branches]
-
-
 class QueryForward:
-    """Forward pass of B queries of one structure over all DNF branches, one
-    stack of B boxes per branch, kept for a later backward call."""
+    """Forward pass of B queries of one structure over all DNF branches of
+    its template, one stack of B boxes per branch, kept for a later backward
+    call. The topology comes from the template; each query gives only the
+    ids bound to its slots."""
 
     def __init__(self, queries: list[GroundedQuery], params: ModelParams):
-        if len({q.structure_name for q in queries}) != 1:
+        names = {q.structure_name for q in queries}
+        if len(names) != 1:
             raise ValueError("a batch holds queries of one structure")
         self.params = params
-        branches = zip(*(to_dnf(q.graph)[0] for q in queries), strict=True)
-        self.records = [_branch_forward(list(graphs), params) for graphs in branches]
+        shape = template(names.pop()).graph
+        anchors = np.zeros((len(queries), len(shape.anchors)), dtype=int)
+        relations = np.zeros((len(queries), sum(e.op == PROJECTION for e in shape.edges)),
+                             dtype=int)
+        for row, q in enumerate(queries):
+            for n in q.graph.anchors:
+                anchors[row, n.slot] = n.entity
+            for e in q.graph.edges:
+                if e.op == PROJECTION:
+                    relations[row, e.slot] = e.relation
+        branches, _ = to_dnf(shape)
+        self.records = [_branch_forward(branch, anchors, relations, params)
+                        for branch in branches]
         self.boxes = [Box(center, offset) for center, offset, _ in self.records]
 
     def backward(self, box_adjoints, grads: dict[str, np.ndarray]) -> None:
@@ -579,6 +573,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CompatibilityError(f"{path}: malformed checkpoint header "
                                      f"({type(exc).__name__}: {exc})") from exc
+        for name in names:
+            if names.count(name) > 1:
+                raise CompatibilityError(f"{path}: tensor {name!r} is listed more than once")
         params = object.__new__(ModelParams)
         params.config = config
         params.n_entities, params.n_relations = counts

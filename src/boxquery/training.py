@@ -37,13 +37,6 @@ def _losses(dists: np.ndarray, gamma: float) -> np.ndarray:
     return -_log_sigmoid(gamma - dists[:, 0]) - np.cumsum(terms, axis=1)[:, -1] / terms.shape[1]
 
 
-def loss(pos_dist: float, neg_dists, gamma: float) -> float:
-    """Negative-sampling loss: pull the positive inside the margin, push the
-    negatives beyond it. The negative term is averaged; summing in sorted
-    order makes the value exactly independent of negative order."""
-    return float(_losses(np.concatenate(([pos_dist], neg_dists))[None].astype(float), gamma)[0])
-
-
 def sample_negatives(
     q: GroundedQuery, k: int, splits: GraphSplits, rng: np.random.Generator
 ) -> np.ndarray:

@@ -21,7 +21,10 @@ library sorts the non-answers once per query. The evaluation
 oracle embeds and scores one query at a time, where the library scores a
 chunk of queries of one structure per pass over the entities. The last section
 keeps entry points the library no longer needs, for the tests of the
-operators behind them.
+operators behind them. Among them, `embed_epfo` and `embed_conjunctive`
+embed one query, or a grounded graph of the structure whose template it
+binds, as a `QueryForward` batch of one, and `loss` is `training._losses`
+on one sample.
 """
 
 from __future__ import annotations
@@ -57,9 +60,8 @@ from boxquery.model import (
 )
 from boxquery.model import _attention_trace as _stacked_attention_trace
 from boxquery.model import _deepsets_trace as _stacked_deepsets_trace
-from boxquery.queries import ANCHOR, UNION, ComputationGraph, to_dnf
-from boxquery.sampling import GroundedQuery
-from boxquery.training import loss
+from boxquery.queries import ANCHOR, STRUCTURE_NAMES, UNION, ComputationGraph, to_dnf
+from boxquery.sampling import GroundedQuery, _check_structure
 
 
 def _graph_of(query) -> ComputationGraph:
@@ -595,8 +597,9 @@ def aggregate_per_query(queries, params, splits, stage, checkpoint_id="-") -> Ev
 
 
 # Entry points the library no longer calls: the geometric operators in
-# their one-box form, the intersection networks over one set of boxes, and
-# the rank of a single answer.
+# their one-box form, the intersection networks over one set of boxes, the
+# rank of a single answer, the embedding of a single query and the loss of
+# a single sample.
 
 
 def project(p: Box, r: Box) -> Box:
@@ -656,3 +659,39 @@ def rank_entity(
     if distances is None:
         distances = entity_distances(q, params)
     return int(_filtered_ranks(distances, [v], q)[0])
+
+
+def _as_query(query: GroundedQuery | ComputationGraph) -> GroundedQuery:
+    """A grounded graph as a query of the structure whose template it binds."""
+    if isinstance(query, GroundedQuery):
+        return query
+    for name in STRUCTURE_NAMES:
+        try:
+            _check_structure(GroundedQuery(query, name))
+        except ValueError:
+            continue
+        return GroundedQuery(query, name)
+    raise ValueError("graph binds no query structure")
+
+
+def embed_epfo(query: GroundedQuery | ComputationGraph, params: ModelParams) -> list[Box]:
+    """Embed any grounded query as one box per DNF branch: a batch of one."""
+    return [Box(center[0], offset[0])
+            for center, offset, _ in QueryForward([_as_query(query)], params).records]
+
+
+def embed_conjunctive(query: GroundedQuery | ComputationGraph, params: ModelParams) -> Box:
+    """Embed a union-free grounded query as a single box."""
+    boxes = embed_epfo(query, params)
+    if len(boxes) != 1:
+        raise ValueError("conjunctive embedding received a query with a union")
+    return boxes[0]
+
+
+def loss(pos_dist: float, neg_dists, gamma: float) -> float:
+    """Negative-sampling loss of one sample: pull the positive inside the
+    margin, push the negatives beyond it. The negative term is averaged;
+    summing in sorted order makes the value exactly independent of
+    negative order."""
+    dists = np.concatenate(([pos_dist], neg_dists))[None].astype(float)
+    return float(training._losses(dists, gamma)[0])

@@ -292,6 +292,30 @@ class TestTrainEvalAnalyze:
         assert data["stage"] == "train"
         assert set(data["overall"]) == {"mrr", "h1", "h3", "h10"}
 
+    def test_eval_without_queries_exits_2(self, capsys, tmp_path):
+        data, snapshot, queries = tmp_path / "d", tmp_path / "g.snap", tmp_path / "q"
+        ckpt, report_path = tmp_path / "m.ckpt", tmp_path / "r.json"
+        # no held-out triples, so the test query file is empty
+        for argv in (["synthesize-kg", "--kind", "bipartite", "--entities", "20",
+                      "--out", str(data)],
+                     ["prepare-data", "--train", str(data / "train.txt"),
+                      "--valid", str(data / "valid.txt"), "--test", str(data / "test.txt"),
+                      "--out", str(snapshot)],
+                     ["generate-queries", "--snapshot", str(snapshot), "--out", str(queries),
+                      "--count", "3"],
+                     ["train", "--snapshot", str(snapshot), "--queries", str(queries),
+                      "--out", str(ckpt), "--dim", "4", "--epochs", "1", "--negatives", "2",
+                      "--batch-per-structure", "2"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the tiny graph cannot fill every count
+                assert main(argv) == 0
+        capsys.readouterr()
+        code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--snapshot",
+                           str(snapshot), "--queries", str(queries), "--report", str(report_path))
+        assert code == 2
+        assert err.splitlines() == [f"error: {queries / 'test-queries.txt'}: no queries to evaluate"]
+        assert not report_path.exists()
+
     def test_eval_vocabulary_mismatch_exits_2(self, capsys, pipeline, checkpoint, tmp_path):
         root, snapshot, queries = pipeline
         other_data = tmp_path / "other"

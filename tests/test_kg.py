@@ -312,6 +312,21 @@ class TestSnapshotRoundTrip:
             load_splits(bad)
 
 
+    def test_unknown_id_in_edge_line_rejected(self, tmp_path):
+        train = write(tmp_path / "train.txt", "A\tr\tB\nB\ts\tC\n")
+        valid = write(tmp_path / "valid.txt", "C\tr\tA\n")
+        test = write(tmp_path / "test.txt", "A\ts\tC\n")
+        snap = tmp_path / "snapshot.txt"
+        save_splits(build_split_graphs(train, valid, test), snap)
+        lines = snap.read_text(encoding="utf-8").splitlines()
+        first_edge = next(i for i, line in enumerate(lines) if line.startswith("train ")) + 1
+        lines[first_edge] = "9\t0\t1"
+        snap.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="corrupt snapshot.*unknown entity id") as exc:
+            load_splits(snap)
+        assert str(exc.value).startswith(f"{snap}: ")
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "artifact.bin"

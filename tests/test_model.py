@@ -10,18 +10,17 @@ from boxquery.model import (
     AdamState,
     ModelConfig,
     ModelParams,
+    QueryForward,
     adam_step,
-    embed_conjunctive,
-    embed_epfo,
     load_checkpoint,
     save_checkpoint,
 )
-from boxquery.queries import bind, template
-from boxquery.sampling import try_instantiate
+from boxquery.queries import STRUCTURE_NAMES, ComputationGraph, bind, template, to_dnf
+from boxquery.sampling import GroundedQuery, try_instantiate
 
 from conftest import make_graph, random_graph
 from gradcheck import MODE_GRID, check_instance, make_instance, query_loss_and_grads
-from oracles import attention_weights, deepsets_forward
+from oracles import attention_weights, deepsets_forward, embed_conjunctive, embed_epfo
 
 
 def small_params(n_entities=6, n_relations=4, dim=4, **kwargs) -> ModelParams:
@@ -265,8 +264,6 @@ class TestEmbedConjunctive:
             assert np.all(box.offset >= 0)
 
     def test_saturated_shrink_is_zero_without_warning(self):
-        from boxquery.model import _branch_forward
-
         kg = make_graph([("A", "r", "B"), ("C", "s", "B")], augment=True)
         v = kg.vocab
         g = bind(
@@ -278,7 +275,7 @@ class TestEmbedConjunctive:
         params.tensors["offset_net.outer.b2"][:] = -1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, offset, steps = _branch_forward([g], params)
+            _, offset, steps = QueryForward([GroundedQuery(g, "2i")], params).records[0]
         shrink = steps[-1].offset_ds[1]
         assert np.all(shrink == 0.0)
         assert np.all(offset == 0.0)
@@ -357,6 +354,48 @@ class TestEmbedEpfo:
             direct = embed_conjunctive(chain, params)
             assert np.allclose(box.center, direct.center)
             assert np.allclose(box.offset, direct.offset)
+
+
+class TestQueryForward:
+    @staticmethod
+    def grounded(name, rng, n_entities=6, n_relations=4):
+        shape = template(name).graph
+        anchors = {n.slot: int(rng.integers(n_entities)) for n in shape.anchors}
+        relations = {e.slot: int(rng.integers(n_relations))
+                     for e in shape.edges if e.slot is not None}
+        return GroundedQuery(bind(shape, anchors, relations), name)
+
+    @pytest.mark.parametrize("b", [1, 7])
+    def test_dnf_runs_once_per_batch(self, monkeypatch, rng, b):
+        import boxquery.model
+
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return to_dnf(graph)
+
+        monkeypatch.setattr(boxquery.model, "to_dnf", counting)
+        params = small_params()
+        QueryForward([self.grounded("up", rng) for _ in range(b)], params)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_node_and_edge_order_is_immaterial(self, rng, name):
+        q = self.grounded(name, rng)
+        flipped = GroundedQuery(
+            ComputationGraph(q.graph.nodes[::-1], q.graph.edges[::-1]), name)
+        params = small_params()
+        for forward in (QueryForward([q, flipped], params),
+                        QueryForward([flipped], params)):
+            for base, other in zip(QueryForward([q], params).boxes, forward.boxes):
+                assert base.center[0].tobytes() == other.center[-1].tobytes()
+                assert base.offset[0].tobytes() == other.offset[-1].tobytes()
+
+    def test_mixed_structures_rejected(self, rng):
+        params = small_params()
+        with pytest.raises(ValueError, match="one structure"):
+            QueryForward([self.grounded("2p", rng), self.grounded("2i", rng)], params)
 
 
 class TestBackward:
@@ -595,21 +634,32 @@ class TestCheckpoint:
 
     @staticmethod
     def edit_header(path, edit):
+        # `edit` changes the header and returns the bytes to append to the payload
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        for spec in header["tensors"]:
-            edit(spec)
+        payload += edit(header)
         path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
-    def rename(spec):
-        if spec["name"] == "attn.w1":
-            spec["name"] = "attn.weight1"
+    def rename(header):
+        for spec in header["tensors"]:
+            if spec["name"] == "attn.w1":
+                spec["name"] = "attn.weight1"
+        return b""
 
-    def reshape(spec):
-        if spec["name"] == "relation_center":
-            spec["shape"] = [spec["shape"][0], spec["shape"][1] + 1]
+    def reshape(header):
+        for spec in header["tensors"]:
+            if spec["name"] == "relation_center":
+                spec["shape"] = [spec["shape"][0], spec["shape"][1] + 1]
+        return b""
 
-    @pytest.mark.parametrize("edit, tensor", [(rename, "attn.w1"), (reshape, "relation_center")])
+    def duplicate(header):
+        # a second `entity` block after the last tensor, all sevens
+        spec = next(spec for spec in header["tensors"] if spec["name"] == "entity")
+        header["tensors"].append(dict(spec))
+        return np.full(spec["shape"], 7.0, spec["dtype"]).tobytes()
+
+    @pytest.mark.parametrize("edit, tensor", [(rename, "attn.w1"), (reshape, "relation_center"),
+                                              (duplicate, "'entity'.*more than once")])
     def test_tensor_set_checked(self, tmp_path, edit, tensor):
         path = tmp_path / "edited.ckpt"
         save_checkpoint(path, small_params(), "e", "r")

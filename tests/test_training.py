@@ -6,20 +6,20 @@ import pytest
 
 from boxquery.errors import SamplingError, TrainingError
 from boxquery.geometry import Box, dist_box
-from boxquery.model import ModelConfig, ModelParams, embed_epfo, save_checkpoint
+from boxquery.model import ModelConfig, ModelParams, save_checkpoint
 from boxquery.queries import bind, structure_templates, template
 from boxquery.sampling import AnswerSet, GroundedQuery, answer_exact, generate_queries, try_instantiate
 from boxquery.training import (
     Workspace,
     batch_loss_and_grads,
-    loss,
     sample_negatives,
     train,
 )
 
 from conftest import make_splits, random_graph
 from gradcheck import MODE_GRID, make_instance, query_loss_and_grads
-from oracles import batch_loss_and_grads_allocating, query_loss_and_grads_per_candidate
+from oracles import (batch_loss_and_grads_allocating, embed_epfo, loss,
+                     query_loss_and_grads_per_candidate)
 
 
 class TestLoss:

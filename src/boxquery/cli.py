@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,7 +328,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # one line per warning, without a source line
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -296,25 +296,42 @@ def to_dnf(g: ComputationGraph) -> tuple[list[ComputationGraph], int]:
     return branches, n_branches
 
 
+def _in_edge_positions(g: ComputationGraph) -> dict[int, list[int]]:
+    """Each node's in-edges as positions in `g.edges`, in `in_edges` order."""
+    into: dict[int, list[int]] = {n.id: [] for n in g.nodes}
+    for i in sorted(range(len(g.edges)), key=lambda i: g.edges[i].src):
+        into[g.edges[i].dst].append(i)
+    return into
+
+
+def _key_recipe(g: ComputationGraph):
+    """`canonical_key`'s nesting, fixed by the topology: a source node as its position in
+    `g.nodes`, another node as ((edge position, or None for union, source recipe), ...)."""
+    position = {n.id: i for i, n in enumerate(g.nodes)}
+    into = _in_edge_positions(g)
+
+    def recipe(nid: int):
+        if not into[nid]:
+            return position[nid]
+        return tuple((i if g.edges[i].op == PROJECTION else None, recipe(g.edges[i].src))
+                     for i in into[nid])
+
+    return recipe(g.target.id)
+
+
+def _key_text(recipe, ents: list, rels: list) -> str:
+    """The key of the query that binds node i to `ents[i]` and edge i to `rels[i]`."""
+    if isinstance(recipe, int):
+        return f"a{ents[recipe]}"
+    return "&".join(sorted((f"p{rels[edge]}" if edge is not None else "u")
+                           + f"({_key_text(src, ents, rels)})" for edge, src in recipe))
+
+
 def canonical_key(g: ComputationGraph) -> str:
     """Order-independent text key; symmetric branches serialize identically."""
-
-    def describe(nid: int) -> str:
-        node = g.node(nid)
-        in_es = g.in_edges(nid)
-        if not in_es:
-            label = node.entity if node.entity is not None else f"s{node.slot}"
-            return f"a{label}"
-        parts = []
-        for e in in_es:
-            if e.op == PROJECTION:
-                rel = e.relation if e.relation is not None else f"s{e.slot}"
-                parts.append(f"p{rel}({describe(e.src)})")
-            else:
-                parts.append(f"u({describe(e.src)})")
-        return "&".join(sorted(parts))
-
-    return describe(g.target.id)
+    ents = [n.entity if n.entity is not None else f"s{n.slot}" for n in g.nodes]
+    rels = [e.relation if e.relation is not None else f"s{e.slot}" for e in g.edges]
+    return _key_text(_key_recipe(g), ents, rels)
 
 
 def graph_to_text(g: ComputationGraph) -> str:

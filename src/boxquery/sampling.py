@@ -1,11 +1,13 @@
 """Grounding query templates on a graph and answering them by traversal.
 
-Instantiation walks the template in pre-order from the target: the root
-entity is drawn uniformly, then each in-edge draws a relation uniformly from
-the relations entering the current entity and a predecessor uniformly from
-the entities reaching it via that relation. Degenerate assignments (an
-inverse-relation backtrack along a path, or duplicated (anchor, relation)
-branches in an intersection) are rejected and retried.
+Each structure compiles once into a plan over two id lists, an entity per
+node and a relation per edge. An attempt walks the template in pre-order
+from the target: the root is drawn uniformly, then each in-edge draws,
+uniformly, a relation entering the current entity and a predecessor reaching
+it via that relation. Degenerate attempts (an inverse-relation backtrack, or
+duplicated (anchor, relation) intersection branches) are rejected and the
+rest deduplicated and answered on the lists; a `ComputationGraph` is bound
+only for accepted queries.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from .queries import (
     UNION,
     ComputationGraph,
     QueryStructure,
+    _in_edge_positions,
+    _key_recipe,
+    _key_text,
     bind,
-    canonical_key,
     graph_from_text,
     graph_to_text,
     structure_templates,
@@ -59,49 +63,117 @@ class GroundedQuery:
     answers: AnswerSet | None = None
 
 
-def _traversal_plan(graph: ComputationGraph):
+class _Plan:
+    """A graph's topology compiled once, for queries held as two id lists:
+    `ents[i]` binds `graph.nodes[i]` and `rels[i]` binds `graph.edges[i]`."""
+
+    def __init__(self, graph: ComputationGraph):
+        self.graph = graph
+        nodes, edges = graph.nodes, graph.edges
+        pos = {n.id: i for i, n in enumerate(nodes)}
+        into = _in_edge_positions(graph)
+        self.target = pos[graph.target.id]
+        self.key_recipe = _key_recipe(graph)
+        order = graph.topological_order()  # raises on cycles, which the walk cannot end
+        # pre-order grounding walk from the target: (node, source, projection
+        # edge or None for a union edge)
+        self.walk: list[tuple[int, int, int | None]] = []
+        stack = [graph.target.id]
+        while stack:
+            nid = stack.pop()
+            for i in into[nid]:
+                self.walk.append((pos[nid], pos[edges[i].src], None if edges[i].op == UNION else i))
+                if nodes[pos[edges[i].src]].kind != ANCHOR:
+                    stack.append(edges[i].src)
+        # degeneracies: (earlier, later) projection edges along a path through
+        # unions, and the (anchor, edge) branches of multi-projection nodes
+        self.backtracks: list[tuple[int, int]] = []
+        for later, e in enumerate(edges):
+            frontier = [e.src] if e.op == PROJECTION else []
+            while frontier:
+                for i in into[frontier.pop()]:
+                    if edges[i].op == UNION:
+                        frontier.append(edges[i].src)
+                    else:
+                        self.backtracks.append((i, later))
+        projections = [[i for i in into[n.id] if edges[i].op == PROJECTION] for n in nodes]
+        self.branches = [[(pos[edges[i].src], i) for i in ins
+                          if nodes[pos[edges[i].src]].kind == ANCHOR]
+                         for ins in projections if len(ins) > 1]
+        # answer steps in topological order: (node, union?, ((source, edge), ...))
+        self.steps = [(pos[nid], bool(into[nid]) and edges[into[nid][0]].op == UNION,
+                       tuple((pos[edges[i].src], i) for i in into[nid])) for nid in order]
+
+    def ground(self, kg: KnowledgeGraph, rng: np.random.Generator, root: int | None = None):
+        """One grounding attempt: (ents, rels), or None on a dead end."""
+        if kg.n_entities == 0:
+            raise SamplingError("cannot instantiate on an empty graph")
+        ents: list = [None] * len(self.graph.nodes)
+        rels: list = [None] * len(self.graph.edges)
+        ents[self.target] = int(rng.integers(kg.n_entities)) if root is None else root
+        for node, src, edge in self.walk:
+            if ents[src] is not None:  # reached twice: not an in-tree, a dead end
+                return None
+            if edge is None:
+                # parents of a union must each produce the current entity
+                ents[src] = ents[node]
+                continue
+            relations = kg.relations_into(ents[node])
+            if not relations:
+                return None
+            rels[edge] = int(relations[rng.integers(len(relations))])
+            heads = kg.sources(ents[node], rels[edge])
+            ents[src] = int(heads[rng.integers(len(heads))])
+        return ents, rels
+
+    def degeneracies(self, ents: list, rels: list, inverse) -> list[str]:
+        """`inverse(r)` is the id of r's inverse relation, or None."""
+        found = [f"inverse backtrack: relation {rels[a]} then {rels[b]}"
+                 for a, b in self.backtracks if inverse(rels[a]) == rels[b]]
+        for branches in self.branches:
+            pairs = [(ents[node], rels[edge]) for node, edge in branches]
+            found += [f"duplicate intersection branch: anchor {a} relation {r}"
+                      for k, (a, r) in enumerate(pairs) if (a, r) in pairs[:k]]
+        return found
+
+    def answers(self, kg: KnowledgeGraph, ents: list, rels: list) -> set[int]:
+        """Exact denotation set by post-order traversal from the anchors."""
+        values: list = [None] * len(ents)
+        for node, union, ins in self.steps:
+            if not ins:
+                if ents[node] is None:
+                    raise ValueError(f"source node {self.graph.nodes[node].id} is not an anchor")
+                values[node] = {ents[node]}
+            elif union:
+                values[node] = set().union(*(values[src] for src, _ in ins))
+            else:
+                result = kg.project_frontier(values[ins[0][0]], rels[ins[0][1]])
+                for src, edge in ins[1:]:
+                    result &= kg.project_frontier(values[src], rels[edge])
+                values[node] = result
+        return values[self.target]
+
+    def bind(self, ents: list, rels: list) -> ComputationGraph:
+        g = self.graph
+        return bind(g, {n.slot: ents[i] for i, n in enumerate(g.nodes) if n.kind == ANCHOR},
+                    {e.slot: rels[i] for i, e in enumerate(g.edges) if e.op == PROJECTION})
+
+
+def _bound_ids(graph: ComputationGraph) -> tuple[list, list]:
     if not graph.is_grounded():
         raise ValueError("query must be fully bound")
-    order = graph.topological_order()
-    return [(nid, graph.node(nid), graph.in_edges(nid)) for nid in order]
-
-
-def _traverse(kg: KnowledgeGraph, plan, target: int) -> set[int]:
-    values: dict[int, set[int]] = {}
-    for nid, node, in_es in plan:
-        if not in_es:
-            if node.kind != ANCHOR:
-                raise ValueError(f"source node {nid} is not an anchor")
-            values[nid] = {node.entity}
-            continue
-        if in_es[0].op == UNION:
-            result: set[int] = set()
-            for e in in_es:
-                result |= values[e.src]
-        else:
-            result = None
-            for e in in_es:
-                projected = kg.project_frontier(values[e.src], e.relation)
-                result = projected if result is None else result & projected
-        values[nid] = result
-    return values[target]
+    return [n.entity for n in graph.nodes], [e.relation for e in graph.edges]
 
 
 def answer_exact(kg: KnowledgeGraph, query: GroundedQuery | ComputationGraph) -> set[int]:
     """Exact denotation set by post-order traversal from the anchors."""
     graph = query.graph if isinstance(query, GroundedQuery) else query
-    return _traverse(kg, _traversal_plan(graph), graph.target.id)
+    return _Plan(graph).answers(kg, *_bound_ids(graph))
 
 
 def answer_set(splits: GraphSplits, query: GroundedQuery | ComputationGraph) -> AnswerSet:
     graph = query.graph if isinstance(query, GroundedQuery) else query
-    plan = _traversal_plan(graph)
-    target = graph.target.id
-    return AnswerSet(
-        tuple(sorted(_traverse(splits.train, plan, target))),
-        tuple(sorted(_traverse(splits.valid, plan, target))),
-        tuple(sorted(_traverse(splits.test, plan, target))),
-    )
+    return _answer_set(_Plan(graph), splits, _bound_ids(graph))
 
 
 def degeneracies(graph: ComputationGraph, kg: KnowledgeGraph) -> list[str]:
@@ -112,47 +184,8 @@ def degeneracies(graph: ComputationGraph, kg: KnowledgeGraph) -> list[str]:
     would create). Pattern 2: two branches of one intersection bound to the
     same (anchor entity, relation) pair.
     """
-    found: list[str] = []
-
-    def upstream_projections(nid: int) -> list:
-        # projection edges feeding nid, looking through union edges
-        edges = []
-        frontier = [nid]
-        while frontier:
-            cur = frontier.pop()
-            for e in graph.in_edges(cur):
-                if e.op == UNION:
-                    frontier.append(e.src)
-                else:
-                    edges.append(e)
-        return edges
-
-    for e in graph.edges:
-        if e.op != PROJECTION:
-            continue
-        for prev in upstream_projections(e.src):
-            inv = kg.inverse_relation(prev.relation)
-            if inv is not None and inv == e.relation:
-                found.append(
-                    f"inverse backtrack: relation {prev.relation} then {e.relation}"
-                )
-
-    for n in graph.nodes:
-        in_es = [e for e in graph.in_edges(n.id) if e.op == PROJECTION]
-        if len(in_es) < 2:
-            continue
-        seen: set[tuple[int, int]] = set()
-        for e in in_es:
-            src = graph.node(e.src)
-            if src.kind != ANCHOR:
-                continue
-            pair = (src.entity, e.relation)
-            if pair in seen:
-                found.append(
-                    f"duplicate intersection branch: anchor {src.entity} relation {e.relation}"
-                )
-            seen.add(pair)
-    return found
+    ids = [n.entity for n in graph.nodes], [e.relation for e in graph.edges]
+    return _Plan(graph).degeneracies(*ids, kg.inverse_relation)
 
 
 def try_instantiate(
@@ -162,47 +195,11 @@ def try_instantiate(
     root: int | None = None,
 ) -> GroundedQuery | None:
     """One pre-order grounding attempt; None on dead ends or degeneracy."""
-    if kg.n_entities == 0:
-        raise SamplingError("cannot instantiate on an empty graph")
-    graph = structure.graph
-    if root is None:
-        root = int(rng.integers(kg.n_entities))
-
-    entity_of: dict[int, int] = {graph.target.id: root}
-    anchor_bindings: dict[int, int] = {}
-    relation_bindings: dict[int, int] = {}
-
-    stack = [graph.target.id]
-    while stack:
-        nid = stack.pop()
-        entity = entity_of[nid]
-        for e in graph.in_edges(nid):
-            if e.src in entity_of:
-                # revisiting a node would resample its subtree; the fixed
-                # templates are in-trees, so treat this as a dead end
-                return None
-            if e.op == UNION:
-                # parents of a union must each produce the current entity
-                entity_of[e.src] = entity
-            else:
-                rels = kg.relations_into(entity)
-                if not rels:
-                    return None
-                rel = int(rels[rng.integers(len(rels))])
-                heads = kg.sources(entity, rel)
-                prev = int(heads[rng.integers(len(heads))])
-                relation_bindings[e.slot] = rel
-                entity_of[e.src] = prev
-            src_node = graph.node(e.src)
-            if src_node.kind == ANCHOR:
-                anchor_bindings[src_node.slot] = entity_of[e.src]
-            else:
-                stack.append(e.src)
-
-    grounded = bind(graph, anchor_bindings, relation_bindings)
-    if degeneracies(grounded, kg):
+    plan = _Plan(structure.graph)
+    ids = plan.ground(kg, rng, root)
+    if ids is None or plan.degeneracies(*ids, kg.inverse_relation):
         return None
-    return GroundedQuery(grounded, structure.name)
+    return GroundedQuery(plan.bind(*ids), structure.name)
 
 
 def instantiate(
@@ -234,12 +231,11 @@ def generate_queries(
     and must gain at least one answer over the previous snapshot, so that
     answering them requires imputing missing edges. Queries are deduplicated
     by canonical form within each structure; on budget exhaustion a warning
-    is issued and the queries found so far are kept.
+    counts the rejections and the queries found so far are kept.
 
     Each (split, structure) pair draws from its own seeded stream.
     """
-    return {name: _generate_split(splits, name, counts, seed, attempts)
-            for name in ("train", "valid", "test")}
+    return _generate(splits, ("train", "valid", "test"), counts, seed, attempts)
 
 
 def generate_heldin_queries(
@@ -253,24 +249,27 @@ def generate_heldin_queries(
     No non-trivial filter is applied; useful on graphs without held-out
     edges, where the standard valid/test generation is empty by design.
     """
-    return _generate_split(splits, "heldin", counts, seed, attempts)
+    return _generate(splits, ("heldin",), counts, seed, attempts)["heldin"]
 
 
-def _generate_split(
+def _generate(
     splits: GraphSplits,
-    split_name: str,
+    split_names: tuple[str, ...],
     counts: dict[str, int],
     seed: int,
     attempts: int,
-) -> list[GroundedQuery]:
-    found: list[GroundedQuery] = []
-    for struct_idx, structure in enumerate(structure_templates()):
-        want = counts.get(structure.name, 0)
-        if want <= 0 or (split_name == "train" and not structure.trainable):
-            continue
-        rng = np.random.default_rng([seed, _SPLIT_STREAM[split_name], struct_idx])
-        found += _generate_for_structure(splits, split_name, structure, want, rng, attempts)
-    return found
+) -> dict[str, list[GroundedQuery]]:
+    inverse = [splits.train.inverse_relation(r) for r in range(splits.vocab.n_relations)]
+    out: dict[str, list[GroundedQuery]] = {name: [] for name in split_names}
+    for split_name in split_names:
+        for struct_idx, structure in enumerate(structure_templates()):
+            want = counts.get(structure.name, 0)
+            if want <= 0 or (split_name == "train" and not structure.trainable):
+                continue
+            rng = np.random.default_rng([seed, _SPLIT_STREAM[split_name], struct_idx])
+            out[split_name] += _generate_for_structure(
+                splits, split_name, structure, want, rng, attempts, inverse.__getitem__)
+    return out
 
 
 def _generate_for_structure(
@@ -280,45 +279,54 @@ def _generate_for_structure(
     want: int,
     rng: np.random.Generator,
     attempts: int,
+    inverse,
 ) -> list[GroundedQuery]:
+    # stacklevel=4: warnings name the caller of generate_queries/generate_heldin_queries
     kg = splits.train if split_name == "heldin" else getattr(splits, split_name)
     # without new edges over the previous snapshot, the non-trivial filter
     # can never pass; skip the doomed retry loop
     previous = {"valid": splits.train, "test": splits.valid}.get(split_name)
     if previous is not None and kg.n_edges == previous.n_edges:
-        warnings.warn(
-            f"{split_name}/{structure.name}: the {split_name} graph adds no edges, "
-            "so no non-trivial queries exist",
-            stacklevel=4,
-        )
+        warnings.warn(f"{split_name}/{structure.name}: the {split_name} graph adds no edges, "
+                      "so no non-trivial queries exist", stacklevel=4)
         return []
+    plan = _Plan(structure.graph)
+    strict = {"train": 0, "valid": 1, "test": 2}.get(split_name)
     found: list[GroundedQuery] = []
     seen: set[str] = set()
-    budget = want * attempts
-    while len(found) < want and budget > 0:
-        budget -= 1
-        q = try_instantiate(structure, kg, rng)
-        if q is None:
-            continue
-        key = canonical_key(q.graph)
-        if key in seen:
-            continue
-        answers = answer_set(splits, q)
-        if split_name == "train" and not answers.train:
-            continue
-        if split_name == "valid" and not set(answers.valid) - set(answers.train):
-            continue
-        if split_name == "test" and not set(answers.test) - set(answers.valid):
-            continue
-        seen.add(key)
-        found.append(GroundedQuery(q.graph, q.structure_name, answers))
+    rejected = dict.fromkeys(("dead ends", "degenerate", "duplicates", "trivial"), 0)
+    tried = 0
+    while len(found) < want and tried < want * attempts:
+        tried += 1
+        ids = plan.ground(kg, rng)
+        if ids is None:
+            rejected["dead ends"] += 1
+        elif plan.degeneracies(*ids, inverse):
+            rejected["degenerate"] += 1
+        elif (key := _key_text(plan.key_recipe, *ids)) in seen:
+            rejected["duplicates"] += 1
+        elif (answers := _answer_set(plan, splits, ids, strict)) is None:
+            rejected["trivial"] += 1
+        else:
+            seen.add(key)
+            found.append(GroundedQuery(plan.bind(*ids), structure.name, answers))
     if len(found) < want:
-        warnings.warn(
-            f"{split_name}/{structure.name}: generated {len(found)} of {want} queries "
-            f"before exhausting the retry budget",
-            stacklevel=2,
-        )
+        reasons = ", ".join(f"{n} {reason}" for reason, n in rejected.items())
+        warnings.warn(f"{split_name}/{structure.name}: generated {len(found)} of {want} queries "
+                      f"before exhausting the retry budget ({tried} attempts: {reasons})",
+                      stacklevel=4)
     return found
+
+
+def _answer_set(plan: _Plan, splits: GraphSplits, ids, strict: int | None = None):
+    """Train, valid and test answers, or None once set `strict` adds nothing
+    to the set before it; later graphs are traversed only after that check."""
+    sets: list[set[int]] = []
+    for i, kg in enumerate((splits.train, splits.valid, splits.test)):
+        sets.append(plan.answers(kg, *ids))
+        if i == strict and not sets[i] - (sets[i - 1] if i else set()):
+            return None
+    return AnswerSet(*(tuple(sorted(s)) for s in sets))
 
 
 def answer_count_report(queries: list[GroundedQuery]) -> dict[str, float]:

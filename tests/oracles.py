@@ -24,7 +24,11 @@ keeps entry points the library no longer needs, for the tests of the
 operators behind them. Among them, `embed_epfo` and `embed_conjunctive`
 embed one query, or a grounded graph of the structure whose template it
 binds, as a `QueryForward` batch of one, and `loss` is `training._losses`
-on one sample.
+on one sample. The grounding oracles are the graph-walking grounding,
+degeneracy check, traversal and canonical key that query generation used
+before it compiled each structure into a slot plan: they re-read the bound
+`ComputationGraph` through its methods on every call, against which the
+plan's walks over id lists are compared.
 """
 
 from __future__ import annotations
@@ -60,8 +64,17 @@ from boxquery.model import (
 )
 from boxquery.model import _attention_trace as _stacked_attention_trace
 from boxquery.model import _deepsets_trace as _stacked_deepsets_trace
-from boxquery.queries import ANCHOR, STRUCTURE_NAMES, UNION, ComputationGraph, to_dnf
-from boxquery.sampling import GroundedQuery, _check_structure
+from boxquery.queries import (
+    ANCHOR,
+    PROJECTION,
+    STRUCTURE_NAMES,
+    UNION,
+    ComputationGraph,
+    QueryStructure,
+    bind,
+    to_dnf,
+)
+from boxquery.sampling import AnswerSet, GroundedQuery, _check_structure
 
 
 def _graph_of(query) -> ComputationGraph:
@@ -695,3 +708,166 @@ def loss(pos_dist: float, neg_dists, gamma: float) -> float:
     negative order."""
     dists = np.concatenate(([pos_dist], neg_dists))[None].astype(float)
     return float(training._losses(dists, gamma)[0])
+
+
+# The graph-walking grounding, degeneracy check, traversal and canonical key.
+
+
+def _traversal_plan(graph: ComputationGraph):
+    if not graph.is_grounded():
+        raise ValueError("query must be fully bound")
+    order = graph.topological_order()
+    return [(nid, graph.node(nid), graph.in_edges(nid)) for nid in order]
+
+
+def _traverse(kg: KnowledgeGraph, plan, target: int) -> set[int]:
+    values: dict[int, set[int]] = {}
+    for nid, node, in_es in plan:
+        if not in_es:
+            if node.kind != ANCHOR:
+                raise ValueError(f"source node {nid} is not an anchor")
+            values[nid] = {node.entity}
+            continue
+        if in_es[0].op == UNION:
+            result: set[int] = set()
+            for e in in_es:
+                result |= values[e.src]
+        else:
+            result = None
+            for e in in_es:
+                projected = kg.project_frontier(values[e.src], e.relation)
+                result = projected if result is None else result & projected
+        values[nid] = result
+    return values[target]
+
+
+def answer_exact_on_graph(kg: KnowledgeGraph, query) -> set[int]:
+    graph = _graph_of(query)
+    return _traverse(kg, _traversal_plan(graph), graph.target.id)
+
+
+def answer_set_on_graph(splits: GraphSplits, query) -> AnswerSet:
+    graph = _graph_of(query)
+    plan = _traversal_plan(graph)
+    target = graph.target.id
+    return AnswerSet(
+        tuple(sorted(_traverse(splits.train, plan, target))),
+        tuple(sorted(_traverse(splits.valid, plan, target))),
+        tuple(sorted(_traverse(splits.test, plan, target))),
+    )
+
+
+def degeneracies_on_graph(graph: ComputationGraph, kg: KnowledgeGraph) -> list[str]:
+    """Pattern 1: a relation followed by its inverse along one path, looking
+    through union edges. Pattern 2: two branches of one intersection bound
+    to the same (anchor entity, relation) pair."""
+    found: list[str] = []
+
+    def upstream_projections(nid: int) -> list:
+        # projection edges feeding nid, looking through union edges
+        edges = []
+        frontier = [nid]
+        while frontier:
+            cur = frontier.pop()
+            for e in graph.in_edges(cur):
+                if e.op == UNION:
+                    frontier.append(e.src)
+                else:
+                    edges.append(e)
+        return edges
+
+    for e in graph.edges:
+        if e.op != PROJECTION:
+            continue
+        for prev in upstream_projections(e.src):
+            inv = kg.inverse_relation(prev.relation)
+            if inv is not None and inv == e.relation:
+                found.append(
+                    f"inverse backtrack: relation {prev.relation} then {e.relation}"
+                )
+
+    for n in graph.nodes:
+        in_es = [e for e in graph.in_edges(n.id) if e.op == PROJECTION]
+        if len(in_es) < 2:
+            continue
+        seen: set[tuple[int, int]] = set()
+        for e in in_es:
+            src = graph.node(e.src)
+            if src.kind != ANCHOR:
+                continue
+            pair = (src.entity, e.relation)
+            if pair in seen:
+                found.append(
+                    f"duplicate intersection branch: anchor {src.entity} relation {e.relation}"
+                )
+            seen.add(pair)
+    return found
+
+
+def try_instantiate_on_graph(
+    structure: QueryStructure,
+    kg: KnowledgeGraph,
+    rng: np.random.Generator,
+    root: int | None = None,
+) -> GroundedQuery | None:
+    """One pre-order grounding attempt; None on dead ends or degeneracy."""
+    graph = structure.graph
+    if root is None:
+        root = int(rng.integers(kg.n_entities))
+
+    entity_of: dict[int, int] = {graph.target.id: root}
+    anchor_bindings: dict[int, int] = {}
+    relation_bindings: dict[int, int] = {}
+
+    stack = [graph.target.id]
+    while stack:
+        nid = stack.pop()
+        entity = entity_of[nid]
+        for e in graph.in_edges(nid):
+            if e.src in entity_of:
+                # revisiting a node would resample its subtree; the fixed
+                # templates are in-trees, so treat this as a dead end
+                return None
+            if e.op == UNION:
+                # parents of a union must each produce the current entity
+                entity_of[e.src] = entity
+            else:
+                rels = kg.relations_into(entity)
+                if not rels:
+                    return None
+                rel = int(rels[rng.integers(len(rels))])
+                heads = kg.sources(entity, rel)
+                prev = int(heads[rng.integers(len(heads))])
+                relation_bindings[e.slot] = rel
+                entity_of[e.src] = prev
+            src_node = graph.node(e.src)
+            if src_node.kind == ANCHOR:
+                anchor_bindings[src_node.slot] = entity_of[e.src]
+            else:
+                stack.append(e.src)
+
+    grounded = bind(graph, anchor_bindings, relation_bindings)
+    if degeneracies_on_graph(grounded, kg):
+        return None
+    return GroundedQuery(grounded, structure.name)
+
+
+def canonical_key_on_graph(g: ComputationGraph) -> str:
+    """Order-independent text key; symmetric branches serialize identically."""
+
+    def describe(nid: int) -> str:
+        node = g.node(nid)
+        in_es = g.in_edges(nid)
+        if not in_es:
+            label = node.entity if node.entity is not None else f"s{node.slot}"
+            return f"a{label}"
+        parts = []
+        for e in in_es:
+            if e.op == PROJECTION:
+                rel = e.relation if e.relation is not None else f"s{e.slot}"
+                parts.append(f"p{rel}({describe(e.src)})")
+            else:
+                parts.append(f"u({describe(e.src)})")
+        return "&".join(sorted(parts))
+
+    return describe(g.target.id)

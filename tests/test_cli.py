@@ -153,6 +153,27 @@ class TestGenerateQueries:
             blobs.append((out / "train-queries.txt").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_warnings_print_one_line_each(self, capsys, tmp_path):
+        data, snapshot = tmp_path / "d", tmp_path / "g.snap"
+        for argv in (["synthesize-kg", "--kind", "chain", "--entities", "12",
+                      "--valid-fraction", "0.1", "--test-fraction", "0.1", "--seed", "1",
+                      "--out", str(data)],
+                     ["prepare-data", "--train", str(data / "train.txt"),
+                      "--valid", str(data / "valid.txt"), "--test", str(data / "test.txt"),
+                      "--out", str(snapshot)]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "generate-queries", "--snapshot", str(snapshot),
+                               "--out", str(tmp_path / "q"), "--count", "3")
+        assert code == 0
+        assert "sampling.py" not in err
+        lines = err.splitlines()
+        assert len(lines) == 15 and all(line.startswith("warning: ") for line in lines)
+        assert ("warning: train/3i: generated 0 of 3 queries before exhausting the retry "
+                "budget (3000 attempts: 0 dead ends, 3000 degenerate") in err
+
 
 @pytest.fixture(scope="module")
 def checkpoint(pipeline):

@@ -1,12 +1,27 @@
+import hashlib
 import warnings
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from boxquery.errors import SamplingError
-from boxquery.queries import bind, template, structure_templates, validate_dag
+from boxquery.queries import (
+    STRUCTURE_NAMES,
+    ComputationGraph,
+    _key_text,
+    bind,
+    canonical_key,
+    graph_to_text,
+    structure_templates,
+    template,
+    validate_dag,
+)
 from boxquery.sampling import (
     AnswerSet,
     GroundedQuery,
+    _answer_set,
+    _Plan,
     answer_count_report,
     answer_exact,
     answer_set,
@@ -18,9 +33,17 @@ from boxquery.sampling import (
     try_instantiate,
     write_query_file,
 )
+from boxquery.synth import synthesize_triples
 
 from conftest import make_graph, make_splits, random_graph
-from oracles import answer_by_assignment_enumeration, answer_by_satisfiability
+from oracles import (
+    answer_by_assignment_enumeration,
+    answer_by_satisfiability,
+    answer_set_on_graph,
+    canonical_key_on_graph,
+    degeneracies_on_graph,
+    try_instantiate_on_graph,
+)
 
 
 class TestInstantiate:
@@ -61,7 +84,7 @@ class TestInstantiate:
         kg = random_graph(rng, n_entities=15, n_edges=60)
         for s in structure_templates():
             for _ in range(5):
-                q = try_instantiate(s.graph and s, kg, rng)
+                q = try_instantiate(s, kg, rng)
                 if q is None:
                     continue
                 assert q.graph.is_grounded()
@@ -293,3 +316,122 @@ class TestQueryFiles:
             write_query_file(path, broken)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["queries.txt"]
+
+
+def _held_out_splits(rng, n_entities, n_relations, n_triples, zipf_exponent=0.0):
+    """Random triples, entities drawn with Zipf weights (uniform at exponent
+    0); the last tenth is held out as valid and test extras."""
+    weights = 1.0 / np.arange(1, n_entities + 1) ** zipf_exponent
+    p = weights / weights.sum()
+    triples = sorted({(f"e{rng.choice(n_entities, p=p)}", f"r{rng.integers(n_relations)}",
+                       f"e{rng.choice(n_entities, p=p)}") for _ in range(n_triples)})
+    held = len(triples) // 20
+    return make_splits(triples[:-2 * held], valid_extra=triples[-2 * held:-held],
+                       test_extra=triples[-held:])
+
+
+class TestPlanMatchesGraphWalk:
+    """The slot plans against the graph-walking grounding, degeneracy check,
+    traversal and key they replaced, attempt by attempt."""
+
+    @pytest.mark.parametrize("seed, zipf_exponent", [(1, 0.0), (2, 0.0), (3, 1.0)],
+                             ids=["random-1", "random-2", "zipf"])
+    def test_same_queries_draws_answers_and_keys(self, seed, zipf_exponent):
+        splits = _held_out_splits(np.random.default_rng(seed), 14, 3, 60, zipf_exponent)
+        kg = splits.test
+        for idx, s in enumerate(structure_templates()):
+            plan = _Plan(s.graph)
+            rngs = [np.random.default_rng([seed, idx]) for _ in range(3)]
+            accepted = 0
+            for _ in range(200):
+                q = try_instantiate(s, kg, rngs[0])
+                expected = try_instantiate_on_graph(s, kg, rngs[1])
+                ids = plan.ground(kg, rngs[2])
+                states = [r.bit_generator.state for r in rngs]
+                assert states[0] == states[1] == states[2]
+                if ids is not None:
+                    bound = plan.bind(*ids)
+                    assert degeneracies(bound, kg) == degeneracies_on_graph(bound, kg)
+                if expected is None:
+                    assert q is None
+                    continue
+                accepted += 1
+                assert graph_to_text(q.graph) == graph_to_text(expected.graph)
+                answers = answer_set_on_graph(splits, expected)
+                assert answer_set(splits, q) == answers == _answer_set(plan, splits, ids)
+                key = canonical_key_on_graph(expected.graph)
+                assert _key_text(plan.key_recipe, *ids) == canonical_key(q.graph) == key
+            assert accepted > 0, s.name
+
+    def test_degenerate_groundings_match(self):
+        # on a chain, 2p and up groundings often backtrack and every 3i
+        # grounding repeats a branch
+        kg = make_splits(synthesize_triples("chain", 8)).train
+        for name in ("2p", "up", "3i"):
+            plan = _Plan(template(name).graph)
+            rng = np.random.default_rng(4)
+            messages = []
+            for _ in range(30):
+                bound = plan.bind(*plan.ground(kg, rng))
+                messages += degeneracies(bound, kg)
+                assert degeneracies(bound, kg) == degeneracies_on_graph(bound, kg)
+            assert messages, name
+
+
+class TestGenerationWork:
+    def test_graph_methods_do_not_scale_with_counts(self, monkeypatch):
+        # topology is compiled once per structure; attempts work on id lists
+        calls = Counter()
+        for name in ("in_edges", "topological_order"):
+            def counted(self, *args, _name=name, _method=getattr(ComputationGraph, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(ComputationGraph, name, counted)
+        splits = _held_out_splits(np.random.default_rng(5), 14, 3, 60)
+        seen = []
+        for count in (3, 30):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = generate_queries(splits, {n: count for n in STRUCTURE_NAMES}, seed=1,
+                                       attempts=20)
+            assert sum(len(v) for v in out.values()) > 3 * len(STRUCTURE_NAMES)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+
+    def test_query_files_are_pinned(self, tmp_path):
+        # sha256 of the train, valid, test and heldin files, recorded from the
+        # graph-walking generator that the slot plans replaced
+        rng = np.random.default_rng(5)
+        triples = sorted({(f"e{rng.integers(20)}", f"r{rng.integers(4)}", f"e{rng.integers(20)}")
+                          for _ in range(80)})
+        splits = make_splits(triples[:60], valid_extra=triples[60:68], test_extra=triples[68:])
+        counts = {name: 4 for name in STRUCTURE_NAMES}
+        out = generate_queries(splits, counts, seed=13, attempts=40)
+        out["heldin"] = generate_heldin_queries(splits, counts, seed=13, attempts=40)
+        digest = hashlib.sha256()
+        for name in ("train", "valid", "test", "heldin"):
+            write_query_file(tmp_path / name, out[name])
+            digest.update((tmp_path / name).read_bytes())
+        assert [len(out[n]) for n in ("train", "valid", "test", "heldin")] == [20, 36, 36, 36]
+        assert digest.hexdigest() == (
+            "58e87eeb7b6a865b4dd8847e22557a9dd60fc7a051a7970d0d96e6598b1e7f26")
+
+    def test_shortfall_warning_counts_rejections_at_the_caller(self):
+        # on a chain every entity has at most two (anchor, relation) in-branches,
+        # so every 3i grounding repeats one
+        splits = make_splits(synthesize_triples("chain", 12))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            generate_queries(splits, {"3i": 3}, seed=1, attempts=10)
+            generate_heldin_queries(splits, {"3i": 3}, seed=1, attempts=10)
+        assert {w.filename for w in caught} == {__file__}
+        assert [str(w.message) for w in caught] == [
+            "train/3i: generated 0 of 3 queries before exhausting the retry budget "
+            "(30 attempts: 0 dead ends, 30 degenerate, 0 duplicates, 0 trivial)",
+            "valid/3i: the valid graph adds no edges, so no non-trivial queries exist",
+            "test/3i: the test graph adds no edges, so no non-trivial queries exist",
+            "heldin/3i: generated 0 of 3 queries before exhausting the retry budget "
+            "(30 attempts: 0 dead ends, 30 degenerate, 0 duplicates, 0 trivial)",
+        ]

@@ -1,8 +1,9 @@
 """Knowledge graph storage: vocabularies, triple files, inverse augmentation, splits.
 
-Graphs are immutable after construction. A triple file is UTF-8 text, one
-triple per line, fields separated by a single tab; blank lines and comment
-lines are rejected.
+Graphs are immutable after construction; the valid and test graphs of a
+split are built as deltas over the graph before them and share its untouched
+index entries. A triple file is UTF-8 text, one triple per line, fields
+separated by a single tab; blank lines and comment lines are rejected.
 """
 
 from __future__ import annotations
@@ -90,26 +91,42 @@ def _sha256_lines(names: Sequence[str]) -> str:
 
 
 class KnowledgeGraph:
-    """Immutable labeled digraph; one pass checks each edge's ids and builds its indices."""
+    """Immutable labeled digraph: `base` (if any) plus `edges`.
 
-    def __init__(self, vocab: Vocabulary, edges: Iterable[tuple[int, int, int]]):
+    The indices start as shallow copies of the base's, so every key the new
+    edges do not touch shares the base's tuple; one pass range-checks the new
+    edges and groups them by key, and only those keys are rebuilt. Without a
+    base the whole graph is built the same way from empty indices. Edges
+    already in the base are dropped first.
+    """
+
+    def __init__(self, vocab: Vocabulary, edges: Iterable[tuple[int, int, int]],
+                 base: KnowledgeGraph | None = None):
         self.vocab = vocab
-        self.edges: frozenset[tuple[int, int, int]] = frozenset(edges)
+        old = base.edges if base is not None else frozenset()
+        new = frozenset(edges) - old
+        self.edges: frozenset[tuple[int, int, int]] = old | new
+        self._out, self._in, self._relations_into = (
+            (dict(base._out), dict(base._in), dict(base._relations_into))
+            if base is not None else ({}, {}, {}))
         n_ent, n_rel = vocab.n_entities, vocab.n_relations
         out: dict[tuple[int, int], list[int]] = {}
         inc: dict[tuple[int, int], list[int]] = {}
-        rels_in: dict[int, set[int]] = {}
-        for h, r, t in self.edges:
+        for h, r, t in new:
             if not (0 <= h < n_ent and 0 <= t < n_ent):
                 raise VocabularyError(f"edge ({h},{r},{t}) references unknown entity id")
             if not 0 <= r < n_rel:
                 raise VocabularyError(f"edge ({h},{r},{t}) references unknown relation id")
             out.setdefault((h, r), []).append(t)
             inc.setdefault((t, r), []).append(h)
-            rels_in.setdefault(t, set()).add(r)
-        self._out = {k: tuple(sorted(v)) for k, v in out.items()}
-        self._in = {k: tuple(sorted(v)) for k, v in inc.items()}
-        self._relations_into = {e: tuple(sorted(rs)) for e, rs in rels_in.items()}
+        rels_in: dict[int, list[int]] = {}  # relations into t that the base lacks
+        for t, r in inc:
+            if (t, r) not in self._in:
+                rels_in.setdefault(t, []).append(r)
+        for index, delta in ((self._out, out), (self._in, inc), (self._relations_into, rels_in)):
+            for key, values in delta.items():
+                values.extend(index.get(key, ()))
+                index[key] = tuple(sorted(values))
 
     @property
     def n_entities(self) -> int:
@@ -158,9 +175,10 @@ class KnowledgeGraph:
         return self.vocab.relation_id(inv) if self.vocab.has_relation(inv) else None
 
     def _check_ids(self, entity: int, relation: int | None) -> None:
-        if not 0 <= entity < self.n_entities:
+        # sizes read from the shared vocabulary, which augment_inverses grows in place
+        if not 0 <= entity < len(self.vocab.entity_names):
             raise VocabularyError(f"entity id {entity} out of range")
-        if relation is not None and not 0 <= relation < self.n_relations:
+        if relation is not None and not 0 <= relation < len(self.vocab.relation_names):
             raise VocabularyError(f"relation id {relation} out of range")
 
 
@@ -251,9 +269,10 @@ def build_split_graphs(
     """Build nested, inverse-augmented train/valid/test graphs from triple files.
 
     The valid graph is train plus the validation edges, the test graph adds
-    the test edges. Entities or relations that first appear outside the
-    training file are rejected; callers with such data must pre-filter
-    (see prepare_nell).
+    the test edges; each is built as a delta over the graph before it, with
+    inverses formed once per file. Entities or relations that first appear
+    outside the training file are rejected; callers with such data must
+    pre-filter (see prepare_nell).
     """
     vocab = Vocabulary()
     train_edges = _parse_triple_lines(train_file, vocab)
@@ -273,8 +292,8 @@ def build_split_graphs(
     }
 
     train = KnowledgeGraph(vocab, _with_inverses(vocab, train_edges))
-    valid = KnowledgeGraph(vocab, _with_inverses(vocab, train_edges | valid_only))
-    test = KnowledgeGraph(vocab, _with_inverses(vocab, train_edges | valid_only | test_only))
+    valid = KnowledgeGraph(vocab, _with_inverses(vocab, valid_only), base=train)
+    test = KnowledgeGraph(vocab, _with_inverses(vocab, test_only), base=valid)
     return GraphSplits(train, valid, test, raw_stats)
 
 
@@ -394,7 +413,7 @@ def save_splits(splits: GraphSplits, path: str | Path) -> None:
 
 
 def load_splits(path: str | Path) -> GraphSplits:
-    """Reload a snapshot written by save_splits."""
+    """Reload a snapshot written by save_splits, building valid and test as deltas."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != SNAPSHOT_MAGIC:
@@ -440,12 +459,7 @@ def _parse_snapshot(lines: list[str], path: str | Path) -> GraphSplits:
             out.add((int(h), int(r), int(t)))
         return out
 
-    train_edges = read_edges("train")
-    valid_edges = train_edges | read_edges("valid-extra")
-    test_edges = valid_edges | read_edges("test-extra")
-    return GraphSplits(
-        KnowledgeGraph(vocab, train_edges),
-        KnowledgeGraph(vocab, valid_edges),
-        KnowledgeGraph(vocab, test_edges),
-        stats or None,
-    )
+    train = KnowledgeGraph(vocab, read_edges("train"))
+    valid = KnowledgeGraph(vocab, read_edges("valid-extra"), base=train)
+    test = KnowledgeGraph(vocab, read_edges("test-extra"), base=valid)
+    return GraphSplits(train, valid, test, stats or None)

@@ -136,7 +136,7 @@ class ModelParams:
         rng = np.random.default_rng(config.seed)
         self.tensors: dict[str, np.ndarray] = {
             name: np.zeros(shape, dtype) if bounds is None
-            else rng.uniform(*bounds, shape).astype(dtype)
+            else rng.uniform(*bounds, shape).astype(dtype, copy=False)
             for name, shape, bounds in _tensor_specs(config.dim, n_entities, n_relations)
         }
 

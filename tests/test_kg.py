@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from boxquery.errors import ParseError, VocabularyError
@@ -150,6 +151,146 @@ class TestNeighbors:
             for r in range(g.n_relations):
                 rebuilt_in.update((h, r, e) for h in g.sources(e, r))
         assert rebuilt_in == set(g.edges)
+
+
+class TestIdRangeCheck:
+    def test_entity_ids_outside_range_rejected(self, rng):
+        g = random_graph(rng)
+        for bad in (-1, g.n_entities):
+            with pytest.raises(VocabularyError, match=f"entity id {bad} out of range"):
+                g.neighbors(bad, 0)
+            with pytest.raises(VocabularyError, match=f"entity id {bad} out of range"):
+                g.sources(bad, 0)
+            with pytest.raises(VocabularyError, match=f"entity id {bad} out of range"):
+                g.relations_into(bad)
+
+    def test_relation_ids_outside_range_rejected(self, rng):
+        g = random_graph(rng)
+        for bad in (-1, g.n_relations):
+            with pytest.raises(VocabularyError, match=f"relation id {bad} out of range"):
+                g.neighbors(0, bad)
+            with pytest.raises(VocabularyError, match=f"relation id {bad} out of range"):
+                g.sources(0, bad)
+
+    def test_ids_at_the_ends_of_the_range_accepted(self, rng):
+        g = random_graph(rng)
+        last_e, last_r = g.n_entities - 1, g.n_relations - 1
+        assert g.neighbors(0, 0) == tuple(sorted(t for h, r, t in g.edges if (h, r) == (0, 0)))
+        assert g.sources(last_e, last_r) == tuple(
+            sorted(h for h, r, t in g.edges if (r, t) == (last_r, last_e)))
+        assert g.relations_into(last_e) == tuple(sorted({r for _, r, t in g.edges if t == last_e}))
+
+    def test_range_follows_the_shared_vocabulary(self):
+        # augment_inverses grows the vocabulary in place; graphs built
+        # before it must accept the new relation ids
+        g = make_graph([("A", "r", "B")])
+        with pytest.raises(VocabularyError):
+            g.neighbors(0, 1)
+        augment_inverses(g)
+        assert g.neighbors(0, g.vocab.relation_id("r" + INVERSE_MARKER)) == ()
+
+
+def assert_same_graph(got, want):
+    """Equal edge sets and equal answers to every index lookup."""
+    assert got.edges == want.edges
+    assert got.n_edges == want.n_edges
+    for e in range(want.n_entities):
+        assert got.relations_into(e) == want.relations_into(e)
+        for r in range(want.n_relations):
+            assert got.neighbors(e, r) == want.neighbors(e, r)
+            assert got.sources(e, r) == want.sources(e, r)
+
+
+def repeating_split_files(tmp_path, seed=5, n_entities=15, n_relations=3):
+    """Train/valid/test files of a seeded random graph in which valid and
+    test repeat some train triples and test repeats some valid triples.
+    Returns the paths and the name triples of each file."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        return {(f"e{rng.integers(n_entities)}", f"r{rng.integers(n_relations)}",
+                 f"e{rng.integers(n_entities)}") for _ in range(n)}
+
+    # every entity and relation appears in train, as build_split_graphs requires
+    train = draw(60) | {(f"e{i}", f"r{i % n_relations}", f"e{(i + 1) % n_entities}")
+                        for i in range(n_entities)}
+    fresh = sorted(draw(30) - train)
+    ordered_train = sorted(train)
+    valid = set(fresh[:10]) | {ordered_train[i] for i in rng.choice(len(train), 4, replace=False)}
+    test = (set(fresh[10:]) | {ordered_train[i] for i in rng.choice(len(train), 4, replace=False)}
+            | set(sorted(valid)[:3]))
+    assert valid & train and test & train and test & valid and test - valid - train
+    files = []
+    for name, triples in (("train", train), ("valid", valid), ("test", test)):
+        files.append(write(tmp_path / f"{name}.txt",
+                           "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(triples))))
+    return files, (train, valid, test)
+
+
+class TestDeltaBuild:
+    def expected_graphs(self, vocab, triples):
+        train, valid, test = (
+            {(vocab.entity_id(h), vocab.relation_id(r), vocab.entity_id(t)) for h, r, t in part}
+            for part in triples)
+        return [augment_inverses(KnowledgeGraph(vocab, base))
+                for base in (train, train | valid, train | valid | test)]
+
+    def assert_matches_full_builds(self, splits, triples):
+        n_ent, n_rel = splits.vocab.n_entities, splits.vocab.n_relations
+        wants = self.expected_graphs(splits.vocab, triples)
+        # building the references registers no new names
+        assert (splits.vocab.n_entities, splits.vocab.n_relations) == (n_ent, n_rel)
+        for got, want in zip((splits.train, splits.valid, splits.test), wants):
+            assert_same_graph(got, want)
+
+    def assert_shares_untouched_keys(self, base, graph):
+        added = graph.edges - base.edges
+        assert added
+        for index, touched in (("_out", {(h, r) for h, r, _ in added}),
+                               ("_in", {(t, r) for _, r, t in added}),
+                               ("_relations_into", {t for _, _, t in added})):
+            base_index, index = getattr(base, index), getattr(graph, index)
+            untouched = [k for k in base_index if k not in touched]
+            assert untouched and touched
+            for k in untouched:
+                assert index[k] is base_index[k]
+            assert all(k in index for k in touched)
+
+    def test_split_graphs_equal_full_builds(self, tmp_path):
+        files, triples = repeating_split_files(tmp_path)
+        self.assert_matches_full_builds(build_split_graphs(*files), triples)
+
+    def test_snapshot_graphs_equal_full_builds(self, tmp_path):
+        files, triples = repeating_split_files(tmp_path)
+        snap = tmp_path / "snapshot.txt"
+        save_splits(build_split_graphs(*files), snap)
+        self.assert_matches_full_builds(load_splits(snap), triples)
+
+    def test_untouched_index_entries_are_shared(self, tmp_path):
+        files, _ = repeating_split_files(tmp_path)
+        splits = build_split_graphs(*files)
+        snap = tmp_path / "snapshot.txt"
+        save_splits(splits, snap)
+        for s in (splits, load_splits(snap)):
+            self.assert_shares_untouched_keys(s.train, s.valid)
+            self.assert_shares_untouched_keys(s.valid, s.test)
+
+    def test_base_edges_in_the_delta_are_dropped(self):
+        base = make_graph([("A", "r", "B"), ("B", "r", "C")])
+        a, b, c = (base.vocab.entity_id(n) for n in "ABC")
+        r = base.vocab.relation_id("r")
+        g = KnowledgeGraph(base.vocab, [(a, r, b), (a, r, c), (a, r, c)], base=base)
+        assert g.edges == {(a, r, b), (b, r, c), (a, r, c)}
+        assert g.neighbors(a, r) == tuple(sorted((b, c)))
+        assert g.relations_into(b) == (r,)
+        assert base.neighbors(a, r) == (b,)
+
+    def test_out_of_range_delta_edge_rejected(self):
+        base = make_graph([("A", "r", "B")])
+        with pytest.raises(VocabularyError, match="unknown entity id"):
+            KnowledgeGraph(base.vocab, [(0, 0, 2)], base=base)
+        with pytest.raises(VocabularyError, match="unknown relation id"):
+            KnowledgeGraph(base.vocab, [(0, 1, 1)], base=base)
 
 
 class TestBuildSplitGraphs:
@@ -321,6 +462,22 @@ class TestSnapshotRoundTrip:
         lines = snap.read_text(encoding="utf-8").splitlines()
         first_edge = next(i for i, line in enumerate(lines) if line.startswith("train ")) + 1
         lines[first_edge] = "9\t0\t1"
+        snap.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="corrupt snapshot.*unknown entity id") as exc:
+            load_splits(snap)
+        assert str(exc.value).startswith(f"{snap}: ")
+
+    @pytest.mark.parametrize("label", ["valid-extra", "test-extra"])
+    @pytest.mark.parametrize("bad_edge", ["9\t0\t1", "1\t0\t9", "-1\t0\t1"])
+    def test_unknown_id_in_extra_edge_line_rejected(self, tmp_path, label, bad_edge):
+        train = write(tmp_path / "train.txt", "A\tr\tB\nB\ts\tC\n")
+        valid = write(tmp_path / "valid.txt", "C\tr\tA\n")
+        test = write(tmp_path / "test.txt", "A\ts\tC\n")
+        snap = tmp_path / "snapshot.txt"
+        save_splits(build_split_graphs(train, valid, test), snap)
+        lines = snap.read_text(encoding="utf-8").splitlines()
+        first_edge = next(i for i, line in enumerate(lines) if line.startswith(label + " ")) + 1
+        lines[first_edge] = bad_edge
         snap.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match="corrupt snapshot.*unknown entity id") as exc:
             load_splits(snap)

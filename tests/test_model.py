@@ -11,6 +11,7 @@ from boxquery.model import (
     ModelConfig,
     ModelParams,
     QueryForward,
+    _tensor_specs,
     adam_step,
     load_checkpoint,
     save_checkpoint,
@@ -61,6 +62,21 @@ class TestModelConfig:
         config = ModelConfig(dim=1, negatives=1, learning_rate=1e-12, epochs=1,
                              batch_per_structure=1, train_structures=("3i",))
         assert config.train_structures == ("3i",)
+
+
+class TestModelParamsInit:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_tensors_are_uniform_draws_in_spec_order(self, dtype):
+        params = small_params(n_entities=7, n_relations=3, dim=5, dtype=dtype)
+        rng = np.random.default_rng(params.config.seed)
+        specs = _tensor_specs(5, 7, 3)
+        assert list(params.tensors) == [name for name, _, _ in specs]
+        for name, shape, bounds in specs:
+            want = (np.zeros(shape, dtype) if bounds is None
+                    else rng.uniform(*bounds, shape).astype(dtype))
+            got = params.tensors[name]
+            assert got.dtype == np.dtype(dtype) and got.shape == shape
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestDeepSets:

@@ -8,14 +8,7 @@ from .errors import (
     TrainingError,
     VocabularyError,
 )
-from .geometry import (
-    Box,
-    dist_agg,
-    dist_box,
-    dist_box_grad,
-    dist_inside,
-    dist_outside,
-)
+from .geometry import dist_agg, dist_box_grad
 from .kg import (
     GraphSplits,
     KnowledgeGraph,

@@ -2,7 +2,8 @@
 evaluation, and analysis.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage or configuration
-errors (including missing input files and incompatible artifacts).
+errors (including missing input files, incompatible artifacts and paths
+that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ def cmd_generate_queries(args) -> int:
     counts = _parse_counts(args.counts, args.count)
     _print_header(args, {"seed": args.seed, "counts": sorted(counts.items())})
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     generated = sampling.generate_queries(splits, counts, args.seed)
     for split_name, queries in generated.items():
         path = out_dir / QUERY_FILES[split_name]
@@ -228,6 +228,11 @@ def cmd_analyze(args) -> int:
             raise _UsageError("analyze offsets requires --checkpoint")
         _require_files(args.checkpoint)
         params = _load_compatible_checkpoint(args.checkpoint, splits)
+        cfg = params.config
+        if cfg.geometry == "point" or cfg.offset_mode == "shared":
+            mode = "geometry=point" if cfg.geometry == "point" else "offset_mode=shared"
+            raise _UsageError(f"{args.checkpoint}: analyze offsets needs per-relation box "
+                              f"offsets; this checkpoint has {mode}, which never trains them")
         _print_header(args, {"checkpoint": _checkpoint_id(args.checkpoint)})
         report = evaluation.offset_report(params, splits)
         print(report.render_table())
@@ -331,10 +336,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # one line per warning, without a source line
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CompatibilityError as exc:
+    except (_UsageError, CompatibilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, VocabularyError, BoxQueryError, ValueError) as exc:

@@ -339,7 +339,6 @@ def prepare_nell(
     train, valid_kept, test_kept = sample_holdout(all_edges, valid_size, test_size, seed)
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = (out_dir / "train.txt", out_dir / "valid.txt", out_dir / "test.txt")
     for path, edges in zip(paths, (train, valid_kept, test_kept)):
         _write_triples(path, edges, vocab)
@@ -378,8 +377,10 @@ def _write_triples(path: Path, edges: set[tuple[int, int, int]], vocab: Vocabula
 def _atomic_open(path: str | Path, mode: str = "w"):
     """Write a temporary file beside `path` and move it over `path` once the
     block completes: readers see the old file or the whole new one. On an
-    error the old file stays and the temporary is removed."""
+    error the old file stays and the temporary is removed. Missing parent
+    directories are created first."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CompatibilityError, TrainingError
-from .geometry import _BLOCK_ELEMENTS, Box
+from .geometry import _BLOCK_ELEMENTS
 from .kg import _atomic_open
 from .queries import PROJECTION, TRAINABLE_NAMES, ComputationGraph, template, to_dnf
 from .sampling import GroundedQuery
@@ -405,9 +405,9 @@ def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray, scratch
 
 class QueryForward:
     """Forward pass of B queries of one structure over all DNF branches of
-    its template, one stack of B boxes per branch, kept for a later backward
-    call. The topology comes from the template; each query gives only the
-    ids bound to its slots."""
+    its template, kept for a later backward call. `boxes` holds one
+    (center, offset) pair of (B, d) stacks per branch. The topology comes
+    from the template; each query gives only the ids bound to its slots."""
 
     def __init__(self, queries: list[GroundedQuery], params: ModelParams):
         names = {q.structure_name for q in queries}
@@ -427,7 +427,7 @@ class QueryForward:
         branches, _ = to_dnf(shape)
         self.records = [_branch_forward(branch, anchors, relations, params)
                         for branch in branches]
-        self.boxes = [Box(center, offset) for center, offset, _ in self.records]
+        self.boxes = [(center, offset) for center, offset, _ in self.records]
 
     def backward(self, box_adjoints, grads: dict[str, np.ndarray]) -> None:
         """Accumulate gradients given (d_center, d_offset) (B, d) adjoints per

@@ -64,7 +64,6 @@ def write_synthetic_split(
     train, valid, test = sample_holdout(triples, n_valid, n_test, seed)
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = (out_dir / "train.txt", out_dir / "valid.txt", out_dir / "test.txt")
     for path, rows in zip(paths, (train, valid, test)):
         with _atomic_open(path) as f:

@@ -95,7 +95,7 @@ def batch_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, posi
         shape = (*ids.shape, cfg.dim)
         vecs = np.take(entity, ids, axis=0, mode="wrap",  # in range: checked above
                        out=workspace.buffer("vecs", shape, entity.dtype))
-        boxes = [(box.center[rows], box.offset[rows]) for box in forward.boxes]
+        boxes = [(center[rows], offset[rows]) for center, offset in forward.boxes]
         if grads is None:
             passes = [(dist_box_rows(vecs, center, offset, cfg.alpha),) for center, offset in boxes]
         else:  # one fused distance and gradient pass per branch

@@ -15,26 +15,32 @@ tensor, where the library skips exact no-ops.
 The MLP oracle builds each weight gradient from one outer product per input
 row, against which the library's row-block form is compared. The distance
 oracles and the gradient oracle `grad_dist_box` measure against the box
-corners, not the |v - c| form of the library's blocked kernel and fused
+corners, not the |v - c| form of the library's blocked `dist_agg` and fused
 candidate pass, and the rank oracle builds one mask per answer where the
 library sorts the non-answers once per query. The evaluation
 oracle embeds and scores one query at a time, where the library scores a
 chunk of queries of one structure per pass over the entities. The last section
 keeps entry points the library no longer needs, for the tests of the
-operators behind them. Among them, `embed_epfo` and `embed_conjunctive`
-embed one query, or a grounded graph of the structure whose template it
-binds, as a `QueryForward` batch of one, and `loss` is `training._losses`
-on one sample. The grounding oracles are the graph-walking grounding,
-degeneracy check, traversal and canonical key that query generation used
-before it compiled each structure into a slot plan: they re-read the bound
-`ComputationGraph` through its methods on every call, against which the
-plan's walks over id lists are compared.
+operators behind them. The library holds boxes only as (center, offset)
+pairs of (B, d) stacks; the single-box API is here: the `Box` value with
+its checks, corners and `contains`, and `dist_agg`, `dist_outside`,
+`dist_inside` and `dist_box` on single boxes, thin wrappers that call
+`geometry.dist_agg` with a stack of one per box. Among the rest,
+`embed_epfo` and `embed_conjunctive` embed one query, or a grounded graph
+of the structure whose template it binds, as a `QueryForward` batch of
+one, and `loss` is `training._losses` on one sample. The grounding
+oracles are the graph-walking grounding, degeneracy check, traversal and
+canonical key that query generation used before it compiled each
+structure into a slot plan: they re-read the bound `ComputationGraph`
+through its methods on every call, against which the plan's walks over
+id lists are compared.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,9 +53,8 @@ from boxquery.evaluation import (
     entity_distances,
     metrics_for_query,
 )
-from boxquery.geometry import Box, dist_box
 from boxquery.kg import GraphSplits, KnowledgeGraph
-from boxquery import training
+from boxquery import geometry, training
 from boxquery.model import (
     _ADAM_BETA1,
     _ADAM_BETA2,
@@ -183,8 +188,8 @@ def batch_loss_and_grads_allocating(queries, params, positives, negatives, grads
     chunk = max(1, training._CANDIDATE_BLOCK // (width * cfg.dim))
     for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
         vecs = params.entity[candidates[rows]]
-        passes = [dist_box_grad_select(vecs, box.center[rows], box.offset[rows], cfg.alpha)
-                  for box in forward.boxes]
+        passes = [dist_box_grad_select(vecs, center[rows], offset[rows], cfg.alpha)
+                  for center, offset in forward.boxes]
         per_box = np.stack([dist for dist, _, _ in passes])
         branches = np.argmin(per_box, axis=0)
         dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
@@ -532,12 +537,12 @@ def mlp_backward_per_row(dy, cache, params, prefix, grads) -> np.ndarray:
 
 
 def dist_outside_corner(v, p):
-    """Reference for `geometry.dist_outside`: overshoot past each corner."""
+    """Reference for `dist_outside`: overshoot past each corner."""
     return np.sum(np.maximum(v - p.upper, 0.0) + np.maximum(p.lower - v, 0.0), axis=-1)
 
 
 def dist_inside_corner(v, p):
-    """Reference for `geometry.dist_inside`: center to the clamped point."""
+    """Reference for `dist_inside`: center to the clamped point."""
     clamped = np.minimum(p.upper, np.maximum(p.lower, v))
     return np.sum(np.abs(p.center - clamped), axis=-1)
 
@@ -609,10 +614,67 @@ def aggregate_per_query(queries, params, splits, stage, checkpoint_id="-") -> Ev
     return EvalReport(stage, checkpoint_id, structures, overall)
 
 
-# Entry points the library no longer calls: the geometric operators in
-# their one-box form, the intersection networks over one set of boxes, the
-# rank of a single answer, the embedding of a single query and the loss of
-# a single sample.
+# Entry points the library no longer calls: the single box and its
+# distances, the geometric operators in their one-box form, the
+# intersection networks over one set of boxes, the rank of a single
+# answer, the embedding of a single query and the loss of a single sample.
+
+
+@dataclass(frozen=True)
+class Box:
+    center: np.ndarray
+    offset: np.ndarray
+
+    def __post_init__(self):
+        if self.center.shape != self.offset.shape or self.center.ndim not in (1, 2):
+            raise ValueError(
+                f"center and offset must be equal-shape vectors or (B, d) stacks, got "
+                f"{self.center.shape} and {self.offset.shape}"
+            )
+        if not np.all(self.offset >= 0):
+            raise ValueError("box offset must be elementwise nonnegative")
+
+    @property
+    def dim(self) -> int:
+        return self.center.shape[-1]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.center + self.offset
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.center - self.offset
+
+    def contains(self, v: np.ndarray) -> bool:
+        return bool(np.all(self.lower <= v) and np.all(v <= self.upper))
+
+
+def dist_agg(v: np.ndarray, boxes: Sequence[Box], alpha: float) -> float | np.ndarray:
+    """Minimum box distance over single boxes, one value per point of one
+    point (d,) or a block (..., d): `geometry.dist_agg` on the points as an
+    (N, d) block and each box as a stack of one."""
+    stacks = [(p.center[None], p.offset[None]) for p in boxes]
+    table = geometry.dist_agg(v.reshape(-1, v.shape[-1]), stacks, alpha)
+    return table[0].reshape(v.shape[:-1])[()]
+
+
+def dist_outside(v: np.ndarray, p: Box) -> float | np.ndarray:
+    """L1 distance from each point to the box hull; zero inside."""
+    return dist_agg(v, [p], 0.0)
+
+
+def dist_inside(v: np.ndarray, p: Box) -> float | np.ndarray:
+    """L1 distance from the center to each point clamped onto the box."""
+    return dist_agg(v, [p], 1.0) - dist_outside(v, p)
+
+
+def dist_box(v: np.ndarray, p: Box, alpha: float) -> float | np.ndarray:
+    """Outside distance plus alpha-downweighted inside distance.
+
+    With alpha = 1 this is the plain L1 distance to the center.
+    """
+    return dist_agg(v, [p], alpha)
 
 
 def project(p: Box, r: Box) -> Box:

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from boxquery.evaluation import aggregate, count_disjoint_queries, metrics_for_query
-from boxquery.geometry import Box, dist_box, dist_outside
 from boxquery.kg import KnowledgeGraph, Vocabulary, build_split_graphs
 from boxquery.model import ModelConfig
 from boxquery.queries import structure_templates, to_dnf
@@ -32,7 +31,8 @@ from boxquery.training import train
 
 from conftest import make_splits, random_graph
 from gradcheck import MODE_GRID, check_instance, make_instance
-from oracles import answer_by_assignment_enumeration, answer_by_satisfiability
+from oracles import (Box, answer_by_assignment_enumeration, answer_by_satisfiability, dist_box,
+                     dist_outside)
 from test_evaluation import line_world
 
 

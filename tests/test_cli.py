@@ -62,6 +62,31 @@ class TestSynthesizeAndPrepare:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_prepare_into_new_directory(self, capsys, tmp_path):
+        data = tmp_path / "d"
+        main(["synthesize-kg", "--kind", "chain", "--entities", "10", "--out", str(data)])
+        capsys.readouterr()
+        out = tmp_path / "new" / "nested" / "s.snap"
+        code, _, err = run(capsys, "prepare-data", "--train", str(data / "train.txt"),
+                           "--valid", str(data / "valid.txt"),
+                           "--test", str(data / "test.txt"), "--out", str(out))
+        assert code == 0 and err == ""
+        assert out.is_file()
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "d"
+        main(["synthesize-kg", "--kind", "chain", "--entities", "10", "--out", str(data)])
+        capsys.readouterr()
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        code, _, err = run(capsys, "prepare-data", "--train", str(data / "train.txt"),
+                           "--valid", str(data / "valid.txt"),
+                           "--test", str(data / "test.txt"),
+                           "--out", str(blocker / "snap.txt"))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and str(blocker) in err
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_malformed_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("only two\tfields\n", encoding="utf-8")
@@ -408,6 +433,41 @@ class TestTrainEvalAnalyze:
                            "--checkpoint", str(checkpoint))
         assert code == 0
         assert "rank correlation" in out
+
+    def test_outputs_into_new_directories(self, capsys, pipeline, checkpoint, tmp_path):
+        root, snapshot, queries = pipeline
+        ckpt = tmp_path / "runs" / "a" / "m.ckpt"
+        code, _, _ = run(capsys, "train", "--snapshot", str(snapshot),
+                         "--queries", str(queries), "--out", str(ckpt), "--dim", "4",
+                         "--epochs", "1", "--negatives", "2", "--batch-per-structure", "2")
+        assert code == 0 and ckpt.is_file()
+        report_path = tmp_path / "reports" / "b" / "r.json"
+        code, _, _ = run(capsys, "eval", "--checkpoint", str(checkpoint),
+                         "--snapshot", str(snapshot), "--queries", str(queries),
+                         "--stage", "train", "--report", str(report_path))
+        assert code == 0
+        assert json.loads(report_path.read_text(encoding="utf-8"))["stage"] == "train"
+
+    @pytest.mark.parametrize("flag, value, mode", [
+        ("--offset-mode", "shared", "offset_mode=shared"),
+        ("--geometry", "point", "geometry=point"),
+    ])
+    def test_analyze_offsets_of_untrained_offsets_exits_2(self, capsys, pipeline, tmp_path,
+                                                          flag, value, mode):
+        # these modes never train relation_offset, so its sizes are the
+        # initial draws
+        root, snapshot, queries = pipeline
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--snapshot", str(snapshot), "--queries", str(queries),
+                     "--out", str(ckpt), "--dim", "4", "--epochs", "1", "--negatives", "2",
+                     "--batch-per-structure", "2", flag, value]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "analyze", "offsets", "--snapshot", str(snapshot),
+                             "--checkpoint", str(ckpt))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(ckpt) in err and mode in err
+        assert out == ""
 
     def test_analyze_disjoint_m(self, capsys, pipeline):
         root, snapshot, _ = pipeline

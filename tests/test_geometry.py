@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from boxquery import geometry
-from boxquery.geometry import (
-    Box,
-    dist_agg,
-    dist_box,
-    dist_box_grad,
-    dist_box_rows,
-    dist_inside,
-    dist_outside,
-)
+from boxquery.geometry import dist_box_grad, dist_box_rows
 
 from oracles import (
+    Box,
+    dist_agg,
     dist_agg_corner,
     dist_box_corner,
+    dist_box,
     dist_box_grad_select,
+    dist_inside,
     dist_inside_corner,
+    dist_outside,
     dist_outside_corner,
     grad_dist_box,
     intersect,
@@ -282,33 +279,39 @@ class TestKernelMatchesCornerForm:
         b = 3
         for n in sorted({1, block - 1, block, block + 1, 999} - {0}):
             for n_stacks in (1, 2, 3):
-                stacks = [Box(rng.uniform(-2, 2, (b, d)), rng.uniform(0, 2, (b, d)))
+                stacks = [(rng.uniform(-2, 2, (b, d)), rng.uniform(0, 2, (b, d)))
                           for _ in range(n_stacks)]
-                stacks[-1] = Box(stacks[-1].center, np.zeros((b, d)))  # point geometry
-                vs = self.points(rng, [Box(stacks[0].center[1], stacks[0].offset[1])], n, d)
-                table = dist_agg(vs, stacks, 0.2)
+                stacks[-1] = (stacks[-1][0], np.zeros((b, d)))  # point geometry
+                vs = self.points(rng, [Box(stacks[0][0][1], stacks[0][1][1])], n, d)
+                table = geometry.dist_agg(vs, stacks, 0.2)
                 assert table.shape == (b, n) and np.all(table >= 0)
                 for i in range(b):
-                    boxes = [Box(p.center[i], p.offset[i]) for p in stacks]
+                    boxes = [Box(center[i], offset[i]) for center, offset in stacks]
                     self.close(table[i], dist_agg_corner(vs, boxes, 0.2))
                     assert np.array_equal(table[i], dist_agg(vs, boxes, 0.2))
 
     def test_shared_points_shapes_checked(self, rng):
-        # stacks take one (N, d) block; stacks and single boxes do not mix
-        stack = Box(rng.uniform(-2, 2, (3, 4)), rng.uniform(0, 2, (3, 4)))
-        other = Box(rng.uniform(-2, 2, (2, 4)), rng.uniform(0, 2, (2, 4)))
+        # stacks take one (N, d) block; stacks and single boxes do not mix,
+        # and the library takes no single box or single point at all
+        stack = (rng.uniform(-2, 2, (3, 4)), rng.uniform(0, 2, (3, 4)))
+        other = (rng.uniform(-2, 2, (2, 4)), rng.uniform(0, 2, (2, 4)))
+        single = (rng.uniform(-2, 2, 4), rng.uniform(0, 2, 4))
         with pytest.raises(ValueError):
-            dist_agg(np.zeros((5, 3)), [stack], 0.2)
+            geometry.dist_agg(np.zeros((5, 3)), [stack], 0.2)
         with pytest.raises(ValueError):
-            dist_agg(np.zeros((3, 5, 4)), [stack], 0.2)
+            geometry.dist_agg(np.zeros((3, 5, 4)), [stack], 0.2)
         with pytest.raises(ValueError):
-            dist_agg(np.zeros(4), [stack], 0.2)
+            geometry.dist_agg(np.zeros(4), [stack], 0.2)
         with pytest.raises(ValueError):
-            dist_agg(np.zeros((5, 4)), [stack, other], 0.2)
+            geometry.dist_agg(np.zeros((5, 4)), [stack, other], 0.2)
         with pytest.raises(ValueError):
-            dist_agg(np.zeros((5, 4)), [stack, random_box(rng, 4)], 0.2)
+            geometry.dist_agg(np.zeros((5, 4)), [stack, single], 0.2)
         with pytest.raises(ValueError):
-            dist_agg(np.zeros((5, 4)), [random_box(rng, 4), stack], 0.2)
+            geometry.dist_agg(np.zeros((5, 4)), [single, stack], 0.2)
+        with pytest.raises(ValueError):
+            geometry.dist_agg(np.zeros((5, 4)), [single, single], 0.2)
+        with pytest.raises(ValueError):
+            geometry.dist_agg(np.zeros(4), [single], 0.2)
 
     def test_nonnegative_and_dtype_kept(self, rng):
         d = 64
@@ -326,8 +329,8 @@ class TestKernelMatchesCornerForm:
             assert dist_agg(vs32, boxes32, alpha).dtype == np.float32
             assert dist_box(vs32, boxes32[0], alpha).dtype == np.float32
             assert np.ndim(dist_agg(vs32[0], boxes32, alpha)) == 0
-            stack32 = Box(np.stack([p.center for p in boxes32]), np.stack([p.offset for p in boxes32]))
-            assert dist_agg(vs32, [stack32], alpha).dtype == np.float32
+            stack32 = (np.stack([p.center for p in boxes32]), np.stack([p.offset for p in boxes32]))
+            assert geometry.dist_agg(vs32, [stack32], alpha).dtype == np.float32
 
     def test_one_block_of_scratch(self, rng):
         # the only (n, d)-scale allocation is the block-sized scratch buffer

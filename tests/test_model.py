@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from boxquery.errors import CompatibilityError, TrainingError
-from boxquery.geometry import Box
 from boxquery.model import (
     AdamState,
     ModelConfig,
@@ -21,7 +20,7 @@ from boxquery.sampling import GroundedQuery, try_instantiate
 
 from conftest import make_graph, random_graph
 from gradcheck import MODE_GRID, check_instance, make_instance, query_loss_and_grads
-from oracles import attention_weights, deepsets_forward, embed_conjunctive, embed_epfo
+from oracles import Box, attention_weights, deepsets_forward, dist_box, embed_conjunctive, embed_epfo
 
 
 def small_params(n_entities=6, n_relations=4, dim=4, **kwargs) -> ModelParams:
@@ -253,8 +252,6 @@ class TestEmbedConjunctive:
         g = bind(template("1p").graph, {0: v.entity_id("A")}, {0: v.relation_id("r")})
         box = embed_conjunctive(g, params)
         assert np.array_equal(box.offset, np.zeros(4))
-        from boxquery.geometry import dist_box
-
         target = params.entity[v.entity_id("B")]
         expected = float(
             np.sum(np.abs(params.entity[v.entity_id("A")]
@@ -404,9 +401,10 @@ class TestQueryForward:
         params = small_params()
         for forward in (QueryForward([q, flipped], params),
                         QueryForward([flipped], params)):
-            for base, other in zip(QueryForward([q], params).boxes, forward.boxes):
-                assert base.center[0].tobytes() == other.center[-1].tobytes()
-                assert base.offset[0].tobytes() == other.offset[-1].tobytes()
+            for (base_center, base_offset), (center, offset) in zip(
+                    QueryForward([q], params).boxes, forward.boxes):
+                assert base_center[0].tobytes() == center[-1].tobytes()
+                assert base_offset[0].tobytes() == offset[-1].tobytes()
 
     def test_mixed_structures_rejected(self, rng):
         params = small_params()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from boxquery.errors import SamplingError, TrainingError
-from boxquery.geometry import Box, dist_box
 from boxquery.model import ModelConfig, ModelParams, save_checkpoint
 from boxquery.queries import bind, structure_templates, template
 from boxquery.sampling import AnswerSet, GroundedQuery, answer_exact, generate_queries, try_instantiate
@@ -18,7 +17,7 @@ from boxquery.training import (
 
 from conftest import make_splits, random_graph
 from gradcheck import MODE_GRID, make_instance, query_loss_and_grads
-from oracles import (batch_loss_and_grads_allocating, embed_epfo, loss,
+from oracles import (Box, batch_loss_and_grads_allocating, dist_box, embed_epfo, loss,
                      query_loss_and_grads_per_candidate)
 
 
@@ -46,8 +45,6 @@ class TestLoss:
     def test_positive_inside_box_bound(self, rng):
         # a positive inside its box is at most alpha*|offset|_1 away, so the
         # positive term never exceeds -log sigmoid(gamma - alpha*|offset|_1)
-        from boxquery.geometry import dist_box
-
         gamma, alpha = 4.0, 0.2
         for _ in range(200):
             box = Box(rng.uniform(-2, 2, 6), rng.uniform(0, 2, 6))

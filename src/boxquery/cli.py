@@ -156,6 +156,7 @@ def cmd_train(args) -> int:
         _require_files(args.config)
     overrides = {key: getattr(args, key) for key in setting_parsers()}
     config = build_model_config(args.config, overrides)
+    kg._make_parents(Path(args.out))  # fail before training, not after it
     splits = kg.load_splits(args.snapshot)
     train_queries = _load_query_dir(args.queries, "train", splits.vocab)
     valid_path = Path(args.queries) / QUERY_FILES["valid"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import fields
 from pathlib import Path
 
+from .kg import _open_text
 from .model import ModelConfig
 
 
@@ -30,7 +31,7 @@ def setting_parsers() -> dict:
 def parse_config_file(path: str | Path) -> dict:
     parsers = setting_parsers()
     values: dict = {}
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -204,9 +204,26 @@ class GraphSplits:
         return self.train.vocab
 
 
+@contextmanager
+def _open_text(path: str | Path):
+    """Open a UTF-8 text file for reading; a byte that is not UTF-8 raises a
+    ParseError naming the file and the line of the first such byte."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:  # its offset in the file, not in a chunk
+                exc = first
+            raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path),
+                             data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _parse_triple_lines(path: str | Path, vocab: Vocabulary) -> set[tuple[int, int, int]]:
     edges: set[tuple[int, int, int]] = set()
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -380,7 +397,7 @@ def _atomic_open(path: str | Path, mode: str = "w"):
     error the old file stays and the temporary is removed. Missing parent
     directories are created first."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_parents(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
@@ -388,6 +405,15 @@ def _atomic_open(path: str | Path, mode: str = "w"):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _make_parents(path: Path) -> None:
+    """Create the missing parent directories of an output file; an OSError
+    names the file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def save_splits(splits: GraphSplits, path: str | Path) -> None:
@@ -415,7 +441,7 @@ def save_splits(splits: GraphSplits, path: str | Path) -> None:
 
 def load_splits(path: str | Path) -> GraphSplits:
     """Reload a snapshot written by save_splits, building valid and test as deltas."""
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != SNAPSHOT_MAGIC:
         raise ParseError(f"not a splits snapshot (expected header {SNAPSHOT_MAGIC!r})", str(path), 1)

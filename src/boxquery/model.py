@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CompatibilityError, TrainingError
 from .geometry import _BLOCK_ELEMENTS
 from .kg import _atomic_open
-from .queries import PROJECTION, TRAINABLE_NAMES, ComputationGraph, template, to_dnf
+from .queries import TRAINABLE_NAMES, ComputationGraph, template, to_dnf
 from .sampling import GroundedQuery
 
 INTERSECTION_MODES = ("attention", "average", "deepsets")
@@ -62,8 +62,8 @@ class ModelConfig:
             self.offset_mode = "shared"
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < float("inf"):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         for field in ("dim", "negatives", "epochs", "batch_per_structure"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
@@ -407,24 +407,16 @@ class QueryForward:
     """Forward pass of B queries of one structure over all DNF branches of
     its template, kept for a later backward call. `boxes` holds one
     (center, offset) pair of (B, d) stacks per branch. The topology comes
-    from the template; each query gives only the ids bound to its slots."""
+    from the template; the queries give only (B, slots) arrays of slot ids."""
 
     def __init__(self, queries: list[GroundedQuery], params: ModelParams):
         names = {q.structure_name for q in queries}
         if len(names) != 1:
             raise ValueError("a batch holds queries of one structure")
         self.params = params
-        shape = template(names.pop()).graph
-        anchors = np.zeros((len(queries), len(shape.anchors)), dtype=int)
-        relations = np.zeros((len(queries), sum(e.op == PROJECTION for e in shape.edges)),
-                             dtype=int)
-        for row, q in enumerate(queries):
-            for n in q.graph.anchors:
-                anchors[row, n.slot] = n.entity
-            for e in q.graph.edges:
-                if e.op == PROJECTION:
-                    relations[row, e.slot] = e.relation
-        branches, _ = to_dnf(shape)
+        anchors = np.array([q.anchors for q in queries], dtype=int)
+        relations = np.array([q.relations for q in queries], dtype=int)
+        branches, _ = to_dnf(template(names.pop()).graph)
         self.records = [_branch_forward(branch, anchors, relations, params)
                         for branch in branches]
         self.boxes = [(center, offset) for center, offset, _ in self.records]

@@ -219,10 +219,10 @@ def template(name: str) -> QueryStructure:
 
 def bind(
     graph: ComputationGraph,
-    anchors: dict[int, int],
-    relations: dict[int, int],
+    anchors: dict[int, int] | tuple[int, ...],
+    relations: dict[int, int] | tuple[int, ...],
 ) -> ComputationGraph:
-    """Bind anchor slots to entity ids and relation slots to relation ids."""
+    """Bind anchor slot s to entity `anchors[s]` and relation slot s to `relations[s]`."""
     nodes = tuple(
         replace(n, entity=anchors[n.slot]) if n.kind == ANCHOR else n for n in graph.nodes
     )

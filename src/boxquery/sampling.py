@@ -6,8 +6,8 @@ from the target: the root is drawn uniformly, then each in-edge draws,
 uniformly, a relation entering the current entity and a predecessor reaching
 it via that relation. Degenerate attempts (an inverse-relation backtrack, or
 duplicated (anchor, relation) intersection branches) are rejected and the
-rest deduplicated and answered on the lists; a `ComputationGraph` is bound
-only for accepted queries.
+rest deduplicated and answered on the lists. A query is its structure name
+and the ids bound to the template's slots; no graph is bound to generate it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CompatibilityError, ParseError, SamplingError
-from .kg import GraphSplits, KnowledgeGraph, Vocabulary, _atomic_open
+from .kg import GraphSplits, KnowledgeGraph, Vocabulary, _atomic_open, _open_text
 from .queries import (
     ANCHOR,
     PROJECTION,
@@ -58,9 +58,37 @@ class AnswerSet:
 
 @dataclass(frozen=True)
 class GroundedQuery:
-    graph: ComputationGraph
+    """`anchors[i]` is the entity bound to anchor slot i of the structure's
+    template and `relations[j]` the relation bound to projection slot j."""
+
     structure_name: str
+    anchors: tuple[int, ...]
+    relations: tuple[int, ...]
     answers: AnswerSet | None = None
+
+    @property
+    def graph(self) -> ComputationGraph:
+        """The structure's template bound with the slot ids."""
+        return bind(template(self.structure_name).graph, self.anchors, self.relations)
+
+    @classmethod
+    def from_graph(cls, name: str, graph: ComputationGraph,
+                   answers: AnswerSet | None = None) -> "GroundedQuery":
+        """The query of structure `name` whose bound template is `graph`;
+        ValueError for an unknown structure, an unbound slot or another graph."""
+        if name not in STRUCTURE_NAMES:
+            raise ValueError(f"unknown query structure {name!r}")
+        anchors = sorted(graph.anchors, key=lambda n: n.slot)
+        projections = sorted((e for e in graph.edges if e.op == PROJECTION), key=lambda e: e.slot)
+        query = cls(name, tuple(n.entity for n in anchors),
+                    tuple(e.relation for e in projections), answers)
+        try:
+            same = graph_to_text(query.graph) == graph_to_text(graph)
+        except IndexError:  # the graph leaves a slot of the template unbound
+            same = False
+        if not same:
+            raise ValueError(f"graph is not a {name} query")
+        return query
 
 
 class _Plan:
@@ -73,6 +101,10 @@ class _Plan:
         pos = {n.id: i for i, n in enumerate(nodes)}
         into = _in_edge_positions(graph)
         self.target = pos[graph.target.id]
+        # the positions of the anchor nodes and projection edges, in slot order
+        self.anchor_at = [pos[n.id] for n in sorted(graph.anchors, key=lambda n: n.slot)]
+        self.relation_at = sorted((i for i, e in enumerate(edges) if e.op == PROJECTION),
+                                  key=lambda i: edges[i].slot)
         self.key_recipe = _key_recipe(graph)
         order = graph.topological_order()  # raises on cycles, which the walk cannot end
         # pre-order grounding walk from the target: (node, source, projection
@@ -153,10 +185,9 @@ class _Plan:
                 values[node] = result
         return values[self.target]
 
-    def bind(self, ents: list, rels: list) -> ComputationGraph:
-        g = self.graph
-        return bind(g, {n.slot: ents[i] for i, n in enumerate(g.nodes) if n.kind == ANCHOR},
-                    {e.slot: rels[i] for i, e in enumerate(g.edges) if e.op == PROJECTION})
+    def slots(self, ents: list, rels: list) -> tuple[tuple, tuple]:
+        """The ids bound to the anchor slots and to the relation slots."""
+        return tuple(ents[i] for i in self.anchor_at), tuple(rels[i] for i in self.relation_at)
 
 
 def _bound_ids(graph: ComputationGraph) -> tuple[list, list]:
@@ -199,7 +230,7 @@ def try_instantiate(
     ids = plan.ground(kg, rng, root)
     if ids is None or plan.degeneracies(*ids, kg.inverse_relation):
         return None
-    return GroundedQuery(plan.bind(*ids), structure.name)
+    return GroundedQuery(structure.name, *plan.slots(*ids))
 
 
 def instantiate(
@@ -309,7 +340,7 @@ def _generate_for_structure(
             rejected["trivial"] += 1
         else:
             seen.add(key)
-            found.append(GroundedQuery(plan.bind(*ids), structure.name, answers))
+            found.append(GroundedQuery(structure.name, *plan.slots(*ids), answers))
     if len(found) < want:
         reasons = ", ".join(f"{n} {reason}" for reason, n in rejected.items())
         warnings.warn(f"{split_name}/{structure.name}: generated {len(found)} of {want} queries "
@@ -371,9 +402,8 @@ def write_query_file(path: str | Path, queries: list[GroundedQuery]) -> None:
 
 def _check_ids(q: GroundedQuery, vocab: Vocabulary, where: str) -> None:
     # answers nest (train <= valid <= test), so the test set covers all three
-    ids = [("anchor entity", n.entity, vocab.n_entities) for n in q.graph.anchors]
-    ids += [("relation", e.relation, vocab.n_relations)
-            for e in q.graph.edges if e.op == PROJECTION]
+    ids = [("anchor entity", a, vocab.n_entities) for a in q.anchors]
+    ids += [("relation", r, vocab.n_relations) for r in q.relations]
     ids += [("answer", a, vocab.n_entities) for a in q.answers.test]
     for kind, value, n in ids:
         if value is None or not 0 <= value < n:
@@ -382,40 +412,17 @@ def _check_ids(q: GroundedQuery, vocab: Vocabulary, where: str) -> None:
             )
 
 
-def _check_structure(q: GroundedQuery) -> None:
-    # the graph must be the named template bound with the line's own slots
-    name = q.structure_name
-    if name not in STRUCTURE_NAMES:
-        raise ValueError(f"unknown query structure {name!r}")
-    anchors = {n.slot: n.entity for n in q.graph.anchors}
-    relations = {e.slot: e.relation for e in q.graph.edges if e.op == PROJECTION}
-    try:
-        expected = bind(template(name).graph, anchors, relations)
-    except KeyError:  # the line leaves a slot of the template unbound
-        expected = None
-    if expected is None or graph_to_text(expected) != graph_to_text(q.graph):
-        raise ValueError(f"graph is not a {name} query")
-
-
 def read_query_file(path: str | Path, vocab: Vocabulary | None = None) -> list[GroundedQuery]:
     """Parse a query file; each line's graph must match its structure name.
     With `vocab`, every anchor, relation and answer id must lie in its
     range, else CompatibilityError names the line."""
     queries = []
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             try:
                 name, graph_text, train, valid, test = line.rstrip("\n").split("\t")
-                q = GroundedQuery(
-                    graph_from_text(graph_text),
-                    name,
-                    AnswerSet(
-                        _ids_from_text(train),
-                        _ids_from_text(valid),
-                        _ids_from_text(test),
-                    ),
-                )
-                _check_structure(q)
+                q = GroundedQuery.from_graph(name, graph_from_text(graph_text), AnswerSet(
+                    *(_ids_from_text(ids) for ids in (train, valid, test))))
             except ValueError as exc:
                 raise ParseError(str(exc), str(path), lineno) from exc
             if vocab is not None:

@@ -79,7 +79,7 @@ from boxquery.queries import (
     bind,
     to_dnf,
 )
-from boxquery.sampling import AnswerSet, GroundedQuery, _check_structure
+from boxquery.sampling import AnswerSet, GroundedQuery
 
 
 def _graph_of(query) -> ComputationGraph:
@@ -742,10 +742,9 @@ def _as_query(query: GroundedQuery | ComputationGraph) -> GroundedQuery:
         return query
     for name in STRUCTURE_NAMES:
         try:
-            _check_structure(GroundedQuery(query, name))
+            return GroundedQuery.from_graph(name, query)
         except ValueError:
             continue
-        return GroundedQuery(query, name)
     raise ValueError("graph binds no query structure")
 
 
@@ -911,7 +910,7 @@ def try_instantiate_on_graph(
     grounded = bind(graph, anchor_bindings, relation_bindings)
     if degeneracies_on_graph(grounded, kg):
         return None
-    return GroundedQuery(grounded, structure.name)
+    return GroundedQuery.from_graph(structure.name, grounded)
 
 
 def canonical_key_on_graph(g: ComputationGraph) -> str:

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import warnings
 
 import pytest
@@ -85,6 +86,7 @@ class TestSynthesizeAndPrepare:
                            "--out", str(blocker / "snap.txt"))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1 and str(blocker) in err
+        assert "snap.txt" in err
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_malformed_file_exits_1(self, capsys, tmp_path):
@@ -221,6 +223,8 @@ class TestTrainEvalAnalyze:
         ("--epochs", "0"),
         ("--learning-rate", "-1"),
         ("--train-structures", "1p,zz"),
+        ("--gamma", "nan"),
+        ("--gamma", "inf"),
     ])
     def test_out_of_range_config_exits_1(self, capsys, pipeline, tmp_path, flag, value):
         root, snapshot, queries = pipeline
@@ -232,6 +236,20 @@ class TestTrainEvalAnalyze:
         assert code == 1
         assert err.startswith("error:") and flag.lstrip("-").replace("-", "_") in err
         assert not out_path.exists()
+        assert not (tmp_path / "x.ckpt.diag").exists()
+
+    def test_out_under_a_regular_file_exits_2_before_training(self, capsys, pipeline,
+                                                               tmp_path):
+        root, snapshot, queries = pipeline
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        code, out, err = run(capsys, "train", "--snapshot", str(snapshot),
+                             "--queries", str(queries), "--out", str(blocker / "m.ckpt"),
+                             "--dim", "8", "--epochs", "3", "--batch-per-structure", "4",
+                             "--negatives", "4")
+        assert code == 2
+        assert err.startswith("error:") and "m.ckpt" in err
+        assert "epoch=" not in out
 
     def test_dry_run(self, capsys, pipeline):
         root, snapshot, queries = pipeline
@@ -314,6 +332,7 @@ class TestTrainEvalAnalyze:
         ("alpha = 1.5", "alpha must lie in (0, 1)"),
         ("intersection_mode = sum", "unknown intersection mode 'sum'"),
         ("train_structures = 1p,zz", "train_structures must be"),
+        ("gamma = nan", "gamma must be finite and positive"),
     ])
     def test_config_value_range_error_names_line(self, capsys, pipeline, tmp_path, line,
                                                   message):
@@ -488,6 +507,57 @@ class TestTrainEvalAnalyze:
             main(["eval", "--checkpoint", str(checkpoint), "--snapshot", str(snapshot),
                   "--queries", str(queries), "--workers", "2"])
         assert excinfo.value.code == 2
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is reported with its file and line, exit 1,
+    by each reader of text input."""
+
+    @staticmethod
+    def corrupt(path, line, copy):
+        """Write `path` to `copy` with byte 0xe6 inserted at the start of `line`."""
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xe6" + lines[line - 1]
+        copy.write_bytes(b"".join(lines))
+        return copy
+
+    def check(self, capsys, argv, bad, line):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {bad}:{line}: not UTF-8 text") and err.count("\n") == 1
+
+    def test_triple_file(self, capsys, tmp_path):
+        data = tmp_path / "d"
+        main(["synthesize-kg", "--kind", "chain", "--entities", "10", "--out", str(data)])
+        capsys.readouterr()
+        bad = self.corrupt(data / "train.txt", 3, tmp_path / "train.txt")
+        self.check(capsys, ["prepare-data", "--train", str(bad), "--valid",
+                            str(data / "valid.txt"), "--test", str(data / "test.txt"),
+                            "--out", str(tmp_path / "s.snap")], bad, 3)
+
+    def test_snapshot(self, capsys, pipeline, tmp_path):
+        _, snapshot, _ = pipeline
+        bad = self.corrupt(snapshot, 5, tmp_path / "graph.snap")
+        self.check(capsys, ["generate-queries", "--snapshot", str(bad),
+                            "--out", str(tmp_path / "q"), "--count", "2"], bad, 5)
+
+    def test_query_file(self, capsys, pipeline, tmp_path):
+        _, snapshot, queries = pipeline
+        copy = tmp_path / "queries"
+        shutil.copytree(queries, copy)
+        path = self.corrupt(queries / "train-queries.txt", 2, copy / "train-queries.txt")
+        self.check(capsys, ["train", "--snapshot", str(snapshot), "--queries", str(copy),
+                            "--out", str(tmp_path / "x.ckpt"), "--dim", "8",
+                            "--negatives", "4", "--dry-run"], path, 2)
+
+    def test_config_file(self, capsys, pipeline, tmp_path):
+        _, snapshot, queries = pipeline
+        config_file = tmp_path / "run.conf"
+        config_file.write_text("dim = 8\nnegatives = 4  # few\n", encoding="utf-8")
+        bad = self.corrupt(config_file, 2, tmp_path / "bad.conf")
+        self.check(capsys, ["train", "--snapshot", str(snapshot), "--queries", str(queries),
+                            "--out", str(tmp_path / "x.ckpt"), "--config", str(bad),
+                            "--dry-run"], bad, 2)
 
 
 def _corrupt_first_line(queries, tmp_path, name, edit):

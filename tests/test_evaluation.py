@@ -18,8 +18,9 @@ from boxquery.evaluation import (
     spearman,
 )
 from boxquery.model import ModelConfig, ModelParams
-from boxquery.queries import STRUCTURE_NAMES, bind, template
+from boxquery.queries import STRUCTURE_NAMES
 from boxquery.sampling import AnswerSet, GroundedQuery, generate_queries
+from boxquery.training import batch_loss_and_grads
 
 from conftest import make_graph, make_splits
 from gradcheck import MODE_GRID
@@ -44,13 +45,12 @@ def line_world(positions, test_answers, train_answers=()):
     rid = v.relation_id("r")
     anchor = v.entity_id("e0")
     params.tensors["relation_center"][rid] = -positions[0]
-    graph = bind(template("1p").graph, {0: anchor}, {0: rid})
     answers = AnswerSet(
         tuple(sorted(v.entity_id(e) for e in train_answers)),
         tuple(sorted(v.entity_id(e) for e in train_answers)),
         tuple(sorted(v.entity_id(e) for e in test_answers)),
     )
-    q = GroundedQuery(graph, "1p", answers)
+    q = GroundedQuery("1p", (anchor,), (rid,), answers)
     return splits, params, q, v
 
 
@@ -131,7 +131,7 @@ class TestMetricsForQuery:
             (v.entity_id("e3"), v.entity_id("e4")),
             (v.entity_id("e3"), v.entity_id("e4")),
         )
-        q = GroundedQuery(q.graph, "1p", answers)
+        q = GroundedQuery("1p", q.anchors, q.relations, answers)
         metrics = metrics_for_query(q, params, splits, "validation")
         # only e4 is evaluated; e3 stays filtered from its candidates
         assert metrics["mrr"] == pytest.approx(
@@ -155,7 +155,7 @@ class TestRanksMatchPerAnswerOracle:
         tied = 0
         for trial in range(200):
             answers = sorted(rng.choice(n, size=rng.integers(1, 8), replace=False).tolist())
-            q = GroundedQuery(q.graph, "1p", AnswerSet((), (), tuple(answers)))
+            q = GroundedQuery("1p", q.anchors, q.relations, AnswerSet((), (), tuple(answers)))
             if trial % 2:
                 distances = rng.integers(0, 5, n).astype(float)
             else:
@@ -257,6 +257,29 @@ def mixed_structures():
     return splits, [q for round_ in zip(*by_structure) for q in round_]
 
 
+class TestSlotIdsOnly:
+    """Training and evaluation read each query's slot ids; none binds its
+    template into a graph."""
+
+    def test_runs_with_graph_unavailable(self, mixed_structures, monkeypatch):
+        splits, queries = mixed_structures
+        params = ModelParams(ModelConfig(dim=8, negatives=4, seed=11),
+                             splits.train.n_entities, splits.train.n_relations)
+
+        def unavailable(self):
+            raise AssertionError("a query's graph was bound")
+
+        monkeypatch.setattr(GroundedQuery, "graph", property(unavailable))
+        rng = np.random.default_rng(0)
+        for name in STRUCTURE_NAMES:
+            group = [q for q in queries if q.structure_name == name]
+            positives = [q.answers.test[0] for q in group]
+            negatives = rng.integers(splits.train.n_entities, size=(len(group), 4))
+            assert np.isfinite(batch_loss_and_grads(group, params, positives, negatives))
+        assert aggregate(queries, params, splits, "test").overall["mrr"] > 0
+        assert metrics_for_query(queries[0], params, splits, "test")["mrr"] > 0
+
+
 class TestAggregateMatchesPerQueryOracle:
     """Structure chunks scored in one pass over the entity blocks against
     one query at a time, with entity blocks of 7 rows and query chunks of 3,
@@ -313,8 +336,7 @@ class TestAggregateMatchesPerQueryOracle:
                              augment=False)
         params = ModelParams(ModelConfig(dim=8, seed=0), n, 1)
         queries = [
-            GroundedQuery(bind(template("1p").graph, {0: i}, {0: 0}), "1p",
-                          AnswerSet((), (), ((i + 1) % n,)))
+            GroundedQuery("1p", (i,), (0,), AnswerSet((), (), ((i + 1) % n,)))
             for i in range(10 * evaluation._QUERY_CHUNK)
         ]
         one = queries[: evaluation._QUERY_CHUNK]

@@ -53,6 +53,14 @@ class TestLoadTriples:
         with pytest.raises(ParseError):
             load_triples(f)
 
+    def test_non_utf8_byte_reports_its_line(self, tmp_path):
+        # far past the first chunk the text reader decodes
+        f = tmp_path / "t.txt"
+        f.write_bytes(b"".join(b"e%d\tr\te%d\n" % (i, i + 1) for i in range(3000))
+                      + b"caf\xe9\tr\tB\n")
+        with pytest.raises(ParseError, match=r"t\.txt:3001: not UTF-8 text"):
+            load_triples(f)
+
     def test_reserved_marker_rejected(self, tmp_path):
         f = write(tmp_path / "t.txt", f"A\tr{INVERSE_MARKER}\tB\n")
         with pytest.raises(VocabularyError):

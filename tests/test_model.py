@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,14 @@ from boxquery.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from boxquery.queries import STRUCTURE_NAMES, ComputationGraph, bind, template, to_dnf
-from boxquery.sampling import GroundedQuery, try_instantiate
+from boxquery.queries import STRUCTURE_NAMES, bind, template, to_dnf
+from boxquery.sampling import (
+    AnswerSet,
+    GroundedQuery,
+    read_query_file,
+    try_instantiate,
+    write_query_file,
+)
 
 from conftest import make_graph, random_graph
 from gradcheck import MODE_GRID, check_instance, make_instance, query_loss_and_grads
@@ -288,7 +295,8 @@ class TestEmbedConjunctive:
         params.tensors["offset_net.outer.b2"][:] = -1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, offset, steps = QueryForward([GroundedQuery(g, "2i")], params).records[0]
+            _, offset, steps = QueryForward([GroundedQuery.from_graph("2i", g)],
+                                            params).records[0]
         shrink = steps[-1].offset_ds[1]
         assert np.all(shrink == 0.0)
         assert np.all(offset == 0.0)
@@ -373,10 +381,10 @@ class TestQueryForward:
     @staticmethod
     def grounded(name, rng, n_entities=6, n_relations=4):
         shape = template(name).graph
-        anchors = {n.slot: int(rng.integers(n_entities)) for n in shape.anchors}
-        relations = {e.slot: int(rng.integers(n_relations))
-                     for e in shape.edges if e.slot is not None}
-        return GroundedQuery(bind(shape, anchors, relations), name)
+        anchors = tuple(int(rng.integers(n_entities)) for _ in shape.anchors)
+        relations = tuple(int(rng.integers(n_relations))
+                          for e in shape.edges if e.slot is not None)
+        return GroundedQuery(name, anchors, relations)
 
     @pytest.mark.parametrize("b", [1, 7])
     def test_dnf_runs_once_per_batch(self, monkeypatch, rng, b):
@@ -394,17 +402,21 @@ class TestQueryForward:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", STRUCTURE_NAMES)
-    def test_node_and_edge_order_is_immaterial(self, rng, name):
-        q = self.grounded(name, rng)
-        flipped = GroundedQuery(
-            ComputationGraph(q.graph.nodes[::-1], q.graph.edges[::-1]), name)
+    def test_node_and_edge_order_of_a_query_line_is_immaterial(self, rng, tmp_path, name):
+        q = replace(self.grounded(name, rng), answers=AnswerSet((), (), (0,)))
+        write_query_file(tmp_path / "q.txt", [q])
+        structure, graph, *answers = (tmp_path / "q.txt").read_text(encoding="utf-8").split("\t")
+        reversed_graph = ";".join(",".join(part.split(",")[::-1]) for part in graph.split(";"))
+        assert reversed_graph != graph
+        (tmp_path / "r.txt").write_text("\t".join([structure, reversed_graph, *answers]),
+                                        encoding="utf-8")
+        flipped, = read_query_file(tmp_path / "r.txt")
+        assert flipped == q
         params = small_params()
-        for forward in (QueryForward([q, flipped], params),
-                        QueryForward([flipped], params)):
-            for (base_center, base_offset), (center, offset) in zip(
-                    QueryForward([q], params).boxes, forward.boxes):
-                assert base_center[0].tobytes() == center[-1].tobytes()
-                assert base_offset[0].tobytes() == offset[-1].tobytes()
+        for (base_center, base_offset), (center, offset) in zip(
+                QueryForward([q], params).boxes, QueryForward([flipped], params).boxes):
+            assert base_center.tobytes() == center.tobytes()
+            assert base_offset.tobytes() == offset.tobytes()
 
     def test_mixed_structures_rejected(self, rng):
         params = small_params()

@@ -245,9 +245,7 @@ class TestGenerateQueries:
 
 class TestAnswerCountReport:
     def test_single_query_mean(self):
-        q = GroundedQuery(
-            bind(template("1p").graph, {0: 0}, {0: 0}), "1p", AnswerSet((1,), (1, 2), (1, 2, 3))
-        )
+        q = GroundedQuery("1p", (0,), (0,), AnswerSet((1,), (1, 2), (1, 2, 3)))
         assert answer_count_report([q]) == {"1p": 3.0}
 
     def test_bijective_graph_means_are_one(self, rng):
@@ -350,7 +348,7 @@ class TestPlanMatchesGraphWalk:
                 states = [r.bit_generator.state for r in rngs]
                 assert states[0] == states[1] == states[2]
                 if ids is not None:
-                    bound = plan.bind(*ids)
+                    bound = GroundedQuery(s.name, *plan.slots(*ids)).graph
                     assert degeneracies(bound, kg) == degeneracies_on_graph(bound, kg)
                 if expected is None:
                     assert q is None
@@ -372,7 +370,7 @@ class TestPlanMatchesGraphWalk:
             rng = np.random.default_rng(4)
             messages = []
             for _ in range(30):
-                bound = plan.bind(*plan.ground(kg, rng))
+                bound = GroundedQuery(name, *plan.slots(*plan.ground(kg, rng))).graph
                 messages += degeneracies(bound, kg)
                 assert degeneracies(bound, kg) == degeneracies_on_graph(bound, kg)
             assert messages, name
@@ -399,6 +397,27 @@ class TestGenerationWork:
             assert sum(len(v) for v in out.values()) > 3 * len(STRUCTURE_NAMES)
             seen.append(dict(calls))
         assert seen[0] == seen[1]
+
+    def test_accepted_queries_bind_no_graph(self, monkeypatch):
+        # generation holds a query as its slot ids; no template is bound
+        import boxquery.queries
+        import boxquery.sampling
+
+        calls = []
+        original = boxquery.queries.bind
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(boxquery.sampling, "bind", counting)
+        monkeypatch.setattr(boxquery.queries, "bind", counting)
+        splits = _held_out_splits(np.random.default_rng(5), 14, 3, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = generate_queries(splits, {n: 3 for n in STRUCTURE_NAMES}, seed=1, attempts=20)
+        assert sum(len(v) for v in out.values()) > 3 * len(STRUCTURE_NAMES)
+        assert calls == []
 
     def test_query_files_are_pinned(self, tmp_path):
         # sha256 of the train, valid, test and heldin files, recorded from the

@@ -6,7 +6,7 @@ import pytest
 
 from boxquery.errors import SamplingError, TrainingError
 from boxquery.model import ModelConfig, ModelParams, save_checkpoint
-from boxquery.queries import bind, structure_templates, template
+from boxquery.queries import structure_templates, template
 from boxquery.sampling import AnswerSet, GroundedQuery, answer_exact, generate_queries, try_instantiate
 from boxquery.training import (
     Workspace,
@@ -163,9 +163,9 @@ class TestSampleNegatives:
             [("A", "r", "B"), ("A", "r", "C"), ("D", "s", "E")], augment=False
         )
         v = splits.vocab
-        g = bind(template("1p").graph, {0: v.entity_id("A")}, {0: v.relation_id("r")})
         answers = (v.entity_id("B"), v.entity_id("C"))
-        q = GroundedQuery(g, "1p", AnswerSet(answers, answers, answers))
+        q = GroundedQuery("1p", (v.entity_id("A"),), (v.relation_id("r"),),
+                          AnswerSet(answers, answers, answers))
         return splits, q, v
 
     def test_forced_complement(self, rng):
@@ -185,12 +185,11 @@ class TestSampleNegatives:
         triples = [(f"e{i}", "r", f"e{(i + 1) % 100}") for i in range(100)]
         splits = make_splits(triples, augment=False)
         n = splits.train.n_entities
-        g = bind(template("1p").graph, {0: 0}, {0: 0})
         k = 5
         for trial in range(500):
             size = n - k if trial % 10 == 0 else int(rng.integers(0, n - k + 1))
             answers = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-            q = GroundedQuery(g, "1p", AnswerSet(answers, answers, answers))
+            q = GroundedQuery("1p", (0,), (0,), AnswerSet(answers, answers, answers))
             seed = int(rng.integers(1 << 31))
             got = sample_negatives(q, k, splits, np.random.default_rng(seed))
             candidates = np.setdiff1d(np.arange(n), np.asarray(answers, dtype=int))
@@ -201,9 +200,9 @@ class TestSampleNegatives:
         triples = [(f"e{i}", "r", f"e{(i + 1) % 100}") for i in range(100)]
         splits = make_splits(triples, augment=False)
         v = splits.vocab
-        g = bind(template("1p").graph, {0: v.entity_id("e0")}, {0: v.relation_id("r")})
         answers = (v.entity_id("e1"),)
-        q = GroundedQuery(g, "1p", AnswerSet(answers, answers, answers))
+        q = GroundedQuery("1p", (v.entity_id("e0"),), (v.relation_id("r"),),
+                          AnswerSet(answers, answers, answers))
         counts = np.zeros(100)
         draws = 10_000
         for _ in range(draws):
@@ -535,8 +534,7 @@ class TestWorkspaceMatchesAllocatingPass:
 
         n, b, k = 300, 64, 32
         params = ModelParams(ModelConfig(dim=64, negatives=k, seed=0), n, 4)
-        queries = [GroundedQuery(bind(template("1p").graph, {0: i}, {0: i % 4}), "1p")
-                   for i in range(b)]
+        queries = [GroundedQuery("1p", (i,), (i % 4,)) for i in range(b)]
         positives = rng.integers(n, size=b).tolist()
         negatives = rng.integers(n, size=(b, k))
         chunk = training_module._CANDIDATE_BLOCK * np.dtype(np.float64).itemsize

@@ -13,6 +13,7 @@ there is no generic autodiff here.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -125,6 +126,20 @@ def _tensor_specs(d: int, n_entities: int, n_relations: int) -> list:
     return specs
 
 
+def _unmapped_zeros(like: np.ndarray) -> np.ndarray:
+    """Zeros of `like`'s shape and dtype in a private anonymous mapping of
+    their own: a page becomes resident on its first write (reading an
+    unwritten one maps the shared zero page), and the mapping goes back to
+    the system when the array is freed. `np.zeros` promises neither: its
+    calloc may hand out freed heap memory, which it clears page by page.
+    Where there are no such mappings (Windows), and for an empty tensor,
+    it is `np.zeros`."""
+    if like.nbytes == 0 or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(like.shape, like.dtype)
+    private = mmap.mmap(-1, like.nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(private, like.dtype).reshape(like.shape)
+
+
 class ModelParams:
     """All trainable tensors, keyed by name in a flat dict."""
 
@@ -155,7 +170,10 @@ class ModelParams:
         return np.abs(self.tensors["shared_offset"])
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(t) for name, t in self.tensors.items()}
+        """One zero gradient buffer per tensor, each in a fresh mapping
+        (`_unmapped_zeros`), so the buffer of a tensor the mode never reads
+        (e.g. `center_net.*` in attention mode) never becomes resident."""
+        return {name: _unmapped_zeros(t) for name, t in self.tensors.items()}
 
     def copy(self) -> "ModelParams":
         clone = object.__new__(ModelParams)
@@ -440,7 +458,9 @@ class AdamState:
 
     `live` names the tensors whose moments may be nonzero: None until the
     first `adam_step`, which seeds it from the moments it is handed; from
-    then on only `adam_step` writes the moments."""
+    then on only `adam_step` writes the moments, and only those of tensors
+    that got a gradient. So the moments of a tensor the mode never reads are
+    never written and, allocated by `_unmapped_zeros`, never become resident."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -449,8 +469,8 @@ class AdamState:
     @classmethod
     def init(cls, params: ModelParams) -> "AdamState":
         return cls(
-            {k: np.zeros_like(t) for k, t in params.tensors.items()},
-            {k: np.zeros_like(t) for k, t in params.tensors.items()},
+            {k: _unmapped_zeros(t) for k, t in params.tensors.items()},
+            {k: _unmapped_zeros(t) for k, t in params.tensors.items()},
         )
 
 

@@ -11,7 +11,12 @@ chunk and one scatter of entity rows per batch, against which the
 library's reused workspace and per-chunk scatter are compared bit for bit.
 The Adam oracles update each tensor in whole-tensor expressions, where the
 library streams it in blocks of scratch buffers; the dense one updates every
-tensor, where the library skips exact no-ops.
+tensor, where the library skips exact no-ops. The zero-filled buffer
+oracles allocate gradients and moments with `np.zeros_like`, which writes
+every page, where the library's private anonymous mappings leave unwritten
+pages unmapped. The negative-sampling oracle draws from the array of
+non-answers, built with an entity-sized mask, where the library draws
+positions and maps them to ids through the sorted answers.
 The MLP oracle builds each weight gradient from one outer product per input
 row, against which the library's row-block form is compared. The distance
 oracles and the gradient oracle `grad_dist_box` measure against the box
@@ -45,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from boxquery.errors import TrainingError
+from boxquery.errors import SamplingError, TrainingError
 from boxquery.evaluation import (
     METRIC_NAMES,
     EvalReport,
@@ -518,6 +523,33 @@ def adam_step_dense(params, grads, state, lr, t) -> None:
         v *= _ADAM_BETA2
         v += (1.0 - _ADAM_BETA2) * (g * g)
         tensor -= lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+
+
+def zero_grads_zeros_like(params: ModelParams) -> dict[str, np.ndarray]:
+    """Reference for `ModelParams.zero_grads`, zero-filling every buffer."""
+    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
+
+
+def adam_state_zeros_like(params: ModelParams) -> AdamState:
+    """Reference for `AdamState.init`, zero-filling every moment buffer."""
+    return AdamState({k: np.zeros_like(t) for k, t in params.tensors.items()},
+                     {k: np.zeros_like(t) for k, t in params.tensors.items()})
+
+
+def sample_negatives_masked(q: GroundedQuery, k: int, splits: GraphSplits,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Reference for `training.sample_negatives`: a draw from the array of
+    non-answers, found through a mask over every entity."""
+    if q.answers is None:
+        raise ValueError("query must carry answer sets")
+    allowed = np.ones(splits.train.n_entities, dtype=bool)
+    allowed[np.asarray(q.answers.train, dtype=int)] = False
+    candidates = np.flatnonzero(allowed)
+    if len(candidates) < k:
+        raise SamplingError(
+            f"need {k} negatives but only {len(candidates)} non-answers exist"
+        )
+    return rng.choice(candidates, size=k, replace=False)
 
 
 def mlp_backward_per_row(dy, cache, params, prefix, grads) -> np.ndarray:

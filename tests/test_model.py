@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,6 +613,55 @@ class TestAdam:
                 tracemalloc.stop()
             del state, grads
         assert peaks[0] < bound < peaks[1], peaks
+
+
+_RESIDENT_SCRIPT = """
+import json, os
+import numpy as np
+from boxquery.model import AdamState, ModelConfig, ModelParams, adam_step
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+# a model built and freed first, as a benchmark round's set-up does: with
+# glibc, freeing its large tensors makes later ones come from the heap
+ModelParams(ModelConfig(dim=400), 1000, 100)
+params = ModelParams(ModelConfig(dim=400), 1000, 100)
+trained = [name for name in params.tensors if not name.startswith("center_net.")]
+start, rounds, pins = resident(), [], []
+for _ in range(2):  # the second run may be handed the first run's freed memory
+    grads, state = params.zero_grads(), AdamState.init(params)
+    allocated = resident()
+    for name in trained:
+        grads[name].fill(0.5)
+    adam_step(params, grads, state, lr=0.01, t=1)
+    rounds.append({"allocate": allocated - start, "step": resident() - allocated})
+    pins.append(np.ones(100_000))  # outlives the buffers, so the heap cannot shrink
+    del grads, state
+print(json.dumps({"rounds": rounds,
+                  "trained": sum(params.tensors[name].nbytes for name in trained)}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+class TestResidentBuffers:
+    def test_untrained_buffers_stay_unmapped(self):
+        # a d=400 attention model in a fresh process, trained for one step
+        # twice: its gradient and moment buffers take no resident memory
+        # until written, and the center networks' are never written (the
+        # mode never reads them); zero-filled buffers make about 136 MB
+        # resident up front, and calloc-ed ones do from the second run on
+        import boxquery
+
+        env = dict(os.environ, PYTHONPATH=str(Path(boxquery.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", _RESIDENT_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True)
+        result = json.loads(out.stdout)
+        mb = 1 << 20
+        for grown in result["rounds"]:
+            assert grown["allocate"] < 8 * mb, result
+            assert grown["step"] < 3 * result["trained"] + 8 * mb, result
 
 
 class TestCheckpoint:

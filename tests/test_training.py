@@ -196,6 +196,41 @@ class TestSampleNegatives:
             want = np.random.default_rng(seed).choice(candidates, size=k, replace=False)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_matches_masked_reference(self, rng):
+        # positions among the non-answers mapped to ids: the same negatives,
+        # dtype and generator state as a draw from the masked id array, with
+        # the first and last ids among the answers, answers in any order or
+        # repeated, k equal to the number of non-answers, and one too many
+        from oracles import sample_negatives_masked
+
+        triples = [(f"e{i}", "r", f"e{(i + 1) % 300}") for i in range(300)]
+        splits = make_splits(triples, augment=False)
+        n = splits.train.n_entities
+        for trial in range(600):
+            answers = set(rng.choice(n, size=int(rng.integers(0, n - 1)), replace=False).tolist())
+            if trial % 3 == 0:
+                answers |= {0, n - 1}
+            n_candidates = n - len(answers)
+            answers = [int(a) for a in rng.permutation(sorted(answers))] if trial % 2 else \
+                sorted(answers)
+            if trial % 7 == 0:
+                answers += answers[: int(rng.integers(3))]
+            k = [min(k, n_candidates) for k in (1, 5, 32, 128)][trial % 4]
+            if trial % 5 == 0:
+                k = n_candidates + (trial % 10 == 0)
+            q = GroundedQuery("1p", (0,), (0,), AnswerSet(*[tuple(answers)] * 3))
+            rngs = [np.random.default_rng([trial, 9]) for _ in range(2)]
+            if k > n_candidates:
+                for sample, r in zip((sample_negatives, sample_negatives_masked), rngs):
+                    with pytest.raises(SamplingError,
+                                       match=f"need {k} negatives but only {n_candidates} "):
+                        sample(q, k, splits, r)
+                continue
+            got = sample_negatives(q, k, splits, rngs[0])
+            want = sample_negatives_masked(q, k, splits, rngs[1])
+            assert got.dtype == want.dtype and np.array_equal(got, want), trial
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     def test_uniform_distribution(self, rng):
         triples = [(f"e{i}", "r", f"e{(i + 1) % 100}") for i in range(100)]
         splits = make_splits(triples, augment=False)
@@ -403,6 +438,47 @@ class TestBlockedAdamInTraining:
             assert got.tensors[name].tobytes() == tensor.tobytes(), name
             assert result.state.adam.m[name].tobytes() == state.m[name].tobytes(), name
             assert result.state.adam.v[name].tobytes() == state.v[name].tobytes(), name
+
+
+class TestUnmappedBuffersInTraining:
+    """`zero_grads` and `AdamState.init` allocate with `np.zeros`, which maps
+    a page only when it is first written; a run must match, byte for byte,
+    one whose buffers are zero-filled up front with `np.zeros_like`."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_four_steps_match_zero_filled_buffers(self, mode, dtype, monkeypatch, tmp_path):
+        from boxquery.model import AdamState
+        from oracles import adam_state_zeros_like, zero_grads_zeros_like
+
+        intersection_mode, offset_mode, geometry = mode
+        ring = [(f"e{i}", "r", f"e{(i + 1) % 8}") for i in range(8)]
+        chords = [(f"e{i}", "s", f"e{(i + 3) % 8}") for i in range(8)]
+        splits = make_splits(ring + chords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            queries = generate_queries(splits, {n: 6 for n in ("1p", "2p", "2i", "3i")},
+                                       seed=2)["train"]
+        config = ModelConfig(
+            dim=8, gamma=2.0, negatives=3, learning_rate=0.01, epochs=4,
+            batch_per_structure=6, seed=5, dtype=dtype, intersection_mode=intersection_mode,
+            offset_mode=offset_mode, geometry=geometry,
+        )
+        runs = [train(splits, queries, config)]
+        monkeypatch.setattr(ModelParams, "zero_grads", zero_grads_zeros_like)
+        monkeypatch.setattr(AdamState, "init", staticmethod(adam_state_zeros_like))
+        runs.append(train(splits, queries, config))
+        got, want = runs
+        assert got.state.step == want.state.step == 4
+        assert got.state.adam.live == want.state.adam.live
+        for name, tensor in want.final_params.tensors.items():
+            assert got.final_params.tensors[name].dtype == tensor.dtype == np.dtype(dtype)
+            assert got.final_params.tensors[name].tobytes() == tensor.tobytes(), name
+            assert got.state.adam.m[name].tobytes() == want.state.adam.m[name].tobytes(), name
+            assert got.state.adam.v[name].tobytes() == want.state.adam.v[name].tobytes(), name
+        for i, run in enumerate(runs):
+            save_checkpoint(tmp_path / f"{i}.ckpt", run.final_params, "e", "r")
+        assert (tmp_path / "0.ckpt").read_bytes() == (tmp_path / "1.ckpt").read_bytes()
 
 
 class TestWorkspaceMatchesAllocatingPass:

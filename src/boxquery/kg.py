@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -223,44 +222,6 @@ def _open_text(path: str | Path):
 
 
 def _parse_triple_lines(path: str | Path, vocab: Vocabulary) -> set[tuple[int, int, int]]:
-    """The file's edges, its names given ids by `vocab`. The text is split
-    at once, into lines and then fields, and the names are resolved in bulk,
-    in the order the line-by-line parse meets them: head, then tail, per
-    line. A file that may fail a check (or is not UTF-8) is parsed line by
-    line, which names the first bad line and leaves `vocab` as it would."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError:
-        return _parse_triple_lines_one_by_one(path, vocab)
-    if text and not text.endswith("\n"):
-        text += "\n"
-    # every line holds exactly two tabs
-    if not re.fullmatch(r"(?:[^\t\n]*+\t[^\t\n]*+\t[^\t\n]*+\n)*+", text):
-        return _parse_triple_lines_one_by_one(path, vocab)
-    entities = text.replace("\n", "\t").split("\t")[:-1]  # head, relation, tail, head, ...
-    heads, rels = entities[0::3], entities[1::3]
-    del entities[1::3]  # now head, tail, head, ...
-    entity_ids, relation_ids = vocab._entity_ids, vocab._relation_ids
-    # a line is blank or a comment only if its head, after leading
-    # whitespace, is empty or starts with "#"
-    if (any(h.lstrip()[:1] in ("", "#") for h in set(heads))
-            or any(INVERSE_MARKER in r for r in set(rels))
-            or vocab.frozen and not (entity_ids.keys() >= set(entities)
-                                     and relation_ids.keys() >= set(rels))):
-        return _parse_triple_lines_one_by_one(path, vocab)
-    for names, ids, table in ((entities, entity_ids, vocab.entity_names),
-                              (rels, relation_ids, vocab.relation_names)):
-        for name in dict.fromkeys(names):
-            if name not in ids:
-                ids[name] = len(table)
-                table.append(name)
-    ends = list(map(entity_ids.__getitem__, entities))
-    return set(zip(ends[0::2], map(relation_ids.__getitem__, rels), ends[1::2]))
-
-
-def _parse_triple_lines_one_by_one(path: str | Path,
-                                   vocab: Vocabulary) -> set[tuple[int, int, int]]:
     edges: set[tuple[int, int, int]] = set()
     with _open_text(path) as f:
         for lineno, raw in enumerate(f, start=1):

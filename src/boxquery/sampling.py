@@ -1,19 +1,17 @@
 """Grounding query templates on a graph and answering them by traversal.
 
-Each structure compiles once per process into a plan over two id lists, an
-entity per node and a relation per edge. An attempt walks the template in
-pre-order from the target: the root is drawn uniformly, then each in-edge
-draws, uniformly, a relation entering the current entity and a predecessor
-reaching it via that relation. Degenerate attempts (an inverse-relation
-backtrack, or duplicated (anchor, relation) intersection branches) are
-rejected and the rest deduplicated and answered on the lists. A query is
-its structure name and the ids bound to the template's slots; no graph is
-bound to generate or answer it.
+Each structure compiles once into a plan over two id lists, an entity per
+node and a relation per edge. An attempt walks the template in pre-order
+from the target: the root is drawn uniformly, then each in-edge draws,
+uniformly, a relation entering the current entity and a predecessor reaching
+it via that relation. Degenerate attempts (an inverse-relation backtrack, or
+duplicated (anchor, relation) intersection branches) are rejected and the
+rest deduplicated and answered on the lists. A query is its structure name
+and the ids bound to the template's slots; no graph is bound to generate it.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -191,48 +189,22 @@ class _Plan:
         """The ids bound to the anchor slots and to the relation slots."""
         return tuple(ents[i] for i in self.anchor_at), tuple(rels[i] for i in self.relation_at)
 
-    def place(self, anchors: tuple, relations: tuple) -> tuple[list, list]:
-        """Inverse of `slots`: the id lists that bind the slots to these ids."""
-        if len(anchors) != len(self.anchor_at) or len(relations) != len(self.relation_at):
-            raise ValueError("query must be fully bound")
-        ents: list = [None] * len(self.graph.nodes)
-        rels: list = [None] * len(self.graph.edges)
-        for i, entity in zip(self.anchor_at, anchors):
-            ents[i] = entity
-        for i, relation in zip(self.relation_at, relations):
-            rels[i] = relation
-        return ents, rels
 
-
-@functools.cache
-def _template_plan(graph: ComputationGraph) -> _Plan:
-    """The plan of a template graph, compiled on first use. Only template
-    graphs come here, never bound ones, so the cache holds one plan per
-    structure."""
-    return _Plan(graph)
-
-
-def _plan_and_ids(query: GroundedQuery | ComputationGraph) -> tuple[_Plan, tuple[list, list]]:
-    """A query's template plan and slot ids; a bound graph, which may be
-    any graph, compiles a plan of its own."""
-    if isinstance(query, GroundedQuery):
-        plan = _template_plan(template(query.structure_name).graph)
-        return plan, plan.place(query.anchors, query.relations)
-    plan = _Plan(query)
-    if not query.is_grounded():
+def _bound_ids(graph: ComputationGraph) -> tuple[list, list]:
+    if not graph.is_grounded():
         raise ValueError("query must be fully bound")
-    return plan, ([n.entity for n in query.nodes], [e.relation for e in query.edges])
+    return [n.entity for n in graph.nodes], [e.relation for e in graph.edges]
 
 
 def answer_exact(kg: KnowledgeGraph, query: GroundedQuery | ComputationGraph) -> set[int]:
     """Exact denotation set by post-order traversal from the anchors."""
-    plan, ids = _plan_and_ids(query)
-    return plan.answers(kg, *ids)
+    graph = query.graph if isinstance(query, GroundedQuery) else query
+    return _Plan(graph).answers(kg, *_bound_ids(graph))
 
 
 def answer_set(splits: GraphSplits, query: GroundedQuery | ComputationGraph) -> AnswerSet:
-    plan, ids = _plan_and_ids(query)
-    return _answer_set(plan, splits, ids)
+    graph = query.graph if isinstance(query, GroundedQuery) else query
+    return _answer_set(_Plan(graph), splits, _bound_ids(graph))
 
 
 def degeneracies(graph: ComputationGraph, kg: KnowledgeGraph) -> list[str]:
@@ -254,7 +226,7 @@ def try_instantiate(
     root: int | None = None,
 ) -> GroundedQuery | None:
     """One pre-order grounding attempt; None on dead ends or degeneracy."""
-    plan = _template_plan(structure.graph)
+    plan = _Plan(structure.graph)
     ids = plan.ground(kg, rng, root)
     if ids is None or plan.degeneracies(*ids, kg.inverse_relation):
         return None
@@ -349,7 +321,7 @@ def _generate_for_structure(
         warnings.warn(f"{split_name}/{structure.name}: the {split_name} graph adds no edges, "
                       "so no non-trivial queries exist", stacklevel=4)
         return []
-    plan = _template_plan(structure.graph)
+    plan = _Plan(structure.graph)
     strict = {"train": 0, "valid": 1, "test": 2}.get(split_name)
     found: list[GroundedQuery] = []
     seen: set[str] = set()

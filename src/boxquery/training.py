@@ -41,22 +41,17 @@ def sample_negatives(
     q: GroundedQuery, k: int, splits: GraphSplits, rng: np.random.Generator
 ) -> np.ndarray:
     """k entities drawn uniformly without replacement from the non-answers
-    of the query on the train graph. The draw picks positions among the
-    non-answers, as a draw from their id array would, and maps position i
-    to its id: i plus the number of answers below that id."""
+    of the query on the train graph."""
     if q.answers is None:
         raise ValueError("query must carry answer sets")
-    answers = np.sort(np.asarray(q.answers.train, dtype=int))
-    if (answers[1:] == answers[:-1]).any():  # a repeated answer counts once
-        answers = np.unique(answers)
-    n_candidates = splits.train.n_entities - len(answers)
-    if n_candidates < k:
+    allowed = np.ones(splits.train.n_entities, dtype=bool)
+    allowed[np.asarray(q.answers.train, dtype=int)] = False
+    candidates = np.flatnonzero(allowed)
+    if len(candidates) < k:
         raise SamplingError(
-            f"need {k} negatives but only {n_candidates} non-answers exist"
+            f"need {k} negatives but only {len(candidates)} non-answers exist"
         )
-    picked = rng.choice(n_candidates, size=k, replace=False)
-    # the answers below the i-th non-answer: those whose id minus their rank is <= i
-    return picked + np.searchsorted(answers - np.arange(len(answers)), picked, side="right")
+    return rng.choice(candidates, size=k, replace=False)
 
 
 class Workspace:

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from boxquery.errors import SamplingError, TrainingError
+from boxquery.errors import TrainingError
 from boxquery.evaluation import (
     METRIC_NAMES,
     EvalReport,
@@ -534,22 +534,6 @@ def adam_state_zeros_like(params: ModelParams) -> AdamState:
     """Reference for `AdamState.init`, zero-filling every moment buffer."""
     return AdamState({k: np.zeros_like(t) for k, t in params.tensors.items()},
                      {k: np.zeros_like(t) for k, t in params.tensors.items()})
-
-
-def sample_negatives_masked(q: GroundedQuery, k: int, splits: GraphSplits,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Reference for `training.sample_negatives`: a draw from the array of
-    non-answers, found through a mask over every entity."""
-    if q.answers is None:
-        raise ValueError("query must carry answer sets")
-    allowed = np.ones(splits.train.n_entities, dtype=bool)
-    allowed[np.asarray(q.answers.train, dtype=int)] = False
-    candidates = np.flatnonzero(allowed)
-    if len(candidates) < k:
-        raise SamplingError(
-            f"need {k} negatives but only {len(candidates)} non-answers exist"
-        )
-    return rng.choice(candidates, size=k, replace=False)
 
 
 def mlp_backward_per_row(dy, cache, params, prefix, grads) -> np.ndarray:

@@ -80,12 +80,8 @@ class TestLoadTriples:
         assert g.vocab.entity_names[:2] == ["B", "A"]
         assert g.vocab.relation_names[:2] == ["s", "r"]
 
-    def test_crlf_and_missing_final_newline(self, tmp_path, monkeypatch):
-        # parsed in bulk: the line-by-line fallback is not needed
-        import boxquery.kg
-
+    def test_crlf_and_missing_final_newline(self, tmp_path):
         lf = load_triples(write(tmp_path / "lf.txt", "A\tr\tB\nB\ts\tC\n"))
-        monkeypatch.delattr(boxquery.kg, "_parse_triple_lines_one_by_one")
         for name, data in (("crlf.txt", b"A\tr\tB\r\nB\ts\tC\r\n"),
                            ("open.txt", b"A\tr\tB\nB\ts\tC")):
             (tmp_path / name).write_bytes(data)
@@ -101,38 +97,6 @@ class TestLoadTriples:
         f = write(tmp_path / "t.txt", f"A\tr\tB\n{line}\nB\ts\tC\n")
         with pytest.raises(ParseError, match=rf"t\.txt:2: {message}$"):
             load_triples(f)
-
-    def test_bulk_parse_matches_line_by_line(self, tmp_path, rng):
-        # the same edges and vocabulary, or the same error and vocabulary,
-        # as the line-by-line parse, on files that mix good lines with every
-        # kind of bad one, line endings and vocabulary states
-        from boxquery.kg import _parse_triple_lines, _parse_triple_lines_one_by_one
-
-        names = ["A", "B", "C", " D", "E ", "#F", "", " ", f"r{INVERSE_MARKER}", "G\u2028H"]
-        for trial in range(300):
-            lines = []
-            for _ in range(int(rng.integers(0, 8))):
-                n_fields = 3 if rng.random() < 0.9 else int(rng.integers(1, 5))
-                lines.append("\t".join(names[int(rng.integers(len(names) if trial % 2 else 3))]
-                                       for _ in range(n_fields)))
-            end = "\r\n" if trial % 3 == 0 else "\n"
-            data = end.join(lines) + (end if trial % 4 else "")
-            path = tmp_path / "t.txt"
-            path.write_bytes(data.encode("utf-8"))
-            outcomes = []
-            for parse in (_parse_triple_lines, _parse_triple_lines_one_by_one):
-                vocab = Vocabulary()
-                for name in ("A", "B"):
-                    vocab.entity_id(name)
-                vocab.relation_id("A")
-                if trial % 5 == 0:
-                    vocab.freeze()
-                try:
-                    result = parse(path, vocab)
-                except (ParseError, VocabularyError) as exc:
-                    result = (type(exc), str(exc))
-                outcomes.append((result, vocab.entity_names, vocab.relation_names))
-            assert outcomes[0] == outcomes[1], (trial, data)
 
 
 class TestAugmentInverses:

@@ -419,39 +419,6 @@ class TestGenerationWork:
         assert sum(len(v) for v in out.values()) > 3 * len(STRUCTURE_NAMES)
         assert calls == []
 
-    def test_plans_compile_once_per_structure(self, monkeypatch):
-        # instantiate's attempts share one plan per structure, and answering
-        # a held query runs its template's plan on the slot ids, binding no graph
-        import boxquery.sampling
-
-        compiled = Counter()
-        original = _Plan.__init__
-
-        def counting(plan, graph):
-            compiled[graph] += 1
-            original(plan, graph)
-
-        def no_bind(*args):
-            raise AssertionError("bound a graph")
-
-        monkeypatch.setattr(_Plan, "__init__", counting)
-        boxquery.sampling._template_plan.cache_clear()
-        splits = _held_out_splits(np.random.default_rng(5), 14, 3, 60)
-        rng = np.random.default_rng(6)
-        queries = [instantiate(s, splits.test, rng)
-                   for s in structure_templates() for _ in range(5)]
-        assert compiled == Counter({s.graph: 1 for s in structure_templates()})
-        with pytest.raises(SamplingError):  # on a chain every 3i attempt is degenerate
-            instantiate(template("3i"), make_splits(synthesize_triples("chain", 8)).train, rng,
-                        attempts=20)
-        assert compiled[template("3i").graph] == 1
-        expected = [(answer_exact(splits.test, q.graph), answer_set(splits, q.graph))
-                    for q in queries]
-        compiled.clear()
-        monkeypatch.setattr(boxquery.sampling, "bind", no_bind)
-        assert [(answer_exact(splits.test, q), answer_set(splits, q)) for q in queries] == expected
-        assert not compiled
-
     def test_query_files_are_pinned(self, tmp_path):
         # sha256 of the train, valid, test and heldin files, recorded from the
         # graph-walking generator that the slot plans replaced

@@ -196,41 +196,6 @@ class TestSampleNegatives:
             want = np.random.default_rng(seed).choice(candidates, size=k, replace=False)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_matches_masked_reference(self, rng):
-        # positions among the non-answers mapped to ids: the same negatives,
-        # dtype and generator state as a draw from the masked id array, with
-        # the first and last ids among the answers, answers in any order or
-        # repeated, k equal to the number of non-answers, and one too many
-        from oracles import sample_negatives_masked
-
-        triples = [(f"e{i}", "r", f"e{(i + 1) % 300}") for i in range(300)]
-        splits = make_splits(triples, augment=False)
-        n = splits.train.n_entities
-        for trial in range(600):
-            answers = set(rng.choice(n, size=int(rng.integers(0, n - 1)), replace=False).tolist())
-            if trial % 3 == 0:
-                answers |= {0, n - 1}
-            n_candidates = n - len(answers)
-            answers = [int(a) for a in rng.permutation(sorted(answers))] if trial % 2 else \
-                sorted(answers)
-            if trial % 7 == 0:
-                answers += answers[: int(rng.integers(3))]
-            k = [min(k, n_candidates) for k in (1, 5, 32, 128)][trial % 4]
-            if trial % 5 == 0:
-                k = n_candidates + (trial % 10 == 0)
-            q = GroundedQuery("1p", (0,), (0,), AnswerSet(*[tuple(answers)] * 3))
-            rngs = [np.random.default_rng([trial, 9]) for _ in range(2)]
-            if k > n_candidates:
-                for sample, r in zip((sample_negatives, sample_negatives_masked), rngs):
-                    with pytest.raises(SamplingError,
-                                       match=f"need {k} negatives but only {n_candidates} "):
-                        sample(q, k, splits, r)
-                continue
-            got = sample_negatives(q, k, splits, rngs[0])
-            want = sample_negatives_masked(q, k, splits, rngs[1])
-            assert got.dtype == want.dtype and np.array_equal(got, want), trial
-            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-
     def test_uniform_distribution(self, rng):
         triples = [(f"e{i}", "r", f"e{(i + 1) % 100}") for i in range(100)]
         splits = make_splits(triples, augment=False)
@@ -441,9 +406,10 @@ class TestBlockedAdamInTraining:
 
 
 class TestUnmappedBuffersInTraining:
-    """`zero_grads` and `AdamState.init` allocate with `np.zeros`, which maps
-    a page only when it is first written; a run must match, byte for byte,
-    one whose buffers are zero-filled up front with `np.zeros_like`."""
+    """`zero_grads` and `AdamState.init` allocate with `_unmapped_zeros`
+    (private anonymous mappings, whose pages are mapped only when first
+    written); a run must match, byte for byte, one whose buffers are
+    zero-filled up front with `np.zeros_like`."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode", MODE_GRID)

@@ -54,7 +54,7 @@ def _stage_answers(q: GroundedQuery, stage: str) -> list[int]:
 def _chunk_distances(queries: list[GroundedQuery], params: ModelParams) -> np.ndarray:
     """(B, N) aggregated box distances from every entity to B queries of one
     structure: one forward pass, one blocked pass over the entity table."""
-    boxes = QueryForward(queries, params).boxes
+    boxes = QueryForward([queries], params).boxes[0]
     return dist_agg(params.entity, boxes, params.config.alpha)
 
 

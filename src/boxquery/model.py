@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CompatibilityError, TrainingError
 from .geometry import _BLOCK_ELEMENTS
 from .kg import _atomic_open
-from .queries import TRAINABLE_NAMES, ComputationGraph, template, to_dnf
+from .queries import TRAINABLE_NAMES, template, to_dnf
 from .sampling import GroundedQuery
 
 INTERSECTION_MODES = ("attention", "average", "deepsets")
@@ -191,212 +191,209 @@ def sigmoid(x):
 
 
 def _mlp_forward(params: ModelParams, prefix: str, x):
-    """Two-layer ReLU MLP over a row block x of shape (n, in)."""
+    """Two-layer ReLU MLP over a row block x of shape (n, in); the cache
+    holds what the backward reads, the input and hidden rows."""
     t = params.tensors
-    pre = x @ t[prefix + ".w1"] + t[prefix + ".b1"]
-    hidden = np.maximum(pre, 0.0)
-    return hidden @ t[prefix + ".w2"] + t[prefix + ".b2"], (x, pre, hidden)
+    hidden = x @ t[prefix + ".w1"]
+    hidden += t[prefix + ".b1"]
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ t[prefix + ".w2"]
+    out += t[prefix + ".b2"]
+    return out, (x, hidden)
 
 
 def _mlp_backward(dy, cache, params: ModelParams, prefix: str, grads) -> np.ndarray:
-    """Adjoint of the input rows; weight gradients are summed over the rows."""
-    x, pre, hidden = cache
+    """Adjoint of the input rows; weight gradients are summed over the rows.
+    A hidden unit passes gradient where it is positive, which is where its
+    pre-activation is."""
+    x, hidden = cache
     grads[prefix + ".w2"] += hidden.T @ dy
     grads[prefix + ".b2"] += dy.sum(axis=0)
-    dpre = (dy @ params.tensors[prefix + ".w2"].T) * (pre > 0)
+    dpre = dy @ params.tensors[prefix + ".w2"].T
+    dpre *= hidden > 0
     grads[prefix + ".w1"] += x.T @ dpre
     grads[prefix + ".b1"] += dpre.sum(axis=0)
     return dpre @ params.tensors[prefix + ".w1"].T
 
 
-def _deepsets_trace(params: ModelParams, net: str, xs):
-    """Set encoding of B sets of n rows, xs of shape (B, n, 2d): the outer
-    MLP of the mean of the inner MLPs, one output row per set."""
-    inner, inner_cache = _mlp_forward(params, f"{net}.inner", xs.reshape(-1, xs.shape[2]))
-    pooled = inner.reshape(*xs.shape[:2], -1).mean(axis=1)
+class _Node:
+    """One node of a batched branch: the (B,) entity ids of an anchor, or
+    the sources and (B, n) relation ids of its input edges. An intersection
+    also keeps what its backward pass reads: its canonical input order
+    (B, n), its slices of its level's input rows (`rows`, B·n of them,
+    [center, offset] in canonical order) and pooled rows (`sets`, one per
+    query), its attention weights (B, n, d) and its offset shrink (B, d)."""
+
+    entities = sources = relations = order = rows = sets = weights = shrink = None
+
+    def __init__(self, branch: int, nid: int, b: int):
+        self.key = (branch, nid)
+        self.b = b
+
+
+class _Level:
+    """The nodes of every branch at one depth, and the network caches of
+    their intersections (`meets`), which share one call per network."""
+
+    attn = center_ds = offset_ds = None
+
+    def __init__(self):
+        self.nodes: list[_Node] = []
+        self.meets: list[_Node] = []
+
+
+def _deepsets_forward(params: ModelParams, net: str, x, meets):
+    """Set encodings of the intersections `meets`, whose input rows lie in
+    x: per query, the outer MLP of the mean of the inner MLP's rows of its
+    inputs. Node m's (B, out) block is rows m.sets of the result."""
+    inner, inner_cache = _mlp_forward(params, f"{net}.inner", x)
+    pooled = np.concatenate([inner[m.rows].reshape(m.b, len(m.sources), -1).mean(axis=1)
+                             for m in meets])
     out, outer_cache = _mlp_forward(params, f"{net}.outer", pooled)
     return out, (inner_cache, outer_cache)
 
 
-def _deepsets_backward(dout, cache, params: ModelParams, net: str, grads):
+def _deepsets_backward(dout, cache, params: ModelParams, net: str, grads, meets):
     inner_cache, outer_cache = cache
     dpooled = _mlp_backward(dout, outer_cache, params, f"{net}.outer", grads)
-    b, n = len(dpooled), len(inner_cache[0]) // len(dpooled)
-    dinner = np.repeat(dpooled / n, n, axis=0)
-    return _mlp_backward(dinner, inner_cache, params, f"{net}.inner", grads).reshape(b, n, -1)
+    dinner = np.empty((len(inner_cache[0]), dpooled.shape[1]), dpooled.dtype)
+    for m in meets:  # each input row gets its set's share
+        n = len(m.sources)
+        dinner[m.rows].reshape(m.b, n, -1)[:] = (dpooled[m.sets] / n)[:, None]
+    return _mlp_backward(dinner, inner_cache, params, f"{net}.inner", grads)
 
 
-def _attention_trace(params: ModelParams, xs):
-    # weights of shape (B, n, d) for B sets of n input rows
-    logits, cache = _mlp_forward(params, "attn", xs.reshape(-1, xs.shape[2]))
-    logits = logits.reshape(*xs.shape[:2], -1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    weights = expd / expd.sum(axis=1, keepdims=True)
-    return weights, cache
-
-
-def _attention_backward(dweights, weights, cache, params: ModelParams, grads):
-    # dimension-wise softmax backward
-    dlogits = weights * (dweights - np.sum(weights * dweights, axis=1, keepdims=True))
-    b, n, d = dlogits.shape
-    return _mlp_backward(dlogits.reshape(b * n, d), cache, params, "attn", grads).reshape(b, n, -1)
-
-
-class _Step:
-    """One node of a batched branch, as its backward pass reads it: the (B,)
-    entity ids of an anchor, or the source node and (B, n) relation ids of
-    its input edges, the canonical input order (B, n) and the network traces."""
-
-    entities = sources = relations = order = attn = center_ds = offset_ds = None
-
-    def __init__(self, node):
-        self.node = node
-
-
-def _branch_forward(shape: ComputationGraph, anchors: np.ndarray, relations: np.ndarray,
-                    params: ModelParams):
-    """Embed B queries along `shape`, a union-free branch of their template,
-    as (B, d) center and offset blocks; `anchors` (B, n_anchor_slots) and
-    `relations` (B, n_relation_slots) hold their ids by slot. Also returns
-    the steps the backward pass replays."""
+def _level_inputs(level: _Level, boxes, uses, anchor_offsets, params: ModelParams):
+    """Embed a level's anchors and one-input nodes into `boxes`, and return
+    the (ΣB·n, 2d) [center, offset] input rows of its intersections, each
+    node's rows in canonical input order. A box leaves `boxes` once the
+    last of the edges it feeds (counted in `uses`) has read it; the
+    anchors of branch k take the offset anchor_offsets[k]."""
     cfg = params.config
     d = cfg.dim
-    dtype = np.dtype(cfg.dtype)
-    point = cfg.geometry == "point"
-    shared = cfg.offset_mode == "shared" and not point
-    b = len(anchors)
-    zeros = np.zeros((b, d), dtype=dtype)
-    fixed = None  # the offset every node produces in point and shared mode
-    if point or shared:
-        fixed = zeros if point else np.broadcast_to(params.effective_shared_offset(), (b, d))
-    rows = np.arange(b)[:, None]
-
-    boxes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    steps = []
-    for nid in shape.topological_order():
-        in_es = shape.in_edges(nid)
-        step = _Step(nid)
-        steps.append(step)
-        if not in_es:
-            step.entities = anchors[:, shape.node(nid).slot]
-            boxes[nid] = (params.entity[step.entities], zeros if fixed is None else fixed)
+    fixed = cfg.geometry == "point" or cfg.offset_mode == "shared"
+    x = None
+    if level.meets:
+        x = np.empty((sum(m.b * len(m.sources) for m in level.meets), 2 * d), cfg.dtype)
+    rows = sets = 0
+    for node in level.nodes:
+        k = node.key[0]
+        if node.sources is None:
+            boxes[node.key] = (params.entity[node.entities], anchor_offsets[k])
             continue
-        step.sources = [e.src for e in in_es]
-        step.relations = relations[:, [e.slot for e in in_es]]
-        projected = [
-            (boxes[src][0] + params.relation_center[r], fixed if fixed is not None
-             else boxes[src][1] + np.abs(params.tensors["relation_offset"][r]))
-            for src, r in zip(step.sources, step.relations.T)
-        ]
-        n_in = len(in_es)
+        projected = []
+        for src, r in zip(node.sources, node.relations.T):
+            uses[k, src] -= 1
+            center, offset = boxes[k, src] if uses[k, src] else boxes.pop((k, src))
+            projected.append((center + params.relation_center[r], anchor_offsets[k] if fixed
+                              else offset + np.abs(params.tensors["relation_offset"][r])))
+        n_in = len(projected)
         if n_in == 1:
-            boxes[nid] = projected[0]
+            boxes[node.key] = projected[0]
             continue
         centers = np.stack([center for center, _ in projected], axis=1)
         offsets = np.stack([offset for _, offset in projected], axis=1)
         # canonical input order makes every reduction bit-identical under
         # permutation of the branches
-        step.order = np.array([
+        node.order = np.array([
             sorted(range(n_in), key=lambda i: (centers[q, i].tobytes(), offsets[q, i].tobytes(),
-                                               step.relations[q, i]))
-            for q in range(b)
+                                               node.relations[q, i]))
+            for q in range(node.b)
         ])
-        centers = centers[rows, step.order]
-        offsets = offsets[rows, step.order]
-        xs = np.concatenate([centers, offsets], axis=2)
+        node.rows, node.sets = slice(rows, rows + node.b * n_in), slice(sets, sets + node.b)
+        rows, sets = node.rows.stop, node.sets.stop
+        xs = x[node.rows].reshape(node.b, n_in, 2 * d)
+        queries = np.arange(node.b)[:, None]
+        xs[:, :, :d] = centers[queries, node.order]
+        xs[:, :, d:] = offsets[queries, node.order]
+    return x
+
+
+def _intersect(level: _Level, x: np.ndarray, boxes, anchor_offsets, params: ModelParams):
+    """Embed a level's intersections, whose input rows lie in x, into
+    `boxes`; in point and shared mode, those of branch k take the offset
+    anchor_offsets[k], as every node does. Each network runs once over all
+    the rows; the softmax and the mean stay per node."""
+    cfg = params.config
+    d = cfg.dim
+    meets = level.meets
+    if cfg.intersection_mode == "attention":
+        logits, level.attn = _mlp_forward(params, "attn", x)
+    elif cfg.intersection_mode == "deepsets":
+        encoded, level.center_ds = _deepsets_forward(params, "center_net", x, meets)
+    fixed = cfg.geometry == "point" or cfg.offset_mode == "shared"
+    if not fixed:
+        raw, level.offset_ds = _deepsets_forward(params, "offset_net", x, meets)
+    for node in meets:
+        xs = x[node.rows].reshape(node.b, -1, 2 * d)
+        centers, offsets = xs[:, :, :d], xs[:, :, d:]
         if cfg.intersection_mode == "attention":
-            weights, cache = _attention_trace(params, xs)
-            step.attn = (weights, cache)
-            center = np.sum(weights * centers, axis=1)
+            shifted = logits[node.rows].reshape(centers.shape)
+            shifted = shifted - shifted.max(axis=1, keepdims=True)
+            expd = np.exp(shifted)
+            node.weights = expd / expd.sum(axis=1, keepdims=True)
+            center = np.sum(node.weights * centers, axis=1)
         elif cfg.intersection_mode == "average":
             center = centers.mean(axis=1)
         else:
-            center, step.center_ds = _deepsets_trace(params, "center_net", xs)
-        if fixed is None:
-            mins = offsets.min(axis=1)
-            argmin = offsets.argmin(axis=1)
-            raw, cache = _deepsets_trace(params, "offset_net", xs)
-            shrink = sigmoid(raw)
-            offset = mins * shrink
-            step.offset_ds = (cache, shrink, mins, argmin)
+            center = encoded[node.sets]
+        if fixed:
+            boxes[node.key] = (center, anchor_offsets[node.key[0]])
         else:
-            offset = fixed
-        boxes[nid] = (center, offset)
-    center, offset = boxes[shape.target.id]
-    return center, offset, steps
+            node.shrink = sigmoid(raw[node.sets])
+            boxes[node.key] = (center, offsets.min(axis=1) * node.shrink)
 
 
-def _branch_backward(steps, params: ModelParams, d_center, d_offset, grads, table_rows):
-    """Accumulate parameter gradients given (B, d) adjoints of the final
-    boxes. Entity and relation rows go to `table_rows` as (ids, rows)."""
+def _intersect_backward(level: _Level, live, params: ModelParams, grads):
+    """Input adjoints (B, n, d), in the order of the input edges, of the
+    intersections of a level that have (d_center, d_offset) adjoints in
+    `live`, as (node, in_dc, in_do); each network's backward runs once over
+    the rows of the level, a node without adjoints giving zero rows."""
     cfg = params.config
-    point = cfg.geometry == "point"
-    shared = cfg.offset_mode == "shared" and not point
-    shared_sign = np.sign(params.tensors["shared_offset"]) if shared else None
-    b, d = d_center.shape
-    rows = np.arange(b)[:, None]
-
-    adjoints = {steps[-1].node: [d_center, d_offset]}  # the target comes last
-    for step in reversed(steps):
-        if step.node not in adjoints:
-            continue
-        dc, do = adjoints.pop(step.node)
-        if point or shared:
-            # a produced offset is abs(shared) in shared mode and constant
-            # zero in point mode; either way nothing flows back through the inputs
-            if shared:
-                grads["shared_offset"] += shared_sign * do.sum(axis=0)
-            do = np.zeros((b, d))
-        if step.sources is None:
-            table_rows["entity"].append((step.entities, dc))
-            continue
-
-        # one row of center and offset adjoints per input, per query
-        n_in = len(step.sources)
-        if n_in == 1:
-            in_dc, in_do = dc[:, None], do[:, None]
-        else:
-            in_dc = np.zeros((b, n_in, d))
-            in_do = np.zeros((b, n_in, d))
-            if cfg.intersection_mode == "attention":
-                weights, cache = step.attn
-                # the MLP input rows are [center, offset]
-                centers = cache[0].reshape(b, n_in, 2 * d)[:, :, :d]
-                in_dc += weights * dc[:, None]
-                dxs = _attention_backward(dc[:, None] * centers, weights, cache, params, grads)
-                in_dc += dxs[:, :, :d]
-                in_do += dxs[:, :, d:]
-            elif cfg.intersection_mode == "average":
-                in_dc += dc[:, None] / n_in
-            else:
-                dxs = _deepsets_backward(dc, step.center_ds, params, "center_net", grads)
-                in_dc += dxs[:, :, :d]
-                in_do += dxs[:, :, d:]
-            if step.offset_ds is not None:
-                cache, shrink, mins, argmin = step.offset_ds
-                in_do[rows, argmin, np.arange(d)] += do * shrink
-                draw = (do * mins) * shrink * (1.0 - shrink)
-                dxs = _deepsets_backward(draw, cache, params, "offset_net", grads)
-                in_dc += dxs[:, :, :d]
-                in_do += dxs[:, :, d:]
+    d = cfg.dim
+    meets = level.meets
+    outs = [live[m.key] if m.key in live else (np.zeros((m.b, d)), np.zeros((m.b, d)))
+            for m in meets]
+    # one [center, offset] adjoint row per network input row, the networks
+    # replayed in the reverse of their forward order
+    if level.offset_ds is not None:
+        x = level.offset_ds[0][0]
+        offsets = [x[m.rows].reshape(m.b, -1, 2 * d)[:, :, d:] for m in meets]
+        draws = [(do * inputs.min(axis=1)) * m.shrink * (1.0 - m.shrink)
+                 for m, (_, do), inputs in zip(meets, outs, offsets)]
+        din = _deepsets_backward(np.concatenate(draws), level.offset_ds, params, "offset_net",
+                                 grads, meets)
+        for m, (_, do), inputs in zip(meets, outs, offsets):
+            # the smallest input offset of each coordinate takes the shrunk adjoint
+            block, queries = din[m.rows].reshape(m.b, -1, 2 * d), np.arange(m.b)[:, None]
+            block[queries, inputs.argmin(axis=1), d + np.arange(d)] += do * m.shrink
+    else:
+        din = np.zeros((meets[-1].rows.stop, 2 * d))
+    blocks = [din[m.rows].reshape(m.b, -1, 2 * d) for m in meets]
+    if cfg.intersection_mode == "attention":
+        x = level.attn[0]
+        dlogits = np.empty((len(din), d))
+        for m, (dc, _) in zip(meets, outs):
+            # dimension-wise softmax backward
+            dweights = dc[:, None] * x[m.rows].reshape(m.b, -1, 2 * d)[:, :, :d]
+            dlogits[m.rows] = (m.weights * (dweights - np.sum(m.weights * dweights, axis=1,
+                                                              keepdims=True))).reshape(-1, d)
+        din += _mlp_backward(dlogits, level.attn, params, "attn", grads)
+        for m, (dc, _), block in zip(meets, outs, blocks):
+            block[:, :, :d] += m.weights * dc[:, None]
+    elif cfg.intersection_mode == "average":
+        for m, (dc, _), block in zip(meets, outs, blocks):
+            block[:, :, :d] += dc[:, None] / len(m.sources)
+    else:
+        din += _deepsets_backward(np.concatenate([dc for dc, _ in outs]), level.center_ds,
+                                  params, "center_net", grads, meets)
+    result = []
+    for m, block in zip(meets, blocks):
+        if m.key in live:
             # back from canonical order to the order of the input edges
-            in_dc[rows, step.order] = in_dc.copy()
-            in_do[rows, step.order] = in_do.copy()
-
-        table_rows["relation_center"].append((step.relations.ravel(), in_dc.reshape(-1, d)))
-        if shared:
-            grads["shared_offset"] += shared_sign * in_do.sum(axis=(0, 1))
-        elif not point:
-            raw = params.tensors["relation_offset"][step.relations]
-            table_rows["relation_offset"].append(
-                (step.relations.ravel(), (np.sign(raw) * in_do).reshape(-1, d))
-            )
-        for i, src in enumerate(step.sources):
-            parent = adjoints.setdefault(src, [np.zeros((b, d)), np.zeros((b, d))])
-            parent[0] += in_dc[:, i]
-            if not (point or shared):
-                parent[1] += in_do[:, i]
+            block[np.arange(m.b)[:, None], m.order] = block.copy()
+            result.append((m, block[:, :, :d], block[:, :, d:]))
+    return result
 
 
 def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray, scratch=None) -> None:
@@ -422,30 +419,129 @@ def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray, scratch
 
 
 class QueryForward:
-    """Forward pass of B queries of one structure over all DNF branches of
-    its template, kept for a later backward call. `boxes` holds one
-    (center, offset) pair of (B, d) stacks per branch. The topology comes
-    from the template; the queries give only (B, slots) arrays of slot ids."""
+    """Forward pass of several batches, each of B queries of one structure,
+    over all DNF branches of their templates, kept for a later backward
+    call. `boxes[i]` holds one (center, offset) pair of (B, d) stacks per
+    branch of batch i. The topology comes from the templates; the queries
+    give only (B, slots) arrays of slot ids. All branches are walked in
+    lockstep, one depth at a time (a node lies one deeper than its deepest
+    source), so the intersections at one depth run each network once.
+    `backward` consumes the pass: it drops the boxes, then each level once
+    it has replayed it."""
 
-    def __init__(self, queries: list[GroundedQuery], params: ModelParams):
-        names = {q.structure_name for q in queries}
-        if len(names) != 1:
-            raise ValueError("a batch holds queries of one structure")
+    def __init__(self, batches: list[list[GroundedQuery]], params: ModelParams):
+        cfg = params.config
+        d = cfg.dim
+        shared = cfg.offset_mode == "shared" and cfg.geometry != "point"
         self.params = params
-        anchors = np.array([q.anchors for q in queries], dtype=int)
-        relations = np.array([q.relations for q in queries], dtype=int)
-        branches, _ = to_dnf(template(names.pop()).graph)
-        self.records = [_branch_forward(branch, anchors, relations, params)
-                        for branch in branches]
-        self.boxes = [(center, offset) for center, offset, _ in self.records]
+        self.levels: list[_Level] = []
+        self.targets = []  # (batch, key of the target node) of each branch
+        # per branch, the (B, d) offset of an anchor: zero, or the shared
+        # offset in shared mode; in point and shared mode every node's
+        anchor_offsets = []
+        depth = {}
+        uses = {}  # the input edges each node feeds
+        for i, queries in enumerate(batches):
+            names = {q.structure_name for q in queries}
+            if len(names) != 1:
+                raise ValueError("a batch holds queries of one structure")
+            anchors = np.array([q.anchors for q in queries], dtype=int)
+            relations = np.array([q.relations for q in queries], dtype=int)
+            b = len(queries)
+            offset = np.zeros((b, d), dtype=cfg.dtype)
+            if shared:
+                offset = np.broadcast_to(params.effective_shared_offset(), (b, d))
+            shapes, _ = to_dnf(template(names.pop()).graph)
+            for shape in shapes:
+                k = len(self.targets)
+                self.targets.append((i, (k, shape.target.id)))
+                anchor_offsets.append(offset)
+                for nid in shape.topological_order():
+                    node = _Node(k, nid, b)
+                    in_es = shape.in_edges(nid)
+                    at = 0
+                    if in_es:
+                        node.sources = [e.src for e in in_es]
+                        node.relations = relations[:, [e.slot for e in in_es]]
+                        at = 1 + max(depth[k, src] for src in node.sources)
+                        for src in node.sources:
+                            uses[k, src] = uses.get((k, src), 0) + 1
+                    else:
+                        node.entities = anchors[:, shape.node(nid).slot]
+                    depth[k, nid] = at
+                    if at == len(self.levels):
+                        self.levels.append(_Level())
+                    self.levels[at].nodes.append(node)
+                    if len(in_es) > 1:
+                        self.levels[at].meets.append(node)
+
+        boxes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        for level in self.levels:
+            x = _level_inputs(level, boxes, uses, anchor_offsets, params)
+            if level.meets:
+                _intersect(level, x, boxes, anchor_offsets, params)
+        self.boxes = [[] for _ in batches]
+        for i, target in self.targets:
+            self.boxes[i].append(boxes[target])
 
     def backward(self, box_adjoints, grads: dict[str, np.ndarray]) -> None:
-        """Accumulate gradients given (d_center, d_offset) (B, d) adjoints per
-        branch; each table's rows are scattered once."""
+        """Accumulate gradients given box_adjoints[i], one (d_center,
+        d_offset) pair of (B, d) adjoints per branch of batch i. The levels
+        are replayed deepest first; each table's rows are scattered once,
+        entity rows in the order of the anchors."""
+        params = self.params
+        self.boxes = None
+        cfg = params.config
+        d = cfg.dim
+        point = cfg.geometry == "point"
+        shared = cfg.offset_mode == "shared" and not point
+        shared_sign = np.sign(params.tensors["shared_offset"]) if shared else None
+
+        pairs = (pair for batch in box_adjoints for pair in batch)
+        adjoints = {target: [dc, do] for (_, target), (dc, do) in zip(self.targets, pairs)
+                    if dc.any() or do.any()}
         table_rows = {"entity": [], "relation_center": [], "relation_offset": []}
-        for (_, _, steps), (dc, do) in zip(self.records, box_adjoints):
-            if dc.any() or do.any():
-                _branch_backward(steps, self.params, dc, do, grads, table_rows)
+
+        def send(node, in_dc, in_do):
+            # the (B, n, d) adjoints of the boxes a node's input edges project
+            b, _, d = in_dc.shape
+            table_rows["relation_center"].append((node.relations.ravel(), in_dc.reshape(-1, d)))
+            if shared:
+                grads["shared_offset"] += shared_sign * in_do.sum(axis=(0, 1))
+            elif not point:
+                raw = params.tensors["relation_offset"][node.relations]
+                table_rows["relation_offset"].append(
+                    (node.relations.ravel(), (np.sign(raw) * in_do).reshape(-1, d))
+                )
+            for i, src in enumerate(node.sources):
+                parent = adjoints.setdefault((node.key[0], src),
+                                             [np.zeros((b, d)), np.zeros((b, d))])
+                parent[0] += in_dc[:, i]
+                if not (point or shared):
+                    parent[1] += in_do[:, i]
+
+        while self.levels:  # deepest first; a level's caches go once it is replayed
+            level = self.levels.pop()
+            live = {}
+            for node in reversed(level.nodes):
+                if node.key not in adjoints:
+                    continue
+                dc, do = adjoints.pop(node.key)
+                if point or shared:
+                    # a produced offset is abs(shared) in shared mode and constant
+                    # zero in point mode; either way nothing flows back through the inputs
+                    if shared:
+                        grads["shared_offset"] += shared_sign * do.sum(axis=0)
+                    do = np.zeros((node.b, d))
+                if node.entities is not None:
+                    table_rows["entity"].append((node.entities, dc))
+                elif node.order is None:
+                    send(node, dc[:, None], do[:, None])
+                else:
+                    live[node.key] = (dc, do)
+            if live:
+                for node, in_dc, in_do in _intersect_backward(level, live, params, grads):
+                    send(node, in_dc, in_do)
         for name, parts in table_rows.items():
             if parts:
                 ids, rows = zip(*parts)

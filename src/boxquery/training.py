@@ -55,9 +55,10 @@ def sample_negatives(
 
 
 class Workspace:
-    """Scratch buffers of the candidate pass, reused from chunk to chunk and
-    from call to call, so that a run allocates them once: one flat buffer
-    per use, grown to the largest chunk asked of it, lent out as a view."""
+    """Scratch buffers of the candidate pass and the box adjoints, reused
+    from chunk to chunk and from call to call, so that a run allocates them
+    once: one flat buffer per use, grown to the largest size asked of it,
+    lent out as a view."""
 
     def __init__(self):
         self._buffers: dict = {}
@@ -70,39 +71,34 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
-def batch_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, positives,
-                         negatives: np.ndarray, grads: dict[str, np.ndarray] | None = None,
-                         workspace: Workspace | None = None) -> float:
-    """Summed loss of B samples of one structure: query i with positive
-    positives[i] and the k negatives in row i of `negatives`. Gradients of
-    the loss are accumulated into `grads`; with None, only the loss is
-    computed. The candidate pass runs in `workspace`, a fresh one if None."""
+def _candidate_pass(candidates: np.ndarray, boxes, params: ModelParams, grads, workspace,
+                    adjoints) -> float:
+    """Summed loss of B samples of one structure, query i with the candidates
+    in row i of `candidates` (its positive, then its negatives), given its
+    boxes, one (center, offset) pair of (B, d) stacks per branch. With
+    `grads`, the candidates' entity gradients are added to it and the box
+    adjoints written to `adjoints`, one (d_center, d_offset) pair of (B, d)
+    arrays per branch, every row of which is written."""
     cfg = params.config
     entity = params.entity
-    forward = QueryForward(queries, params)
-    candidates = np.concatenate((np.asarray(positives)[:, None], negatives), axis=1).astype(int)
     b, width = candidates.shape
-    if candidates.min() < 0 or candidates.max() >= len(entity):
-        raise IndexError(f"candidate entity ids must lie in [0, {len(entity)})")
-    workspace = Workspace() if workspace is None else workspace
-    adjoints = [] if grads is None else [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim)))
-                                         for _ in forward.boxes]
     losses = []
     # the candidates of a few queries at a time, so their blocks stay small
     chunk = max(1, _CANDIDATE_BLOCK // (width * cfg.dim))
     for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
         ids = candidates[rows]
         shape = (*ids.shape, cfg.dim)
-        vecs = np.take(entity, ids, axis=0, mode="wrap",  # in range: checked above
+        vecs = np.take(entity, ids, axis=0, mode="wrap",  # in range: checked by the caller
                        out=workspace.buffer("vecs", shape, entity.dtype))
-        boxes = [(center[rows], offset[rows]) for center, offset in forward.boxes]
+        chunk_boxes = [(center[rows], offset[rows]) for center, offset in boxes]
         if grads is None:
-            passes = [(dist_box_rows(vecs, center, offset, cfg.alpha),) for center, offset in boxes]
+            passes = [(dist_box_rows(vecs, center, offset, cfg.alpha),)
+                      for center, offset in chunk_boxes]
         else:  # one fused distance and gradient pass per branch
             passes = [dist_box_grad(vecs, center, offset, cfg.alpha,
                                     out=(workspace.buffer(("dv", i), shape),
                                          workspace.buffer(("do", i), shape)))
-                      for i, (center, offset) in enumerate(boxes)]
+                      for i, (center, offset) in enumerate(chunk_boxes)]
         per_box = np.stack([dist for dist, *_ in passes])
         branches = np.argmin(per_box, axis=0)
         dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
@@ -124,9 +120,38 @@ def batch_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, posi
             d_center[rows] = -dv.sum(axis=1)  # the center gradient is -dv
             do *= weight
             d_offset[rows] = do.sum(axis=1)
+    return float(sum(np.concatenate(losses).tolist()))
+
+
+def batch_loss_and_grads(samples, params: ModelParams, grads: dict[str, np.ndarray] | None = None,
+                         workspace: Workspace | None = None) -> float:
+    """Summed loss of the batches in `samples`, one (queries, positives,
+    negatives) triple per structure: B queries of one structure, query i
+    with positive positives[i] and the k negatives in row i of `negatives`.
+    Gradients of the loss are accumulated into `grads`; with None, only the
+    loss is computed. One forward pass embeds every batch and one backward
+    pass differentiates them; the candidates are scored per batch. The
+    candidate pass and the (B, d) box adjoints use `workspace`, a fresh one
+    if None. The loss is the sum of the batches' losses, in their order."""
+    cfg = params.config
+    n_entities = len(params.entity)
+    candidates = [np.concatenate((np.asarray(positives)[:, None], negatives), axis=1).astype(int)
+                  for _, positives, negatives in samples]
+    if any(ids.min() < 0 or ids.max() >= n_entities for ids in candidates):
+        raise IndexError(f"candidate entity ids must lie in [0, {n_entities})")
+    workspace = Workspace() if workspace is None else workspace
+    forward = QueryForward([queries for queries, _, _ in samples], params)
+    totals, adjoints = [], []
+    for i, ids in enumerate(candidates):
+        adjoints.append([] if grads is None else [
+            tuple(workspace.buffer((name, i, branch), (len(ids), cfg.dim))
+                  for name in ("d_center", "d_offset"))
+            for branch in range(len(forward.boxes[i]))])
+        totals.append(_candidate_pass(ids, forward.boxes[i], params, grads, workspace,
+                                      adjoints[-1]))
     if grads is not None:
         forward.backward(adjoints, grads)
-    return float(sum(np.concatenate(losses).tolist()))
+    return sum(totals)
 
 
 @dataclass
@@ -209,11 +234,8 @@ def train(
                     positives.append(int(q.answers.train[rng.integers(len(q.answers.train))]))
                     negatives.append(sample_negatives(q, config.negatives, splits, rng))
                 samples.append((batch_qs, positives, np.stack(negatives)))
-            # one forward and backward pass per structure over its whole batch
-            batch_loss = sum(
-                batch_loss_and_grads(qs, params, positives, negatives, grads, workspace)
-                for qs, positives, negatives in samples
-            )
+            # one forward and one backward pass over the batches of every structure
+            batch_loss = batch_loss_and_grads(samples, params, grads, workspace)
             n_queries += batch * len(samples)
             if not np.isfinite(batch_loss):
                 message = f"non-finite loss at epoch {epoch} step {state.step + 1}"

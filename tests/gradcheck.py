@@ -33,7 +33,8 @@ MODE_GRID = (
 def query_loss_and_grads(query, params, positive, negatives, grads) -> float:
     """Loss of one (query, positive, negatives) sample, the batch of one of
     `batch_loss_and_grads`; gradients of the loss are accumulated into `grads`."""
-    return batch_loss_and_grads([query], params, [positive], np.asarray(negatives)[None], grads)
+    return batch_loss_and_grads([([query], [positive], np.asarray(negatives)[None])], params,
+                                grads)
 
 
 def make_instance(rng, mode, dim=4, structure_name=None):
@@ -72,7 +73,7 @@ def make_instance(rng, mode, dim=4, structure_name=None):
 
 
 def loss_only(params, query, positive, negatives) -> float:
-    return batch_loss_and_grads([query], params, [positive], np.asarray(negatives)[None])
+    return batch_loss_and_grads([([query], [positive], np.asarray(negatives)[None])], params)
 
 
 def check_instance(params, query, positive, negatives):

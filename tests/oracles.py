@@ -5,10 +5,15 @@ answers are found by enumerating variable assignments and checking
 satisfaction per entity, so agreement with the traversal is a real two-route
 check. The loss oracle embeds one query at a time, walking its graph node by
 node (`PerQueryForward`), and scores and differentiates one candidate at a
-time, against which the library's batched per-structure form is compared.
+time, against which the library's batched form is compared. The
+per-structure loss oracle (`batch_loss_and_grads_per_structure`) is the
+batched form as it was before every structure of a step shared one
+forward and one backward pass: each structure's branches walked on their
+own, each intersection node running the networks over its own rows.
 The allocating loss oracle is the batched form with fresh arrays for every
-chunk and one scatter of entity rows per batch, against which the
-library's reused workspace and per-chunk scatter are compared bit for bit.
+chunk and box adjoint and one scatter of the candidates' entity rows per
+step, against which the library's reused workspace and per-chunk scatter
+are compared bit for bit.
 The Adam oracles update each tensor in whole-tensor expressions, where the
 library streams it in blocks of scratch buffers; the dense one updates every
 tensor, where the library skips exact no-ops. The zero-filled buffer
@@ -67,13 +72,11 @@ from boxquery.model import (
     AdamState,
     ModelParams,
     QueryForward,
-    _branch_backward,
     _mlp_backward,
     _mlp_forward,
+    _scatter_rows,
     sigmoid,
 )
-from boxquery.model import _attention_trace as _stacked_attention_trace
-from boxquery.model import _deepsets_trace as _stacked_deepsets_trace
 from boxquery.queries import (
     ANCHOR,
     PROJECTION,
@@ -82,6 +85,7 @@ from boxquery.queries import (
     ComputationGraph,
     QueryStructure,
     bind,
+    template,
     to_dnf,
 )
 from boxquery.sampling import AnswerSet, GroundedQuery
@@ -179,43 +183,45 @@ def query_loss_and_grads_per_candidate(q, params, positive, negatives, grads) ->
     return total
 
 
-def batch_loss_and_grads_allocating(queries, params, positives, negatives, grads) -> float:
+def batch_loss_and_grads_allocating(samples, params, grads) -> float:
     """Reference for `training.batch_loss_and_grads` with the same arithmetic
-    and another memory plan: fresh arrays for every chunk, the masked-select
-    form of the fused pass, and every entity row of the batch, candidates
-    and anchors, gathered and scattered once at the end."""
+    and another memory plan: fresh arrays for every chunk and every box
+    adjoint, the masked-select form of the fused pass, and the candidates'
+    entity rows of every structure gathered and scattered once, before the
+    backward pass adds the anchors'."""
     cfg = params.config
-    forward = QueryForward(queries, params)
-    candidates = np.concatenate((np.asarray(positives)[:, None], negatives), axis=1).astype(int)
-    b, width = candidates.shape
-    adjoints = [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim))) for _ in forward.boxes]
-    losses, entity_rows = [], []
-    chunk = max(1, training._CANDIDATE_BLOCK // (width * cfg.dim))
-    for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
-        vecs = params.entity[candidates[rows]]
-        passes = [dist_box_grad_select(vecs, center[rows], offset[rows], cfg.alpha)
-                  for center, offset in forward.boxes]
-        per_box = np.stack([dist for dist, _, _ in passes])
-        branches = np.argmin(per_box, axis=0)
-        dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
-        losses.append(training._losses(dists, cfg.gamma))
-        dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
-                                      -sigmoid(cfg.gamma - dists[:, 1:]) / (width - 1)), axis=1)
-        for branch, ((_, dv, do), (d_center, d_offset)) in enumerate(zip(passes, adjoints)):
-            weight = np.where(branches == branch, dloss_ddist, 0.0)[:, :, None]
-            dv *= weight
-            entity_rows.append((candidates[rows].ravel(), dv.reshape(-1, cfg.dim)))
-            d_center[rows] = -dv.sum(axis=1)
-            d_offset[rows] = (weight * do).sum(axis=1)
-    table_rows = {"entity": entity_rows, "relation_center": [], "relation_offset": []}
-    for (_, _, steps), (dc, do) in zip(forward.records, adjoints):
-        if dc.any() or do.any():
-            _branch_backward(steps, params, dc, do, grads, table_rows)
-    for name, parts in table_rows.items():
-        if parts:
-            ids, rows = zip(*parts)
-            scatter_rows_masked(grads[name], np.concatenate(ids), np.concatenate(rows))
-    return float(sum(np.concatenate(losses).tolist()))
+    forward = QueryForward([queries for queries, _, _ in samples], params)
+    totals, adjoints, entity_rows = [], [], []
+    for (_, positives, negatives), boxes in zip(samples, forward.boxes):
+        candidates = np.concatenate((np.asarray(positives)[:, None], negatives),
+                                    axis=1).astype(int)
+        b, width = candidates.shape
+        adjoints.append([(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim))) for _ in boxes])
+        losses = []
+        chunk = max(1, training._CANDIDATE_BLOCK // (width * cfg.dim))
+        for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
+            vecs = params.entity[candidates[rows]]
+            passes = [dist_box_grad_select(vecs, center[rows], offset[rows], cfg.alpha)
+                      for center, offset in boxes]
+            per_box = np.stack([dist for dist, _, _ in passes])
+            branches = np.argmin(per_box, axis=0)
+            dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
+            losses.append(training._losses(dists, cfg.gamma))
+            dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
+                                          -sigmoid(cfg.gamma - dists[:, 1:]) / (width - 1)),
+                                         axis=1)
+            for branch, ((_, dv, do), (d_center, d_offset)) in enumerate(zip(passes,
+                                                                            adjoints[-1])):
+                weight = np.where(branches == branch, dloss_ddist, 0.0)[:, :, None]
+                dv *= weight
+                entity_rows.append((candidates[rows].ravel(), dv.reshape(-1, cfg.dim)))
+                d_center[rows] = -dv.sum(axis=1)
+                d_offset[rows] = (weight * do).sum(axis=1)
+        totals.append(float(sum(np.concatenate(losses).tolist())))
+    ids, rows = zip(*entity_rows)
+    scatter_rows_masked(grads["entity"], np.concatenate(ids), np.concatenate(rows))
+    forward.backward(adjoints, grads)
+    return sum(totals)
 
 
 def dist_box_grad_select(v, center, offset, alpha):
@@ -247,6 +253,301 @@ def scatter_rows_masked(target, ids, rows) -> None:
     rank[order] = at - np.maximum.accumulate(np.where(first, at, 0))
     for k in range(rank.max() + 1):
         target[ids[rank == k]] += rows[rank == k]
+
+
+# The per-structure step: one forward pass per structure, each branch walked
+# on its own in topological order, and each intersection node running the
+# networks over its own (B·n, 2d) rows; its backward replays each branch.
+
+
+def _stacked_deepsets_trace(params: ModelParams, net: str, xs):
+    """Set encoding of B sets of n rows, xs of shape (B, n, 2d): the outer
+    MLP of the mean of the inner MLPs, one output row per set."""
+    inner, inner_cache = _mlp_forward(params, f"{net}.inner", xs.reshape(-1, xs.shape[2]))
+    pooled = inner.reshape(*xs.shape[:2], -1).mean(axis=1)
+    out, outer_cache = _mlp_forward(params, f"{net}.outer", pooled)
+    return out, (inner_cache, outer_cache)
+
+
+def _stacked_deepsets_backward(dout, cache, params: ModelParams, net: str, grads):
+    inner_cache, outer_cache = cache
+    dpooled = _mlp_backward(dout, outer_cache, params, f"{net}.outer", grads)
+    b, n = len(dpooled), len(inner_cache[0]) // len(dpooled)
+    dinner = np.repeat(dpooled / n, n, axis=0)
+    return _mlp_backward(dinner, inner_cache, params, f"{net}.inner", grads).reshape(b, n, -1)
+
+
+def _stacked_attention_trace(params: ModelParams, xs):
+    # weights of shape (B, n, d) for B sets of n input rows
+    logits, cache = _mlp_forward(params, "attn", xs.reshape(-1, xs.shape[2]))
+    logits = logits.reshape(*xs.shape[:2], -1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    weights = expd / expd.sum(axis=1, keepdims=True)
+    return weights, cache
+
+
+def _stacked_attention_backward(dweights, weights, cache, params: ModelParams, grads):
+    # dimension-wise softmax backward
+    dlogits = weights * (dweights - np.sum(weights * dweights, axis=1, keepdims=True))
+    b, n, d = dlogits.shape
+    return _mlp_backward(dlogits.reshape(b * n, d), cache, params, "attn", grads).reshape(b, n, -1)
+
+
+class _Step:
+    """One node of a batched branch, as its backward pass reads it: the (B,)
+    entity ids of an anchor, or the source node and (B, n) relation ids of
+    its input edges, the canonical input order (B, n) and the network traces."""
+
+    entities = sources = relations = order = attn = center_ds = offset_ds = None
+
+    def __init__(self, node):
+        self.node = node
+
+
+def _branch_forward(shape: ComputationGraph, anchors: np.ndarray, relations: np.ndarray,
+                    params: ModelParams):
+    """Embed B queries along `shape`, a union-free branch of their template,
+    as (B, d) center and offset blocks; `anchors` (B, n_anchor_slots) and
+    `relations` (B, n_relation_slots) hold their ids by slot. Also returns
+    the steps the backward pass replays."""
+    cfg = params.config
+    d = cfg.dim
+    dtype = np.dtype(cfg.dtype)
+    point = cfg.geometry == "point"
+    shared = cfg.offset_mode == "shared" and not point
+    b = len(anchors)
+    zeros = np.zeros((b, d), dtype=dtype)
+    fixed = None  # the offset every node produces in point and shared mode
+    if point or shared:
+        fixed = zeros if point else np.broadcast_to(params.effective_shared_offset(), (b, d))
+    rows = np.arange(b)[:, None]
+
+    boxes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    steps = []
+    for nid in shape.topological_order():
+        in_es = shape.in_edges(nid)
+        step = _Step(nid)
+        steps.append(step)
+        if not in_es:
+            step.entities = anchors[:, shape.node(nid).slot]
+            boxes[nid] = (params.entity[step.entities], zeros if fixed is None else fixed)
+            continue
+        step.sources = [e.src for e in in_es]
+        step.relations = relations[:, [e.slot for e in in_es]]
+        projected = [
+            (boxes[src][0] + params.relation_center[r], fixed if fixed is not None
+             else boxes[src][1] + np.abs(params.tensors["relation_offset"][r]))
+            for src, r in zip(step.sources, step.relations.T)
+        ]
+        n_in = len(in_es)
+        if n_in == 1:
+            boxes[nid] = projected[0]
+            continue
+        centers = np.stack([center for center, _ in projected], axis=1)
+        offsets = np.stack([offset for _, offset in projected], axis=1)
+        # canonical input order makes every reduction bit-identical under
+        # permutation of the branches
+        step.order = np.array([
+            sorted(range(n_in), key=lambda i: (centers[q, i].tobytes(), offsets[q, i].tobytes(),
+                                               step.relations[q, i]))
+            for q in range(b)
+        ])
+        centers = centers[rows, step.order]
+        offsets = offsets[rows, step.order]
+        xs = np.concatenate([centers, offsets], axis=2)
+        if cfg.intersection_mode == "attention":
+            weights, cache = _stacked_attention_trace(params, xs)
+            step.attn = (weights, cache)
+            center = np.sum(weights * centers, axis=1)
+        elif cfg.intersection_mode == "average":
+            center = centers.mean(axis=1)
+        else:
+            center, step.center_ds = _stacked_deepsets_trace(params, "center_net", xs)
+        if fixed is None:
+            mins = offsets.min(axis=1)
+            argmin = offsets.argmin(axis=1)
+            raw, cache = _stacked_deepsets_trace(params, "offset_net", xs)
+            shrink = sigmoid(raw)
+            offset = mins * shrink
+            step.offset_ds = (cache, shrink, mins, argmin)
+        else:
+            offset = fixed
+        boxes[nid] = (center, offset)
+    center, offset = boxes[shape.target.id]
+    return center, offset, steps
+
+
+def _branch_backward(steps, params: ModelParams, d_center, d_offset, grads, table_rows):
+    """Accumulate parameter gradients given (B, d) adjoints of the final
+    boxes. Entity and relation rows go to `table_rows` as (ids, rows)."""
+    cfg = params.config
+    point = cfg.geometry == "point"
+    shared = cfg.offset_mode == "shared" and not point
+    shared_sign = np.sign(params.tensors["shared_offset"]) if shared else None
+    b, d = d_center.shape
+    rows = np.arange(b)[:, None]
+
+    adjoints = {steps[-1].node: [d_center, d_offset]}  # the target comes last
+    for step in reversed(steps):
+        if step.node not in adjoints:
+            continue
+        dc, do = adjoints.pop(step.node)
+        if point or shared:
+            # a produced offset is abs(shared) in shared mode and constant
+            # zero in point mode; either way nothing flows back through the inputs
+            if shared:
+                grads["shared_offset"] += shared_sign * do.sum(axis=0)
+            do = np.zeros((b, d))
+        if step.sources is None:
+            table_rows["entity"].append((step.entities, dc))
+            continue
+
+        # one row of center and offset adjoints per input, per query
+        n_in = len(step.sources)
+        if n_in == 1:
+            in_dc, in_do = dc[:, None], do[:, None]
+        else:
+            in_dc = np.zeros((b, n_in, d))
+            in_do = np.zeros((b, n_in, d))
+            if cfg.intersection_mode == "attention":
+                weights, cache = step.attn
+                # the MLP input rows are [center, offset]
+                centers = cache[0].reshape(b, n_in, 2 * d)[:, :, :d]
+                in_dc += weights * dc[:, None]
+                dxs = _stacked_attention_backward(dc[:, None] * centers, weights, cache, params,
+                                                  grads)
+                in_dc += dxs[:, :, :d]
+                in_do += dxs[:, :, d:]
+            elif cfg.intersection_mode == "average":
+                in_dc += dc[:, None] / n_in
+            else:
+                dxs = _stacked_deepsets_backward(dc, step.center_ds, params, "center_net", grads)
+                in_dc += dxs[:, :, :d]
+                in_do += dxs[:, :, d:]
+            if step.offset_ds is not None:
+                cache, shrink, mins, argmin = step.offset_ds
+                in_do[rows, argmin, np.arange(d)] += do * shrink
+                draw = (do * mins) * shrink * (1.0 - shrink)
+                dxs = _stacked_deepsets_backward(draw, cache, params, "offset_net", grads)
+                in_dc += dxs[:, :, :d]
+                in_do += dxs[:, :, d:]
+            # back from canonical order to the order of the input edges
+            in_dc[rows, step.order] = in_dc.copy()
+            in_do[rows, step.order] = in_do.copy()
+
+        table_rows["relation_center"].append((step.relations.ravel(), in_dc.reshape(-1, d)))
+        if shared:
+            grads["shared_offset"] += shared_sign * in_do.sum(axis=(0, 1))
+        elif not point:
+            raw = params.tensors["relation_offset"][step.relations]
+            table_rows["relation_offset"].append(
+                (step.relations.ravel(), (np.sign(raw) * in_do).reshape(-1, d))
+            )
+        for i, src in enumerate(step.sources):
+            parent = adjoints.setdefault(src, [np.zeros((b, d)), np.zeros((b, d))])
+            parent[0] += in_dc[:, i]
+            if not (point or shared):
+                parent[1] += in_do[:, i]
+
+
+class PerStructureForward:
+    """Forward pass of B queries of one structure over all DNF branches of
+    its template, kept for a later backward call. `boxes` holds one
+    (center, offset) pair of (B, d) stacks per branch. The topology comes
+    from the template; the queries give only (B, slots) arrays of slot ids."""
+
+    def __init__(self, queries: list[GroundedQuery], params: ModelParams):
+        names = {q.structure_name for q in queries}
+        if len(names) != 1:
+            raise ValueError("a batch holds queries of one structure")
+        self.params = params
+        anchors = np.array([q.anchors for q in queries], dtype=int)
+        relations = np.array([q.relations for q in queries], dtype=int)
+        branches, _ = to_dnf(template(names.pop()).graph)
+        self.records = [_branch_forward(branch, anchors, relations, params)
+                        for branch in branches]
+        self.boxes = [(center, offset) for center, offset, _ in self.records]
+
+    def backward(self, box_adjoints, grads: dict[str, np.ndarray]) -> None:
+        """Accumulate gradients given (d_center, d_offset) (B, d) adjoints per
+        branch; each table's rows are scattered once."""
+        table_rows = {"entity": [], "relation_center": [], "relation_offset": []}
+        for (_, _, steps), (dc, do) in zip(self.records, box_adjoints):
+            if dc.any() or do.any():
+                _branch_backward(steps, self.params, dc, do, grads, table_rows)
+        for name, parts in table_rows.items():
+            if parts:
+                ids, rows = zip(*parts)
+                _scatter_rows(grads[name], np.concatenate(ids), np.concatenate(rows))
+
+
+def structure_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, positives,
+                         negatives: np.ndarray, grads: dict[str, np.ndarray] | None = None,
+                         workspace: training.Workspace | None = None) -> float:
+    """Summed loss of B samples of one structure: query i with positive
+    positives[i] and the k negatives in row i of `negatives`. Gradients of
+    the loss are accumulated into `grads`; with None, only the loss is
+    computed. The candidate pass runs in `workspace`, a fresh one if None."""
+    cfg = params.config
+    entity = params.entity
+    forward = PerStructureForward(queries, params)
+    candidates = np.concatenate((np.asarray(positives)[:, None], negatives), axis=1).astype(int)
+    b, width = candidates.shape
+    if candidates.min() < 0 or candidates.max() >= len(entity):
+        raise IndexError(f"candidate entity ids must lie in [0, {len(entity)})")
+    workspace = training.Workspace() if workspace is None else workspace
+    adjoints = [] if grads is None else [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim)))
+                                         for _ in forward.boxes]
+    losses = []
+    # the candidates of a few queries at a time, so their blocks stay small
+    chunk = max(1, training._CANDIDATE_BLOCK // (width * cfg.dim))
+    for rows in (slice(q, q + chunk) for q in range(0, b, chunk)):
+        ids = candidates[rows]
+        shape = (*ids.shape, cfg.dim)
+        vecs = np.take(entity, ids, axis=0, mode="wrap",  # in range: checked above
+                       out=workspace.buffer("vecs", shape, entity.dtype))
+        boxes = [(center[rows], offset[rows]) for center, offset in forward.boxes]
+        if grads is None:
+            passes = [(geometry.dist_box_rows(vecs, center, offset, cfg.alpha),)
+                      for center, offset in boxes]
+        else:  # one fused distance and gradient pass per branch
+            passes = [geometry.dist_box_grad(vecs, center, offset, cfg.alpha,
+                                    out=(workspace.buffer(("dv", i), shape),
+                                         workspace.buffer(("do", i), shape)))
+                      for i, (center, offset) in enumerate(boxes)]
+        per_box = np.stack([dist for dist, *_ in passes])
+        branches = np.argmin(per_box, axis=0)
+        dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
+        losses.append(training._losses(dists, cfg.gamma))
+        if grads is None:
+            continue
+        # d loss / d distance, then chain through the box distance of the
+        # branch that is closest to each candidate
+        dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
+                                      -sigmoid(cfg.gamma - dists[:, 1:]) / (width - 1)), axis=1)
+        # entity rows go in per chunk and branch, then `backward` adds the
+        # anchors': each id receives its rows in that order, whatever the chunk
+        scratch = (workspace.buffer("acc", (ids.size, cfg.dim), entity.dtype),
+                   workspace.buffer("add", (ids.size, cfg.dim)))
+        for branch, ((_, dv, do), (d_center, d_offset)) in enumerate(zip(passes, adjoints)):
+            weight = np.where(branches == branch, dloss_ddist, 0.0)[:, :, None]
+            dv *= weight  # zero in the rows of candidates another branch won
+            _scatter_rows(grads["entity"], ids.ravel(), dv.reshape(-1, cfg.dim), scratch)
+            d_center[rows] = -dv.sum(axis=1)  # the center gradient is -dv
+            do *= weight
+            d_offset[rows] = do.sum(axis=1)
+    if grads is not None:
+        forward.backward(adjoints, grads)
+    return float(sum(np.concatenate(losses).tolist()))
+
+
+def batch_loss_and_grads_per_structure(samples, params, grads=None, workspace=None) -> float:
+    """Reference for `training.batch_loss_and_grads`: one forward and one
+    backward pass per structure, each intersection network run once per
+    structure, and the losses of the structures summed in their order."""
+    return sum(structure_loss_and_grads(qs, params, positives, negatives, grads, workspace)
+               for qs, positives, negatives in samples)
 
 
 # The per-query forward and backward: one (n, 2d) block of input rows per
@@ -538,10 +839,13 @@ def adam_state_zeros_like(params: ModelParams) -> AdamState:
 
 def mlp_backward_per_row(dy, cache, params, prefix, grads) -> np.ndarray:
     """Reference for `model._mlp_backward`: the rows of the block are
-    differentiated one at a time, each weight gradient one `np.outer`."""
-    x, pre, hidden = cache
+    differentiated one at a time, each weight gradient one `np.outer`, and
+    a hidden unit passes gradient where its pre-activation, recomputed from
+    the input row, is positive."""
+    x, hidden = cache
     dxs = []
-    for x_i, pre_i, hidden_i, dy_i in zip(x, pre, hidden, dy):
+    for x_i, hidden_i, dy_i in zip(x, hidden, dy):
+        pre_i = x_i @ params.tensors[prefix + ".w1"] + params.tensors[prefix + ".b1"]
         grads[prefix + ".w2"] += np.outer(hidden_i, dy_i)
         grads[prefix + ".b2"] += dy_i
         dhidden = params.tensors[prefix + ".w2"] @ dy_i
@@ -767,7 +1071,7 @@ def _as_query(query: GroundedQuery | ComputationGraph) -> GroundedQuery:
 def embed_epfo(query: GroundedQuery | ComputationGraph, params: ModelParams) -> list[Box]:
     """Embed any grounded query as one box per DNF branch: a batch of one."""
     return [Box(center[0], offset[0])
-            for center, offset, _ in QueryForward([_as_query(query)], params).records]
+            for center, offset in QueryForward([[_as_query(query)]], params).boxes[0]]
 
 
 def embed_conjunctive(query: GroundedQuery | ComputationGraph, params: ModelParams) -> Box:

@@ -271,11 +271,13 @@ class TestSlotIdsOnly:
 
         monkeypatch.setattr(GroundedQuery, "graph", property(unavailable))
         rng = np.random.default_rng(0)
+        samples = []
         for name in STRUCTURE_NAMES:
             group = [q for q in queries if q.structure_name == name]
             positives = [q.answers.test[0] for q in group]
             negatives = rng.integers(splits.train.n_entities, size=(len(group), 4))
-            assert np.isfinite(batch_loss_and_grads(group, params, positives, negatives))
+            samples.append((group, positives, negatives))
+        assert np.isfinite(batch_loss_and_grads(samples, params, params.zero_grads()))
         assert aggregate(queries, params, splits, "test").overall["mrr"] > 0
         assert metrics_for_query(queries[0], params, splits, "test")["mrr"] > 0
 

@@ -299,9 +299,9 @@ class TestEmbedConjunctive:
         params.tensors["offset_net.outer.b2"][:] = -1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, offset, steps = QueryForward([GroundedQuery.from_graph("2i", g)],
-                                            params).records[0]
-        shrink = steps[-1].offset_ds[1]
+            forward = QueryForward([[GroundedQuery.from_graph("2i", g)]], params)
+        _, offset = forward.boxes[0][0]
+        shrink = forward.levels[-1].meets[0].shrink
         assert np.all(shrink == 0.0)
         assert np.all(offset == 0.0)
 
@@ -402,7 +402,7 @@ class TestQueryForward:
 
         monkeypatch.setattr(boxquery.model, "to_dnf", counting)
         params = small_params()
-        QueryForward([self.grounded("up", rng) for _ in range(b)], params)
+        QueryForward([[self.grounded("up", rng) for _ in range(b)]], params)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", STRUCTURE_NAMES)
@@ -418,14 +418,36 @@ class TestQueryForward:
         assert flipped == q
         params = small_params()
         for (base_center, base_offset), (center, offset) in zip(
-                QueryForward([q], params).boxes, QueryForward([flipped], params).boxes):
+                QueryForward([[q]], params).boxes[0], QueryForward([[flipped]], params).boxes[0]):
             assert base_center.tobytes() == center.tobytes()
             assert base_offset.tobytes() == offset.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_one_structure_matches_per_structure_reference(self, mode, dtype):
+        # a batch alone runs each intersection's networks over its own rows,
+        # as the per-structure reference does: the boxes are bit-equal
+        from oracles import PerStructureForward
+
+        rng = np.random.default_rng(5000 + MODE_GRID.index(mode))
+        intersection_mode, offset_mode, geometry = mode
+        params = small_params(dim=6, intersection_mode=intersection_mode,
+                              offset_mode=offset_mode, geometry=geometry, dtype=dtype)
+        for name in STRUCTURE_NAMES:
+            queries = [self.grounded(name, rng) for _ in range(4)]
+            queries.append(queries[0])
+            got = QueryForward([queries], params).boxes
+            want = PerStructureForward(queries, params).boxes
+            assert len(got) == 1 and len(got[0]) == len(want)
+            for (center, offset), (ref_center, ref_offset) in zip(got[0], want):
+                assert center.dtype == ref_center.dtype == np.dtype(dtype)
+                assert center.tobytes() == ref_center.tobytes(), name
+                assert offset.tobytes() == ref_offset.tobytes(), name
 
     def test_mixed_structures_rejected(self, rng):
         params = small_params()
         with pytest.raises(ValueError, match="one structure"):
-            QueryForward([self.grounded("2p", rng), self.grounded("2i", rng)], params)
+            QueryForward([[self.grounded("2p", rng), self.grounded("2i", rng)]], params)
 
 
 class TestBackward:

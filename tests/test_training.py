@@ -6,7 +6,7 @@ import pytest
 
 from boxquery.errors import SamplingError, TrainingError
 from boxquery.model import ModelConfig, ModelParams, save_checkpoint
-from boxquery.queries import structure_templates, template
+from boxquery.queries import STRUCTURE_NAMES, structure_templates, template
 from boxquery.sampling import AnswerSet, GroundedQuery, answer_exact, generate_queries, try_instantiate
 from boxquery.training import (
     Workspace,
@@ -76,11 +76,9 @@ class TestLossAndGradsMatchReference:
                     assert np.max(np.abs(got[name] - want[name])) <= 1e-12, (structure.name, name)
 
 
-def make_batch(rng, mode, structure_name, size, k=2, dim=8):
-    """One random graph and model, and `size` samples of one structure, the
-    last a repeat of the first; None when the graph cannot supply them."""
-    intersection_mode, offset_mode, geometry = mode
-    kg = random_graph(rng, n_entities=6, n_relations=2, n_edges=14, augment=True)
+def draw_samples(rng, kg, structure_name, size, k):
+    """`size` samples of one structure on `kg`, the last a repeat of the
+    first; None when the graph cannot supply them."""
     samples = []
     for _ in range(200):
         query = try_instantiate(template(structure_name), kg, rng)
@@ -98,11 +96,26 @@ def make_batch(rng, mode, structure_name, size, k=2, dim=8):
         return None
     if size > 1:
         samples.append(samples[0])
+    return samples
+
+
+def random_params(rng, mode, kg, k, dim, dtype="float64"):
+    intersection_mode, offset_mode, geometry = mode
     config = ModelConfig(
         dim=dim, alpha=0.2, gamma=1.0, negatives=k, intersection_mode=intersection_mode,
-        offset_mode=offset_mode, geometry=geometry, seed=int(rng.integers(1 << 31)),
+        offset_mode=offset_mode, geometry=geometry, seed=int(rng.integers(1 << 31)), dtype=dtype,
     )
-    return ModelParams(config, kg.n_entities, kg.n_relations), samples
+    return ModelParams(config, kg.n_entities, kg.n_relations)
+
+
+def make_batch(rng, mode, structure_name, size, k=2, dim=8):
+    """One random graph and model, and `size` samples of one structure, the
+    last a repeat of the first; None when the graph cannot supply them."""
+    kg = random_graph(rng, n_entities=6, n_relations=2, n_edges=14, augment=True)
+    samples = draw_samples(rng, kg, structure_name, size, k)
+    if samples is None:
+        return None
+    return random_params(rng, mode, kg, k, dim), samples
 
 
 class TestBatchMatchesPerQueryOracle:
@@ -132,7 +145,7 @@ class TestBatchMatchesPerQueryOracle:
                 queries, positives, negatives = zip(*samples)
                 got, want = params.zero_grads(), params.zero_grads()
                 batch = batch_loss_and_grads(
-                    list(queries), params, list(positives), np.stack(negatives), got
+                    [(list(queries), list(positives), np.stack(negatives))], params, got
                 )
                 total = sum(
                     query_loss_and_grads_per_candidate(q, params, pos, negs, want)
@@ -155,6 +168,57 @@ class TestBatchMatchesPerQueryOracle:
             assert split or not union, structure.name
         if size > 2:  # two distinct queries at least
             assert shared_negatives > 0
+
+
+class TestMergedStepMatchesPerStructureReference:
+    """One step over the batches of all nine structures (the five trainable
+    ones, and the union and mixed ones, whose intersections lie at depths 1
+    and 2), with one forward and one backward pass, against one pass per
+    structure
+    (`batch_loss_and_grads_per_structure`) and against the per-query
+    oracle summed over every sample: repeated queries, negatives shared
+    between queries, and chunks of two queries, so a batch of 3 spans two.
+    The loss agrees to 1e-12 in both dtypes, the float64 gradients to
+    1e-12, and the float32 gradients to 1e-5 of the largest entry, about a
+    hundred float32 roundings."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_mixed_steps(self, mode, dtype, monkeypatch):
+        import boxquery.training as training_module
+        from oracles import batch_loss_and_grads_per_structure
+
+        monkeypatch.setattr(training_module, "_CANDIDATE_BLOCK", 2 * 3 * 8)
+        rng = np.random.default_rng(4000 + MODE_GRID.index(mode))
+        shared_negatives = 0
+        for _ in range(3):
+            steps = None
+            while steps is None:
+                kg = random_graph(rng, n_entities=7, n_relations=2, n_edges=18, augment=True)
+                steps = [draw_samples(rng, kg, name, 3, 2) for name in STRUCTURE_NAMES]
+                steps = None if None in steps else steps
+            params = random_params(rng, mode, kg, 2, 8, dtype)
+            samples = [tuple(list(x) for x in zip(*batch)) for batch in steps]
+            samples = [(qs, positives, np.stack(negatives)) for qs, positives, negatives in samples]
+            got, want, per_query = (params.zero_grads() for _ in range(3))
+            total = batch_loss_and_grads(samples, params, got)
+            reference = batch_loss_and_grads_per_structure(samples, params, want)
+            oracle = sum(query_loss_and_grads_per_candidate(q, params, pos, negs, per_query)
+                         for batch in steps for q, pos, negs in batch)
+            for value in (reference, oracle):
+                assert abs(total - value) <= 1e-12 * abs(value)
+            for name in got:
+                assert got[name].dtype == np.dtype(dtype)
+                for other in (want[name], per_query[name]):
+                    # float32 buffers round every addition to float32, and the
+                    # merged step adds an entity's candidate and anchor rows,
+                    # and the rows of the networks, in another order
+                    scale = 1.0 if dtype == "float64" else 1e7 * max(1.0, np.max(np.abs(other)))
+                    assert np.max(np.abs(got[name] - other)) <= 1e-12 * scale, name
+            negative_sets = [set(negs.tolist()) for batch in steps for q, _, negs in batch[:-1]]
+            shared_negatives += any(a & b for i, a in enumerate(negative_sets)
+                                    for b in negative_sets[i + 1:])
+        assert shared_negatives
 
 
 class TestSampleNegatives:
@@ -301,10 +365,13 @@ class TestTrainLoop:
         loaded, _, _ = load_checkpoint(diag)
         assert loaded.config == config
 
-    def test_one_mlp_backward_per_network_and_structure(self, monkeypatch):
-        # a batch of one intersection structure runs each network once:
-        # attention, then the offset set network's outer and inner MLPs
+    def test_one_forward_and_backward_per_step(self, monkeypatch):
+        # every step builds one QueryForward over the batches of both
+        # structures, and each network runs once forward and once backward
+        # over the rows of both structures' intersections: attention, then
+        # the offset set network's inner and outer MLPs
         import boxquery.model as model_module
+        from boxquery.model import QueryForward
 
         ring = [(f"e{i}", "r", f"e{(i + 1) % 8}") for i in range(8)]
         chords = [(f"e{i}", "s", f"e{(i + 3) % 8}") for i in range(8)]
@@ -314,16 +381,30 @@ class TestTrainLoop:
             queries = generate_queries(splits, {"2i": 6, "3i": 6}, seed=2)["train"]
         assert {q.structure_name for q in queries} == {"2i", "3i"}
         config = ModelConfig(dim=8, gamma=2.0, negatives=3, batch_per_structure=5, seed=5)
-        calls = []
-        original = model_module._mlp_backward
+        forwards, calls = [], []
+        init = QueryForward.__init__
 
-        def counted(dy, cache, params, prefix, grads):
-            calls.append(prefix)
-            return original(dy, cache, params, prefix, grads)
+        def counted_init(self, batches, params):
+            forwards.append([len(batch) for batch in batches])
+            init(self, batches, params)
 
-        monkeypatch.setattr(model_module, "_mlp_backward", counted)
-        train(splits, queries, config, max_iterations=1)
-        assert sorted(calls) == sorted(["attn", "offset_net.outer", "offset_net.inner"] * 2)
+        def counted(name, original):
+            def call(*args):
+                calls.append((name, args[-2] if name == "backward" else args[1]))
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(QueryForward, "__init__", counted_init)
+        monkeypatch.setattr(model_module, "_mlp_forward",
+                            counted("forward", model_module._mlp_forward))
+        monkeypatch.setattr(model_module, "_mlp_backward",
+                            counted("backward", model_module._mlp_backward))
+        result = train(splits, queries, config, max_iterations=2)
+        assert result.state.step == 2
+        assert forwards == [[5, 5]] * 2
+        networks = ["attn", "offset_net.inner", "offset_net.outer"]
+        assert sorted(calls) == sorted([(direction, net) for direction in ("forward", "backward")
+                                        for net in networks] * 2)
 
     def test_best_checkpoint_tracking(self):
         ring = [(f"e{i}", "r", f"e{(i + 1) % 8}") for i in range(8)]
@@ -374,16 +455,13 @@ class TestBlockedAdamInTraining:
             batch_per_structure=6, seed=5, dtype=dtype, intersection_mode=intersection_mode,
             offset_mode=offset_mode, geometry=geometry,
         )
-        per_step = len({q.structure_name for q in queries})  # one batch per structure
-        steps = []  # the samples of each step
+        steps = []  # the samples of each step, one batch per structure
 
-        def recorded(qs, params, positives, negatives, grads, workspace):
-            if not steps or len(steps[-1]) == per_step:
-                steps.append([])
-            steps[-1].append((qs, positives, negatives))
+        def recorded(samples, params, grads, workspace):
+            steps.append(samples)
             if len(steps) == self.ZERO_STEP:
                 return 0.0
-            return batch_loss_and_grads(qs, params, positives, negatives, grads, workspace)
+            return batch_loss_and_grads(samples, params, grads, workspace)
 
         monkeypatch.setattr(training_module, "batch_loss_and_grads", recorded)
         result = train(splits, queries, config, log=None)
@@ -394,8 +472,7 @@ class TestBlockedAdamInTraining:
         for t, samples in enumerate(steps, start=1):
             grads = params.zero_grads()
             if t != self.ZERO_STEP:
-                for qs, positives, negatives in samples:
-                    batch_loss_and_grads(qs, params, positives, negatives, grads)
+                batch_loss_and_grads(samples, params, grads)
             adam_step_reference(params, grads, state, config.learning_rate, t)
         got = result.final_params
         for name, tensor in params.tensors.items():
@@ -482,13 +559,12 @@ class TestWorkspaceMatchesAllocatingPass:
                 params = self.with_dtype(made[0], dtype)
                 queries, positives, negatives = (list(x) for x in zip(*made[1]))
                 negatives = np.stack(negatives)
+                samples = [(queries, positives, negatives)]
                 got, fresh, want = params.zero_grads(), params.zero_grads(), params.zero_grads()
-                total = batch_loss_and_grads(queries, params, positives, negatives, got,
-                                             self.poisoned(workspace))
-                assert total == batch_loss_and_grads(queries, params, positives, negatives, fresh)
-                assert total == batch_loss_and_grads_allocating(
-                    queries, params, positives, negatives, want)
-                assert total == batch_loss_and_grads(queries, params, positives, negatives)
+                total = batch_loss_and_grads(samples, params, got, self.poisoned(workspace))
+                assert total == batch_loss_and_grads(samples, params, fresh)
+                assert total == batch_loss_and_grads_allocating(samples, params, want)
+                assert total == batch_loss_and_grads(samples, params)
                 for name in got:
                     assert got[name].dtype == np.dtype(dtype)
                     assert got[name].tobytes() == fresh[name].tobytes(), (structure.name, name)
@@ -515,16 +591,13 @@ class TestWorkspaceMatchesAllocatingPass:
             batch_per_structure=6, seed=5, dtype=dtype, intersection_mode=intersection_mode,
             offset_mode=offset_mode, geometry=geometry,
         )
-        per_step = len({q.structure_name for q in queries})
         steps = []
         workspaces = set()
 
-        def recorded(qs, params, positives, negatives, grads, workspace):
-            if not steps or len(steps[-1]) == per_step:
-                steps.append([])
-            steps[-1].append((qs, positives, negatives))
+        def recorded(samples, params, grads, workspace):
+            steps.append(samples)
             workspaces.add(id(workspace))
-            return batch_loss_and_grads(qs, params, positives, negatives, grads, workspace)
+            return batch_loss_and_grads(samples, params, grads, workspace)
 
         monkeypatch.setattr(training_module, "batch_loss_and_grads", recorded)
         result = train(splits, queries, config, log=None)
@@ -535,8 +608,7 @@ class TestWorkspaceMatchesAllocatingPass:
         state = AdamState.init(params)
         for t, samples in enumerate(steps, start=1):
             grads = params.zero_grads()
-            for qs, positives, negatives in samples:
-                batch_loss_and_grads_allocating(qs, params, positives, negatives, grads)
+            batch_loss_and_grads_allocating(samples, params, grads)
             adam_step(params, grads, state, config.learning_rate, t)
         got = result.final_params
         for name, tensor in params.tensors.items():
@@ -560,7 +632,7 @@ class TestWorkspaceMatchesAllocatingPass:
                                              (positives, wrapped)):
             grads = params.zero_grads()
             with pytest.raises(IndexError, match="candidate entity ids"):
-                batch_loss_and_grads(queries, params, bad_positives, bad_negatives, grads)
+                batch_loss_and_grads([(queries, bad_positives, bad_negatives)], params, grads)
             assert not any(g.any() for g in grads.values())
 
     def test_peak_memory_under_two_chunks(self, rng):
@@ -582,12 +654,11 @@ class TestWorkspaceMatchesAllocatingPass:
         chunk = training_module._CANDIDATE_BLOCK * np.dtype(np.float64).itemsize
         workspace = Workspace()
         grads = params.zero_grads()
-        batch_loss_and_grads(queries, params, positives, negatives, grads, workspace)
+        samples = [(queries, positives, negatives)]
+        batch_loss_and_grads(samples, params, grads, workspace)
         peaks = []
-        for call in (lambda: batch_loss_and_grads(queries, params, positives, negatives,
-                                                  grads, workspace),
-                     lambda: batch_loss_and_grads_allocating(queries, params, positives,
-                                                             negatives, grads)):
+        for call in (lambda: batch_loss_and_grads(samples, params, grads, workspace),
+                     lambda: batch_loss_and_grads_allocating(samples, params, grads)):
             tracemalloc.start()
             try:
                 call()

@@ -230,7 +230,7 @@ def cmd_analyze(args) -> int:
         _require_files(args.checkpoint)
         params = _load_compatible_checkpoint(args.checkpoint, splits)
         cfg = params.config
-        if cfg.geometry == "point" or cfg.offset_mode == "shared":
+        if cfg.fixed_offsets:
             mode = "geometry=point" if cfg.geometry == "point" else "offset_mode=shared"
             raise _UsageError(f"{args.checkpoint}: analyze offsets needs per-relation box "
                               f"offsets; this checkpoint has {mode}, which never trains them")

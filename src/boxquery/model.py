@@ -83,6 +83,24 @@ class ModelConfig:
             raise ValueError(f"train_structures must be a non-empty subset of {TRAINABLE_NAMES}, "
                              f"got {self.train_structures}")
 
+    @property
+    def fixed_offsets(self) -> bool:
+        """Whether no box offset is computed: a point's is zero and, in shared
+        mode, every box takes the shared offset."""
+        return self.geometry == "point" or self.offset_mode == "shared"
+
+    def reads(self, name: str) -> bool:
+        """Whether the forward pass of this configuration ever reads tensor
+        `name`; one it never reads gets no gradient, and `ModelParams`
+        makes it zero."""
+        unread = {"attention": ("center_net.",), "average": ("attn.", "center_net."),
+                  "deepsets": ("attn.",)}[self.intersection_mode]
+        if self.fixed_offsets:
+            unread += ("offset_net.", "relation_offset")
+        if not (self.offset_mode == "shared" and self.geometry == "box"):
+            unread += ("shared_offset",)
+        return not name.startswith(unread)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["train_structures"] = list(self.train_structures)
@@ -126,22 +144,26 @@ def _tensor_specs(d: int, n_entities: int, n_relations: int) -> list:
     return specs
 
 
-def _unmapped_zeros(like: np.ndarray) -> np.ndarray:
-    """Zeros of `like`'s shape and dtype in a private anonymous mapping of
-    their own: a page becomes resident on its first write (reading an
-    unwritten one maps the shared zero page), and the mapping goes back to
-    the system when the array is freed. `np.zeros` promises neither: its
-    calloc may hand out freed heap memory, which it clears page by page.
-    Where there are no such mappings (Windows), and for an empty tensor,
-    it is `np.zeros`."""
-    if like.nbytes == 0 or not hasattr(mmap, "MAP_PRIVATE"):
-        return np.zeros(like.shape, like.dtype)
-    private = mmap.mmap(-1, like.nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return np.frombuffer(private, like.dtype).reshape(like.shape)
+def _unmapped_zeros(shape, dtype) -> np.ndarray:
+    """Zeros of `shape` and `dtype` in a private anonymous mapping of their
+    own: a page becomes resident on its first write (reading an unwritten
+    one maps the shared zero page), and the mapping goes back to the system
+    when the array is freed. `np.zeros` promises neither: its calloc may
+    hand out freed heap memory, which it clears page by page. Where there
+    are no such mappings (Windows), and for an empty tensor, it is
+    `np.zeros`."""
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    if nbytes == 0 or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape, dtype)
+    private = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(private, dtype).reshape(shape)
 
 
 class ModelParams:
-    """All trainable tensors, keyed by name in a flat dict."""
+    """All trainable tensors, keyed by name in a flat dict. A tensor the
+    configuration never reads (`ModelConfig.reads`) is zero, in a buffer of
+    its own that never becomes resident unless written."""
 
     def __init__(self, config: ModelConfig, n_entities: int, n_relations: int):
         self.config = config
@@ -149,11 +171,18 @@ class ModelParams:
         self.n_relations = n_relations
         dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(config.seed)
-        self.tensors: dict[str, np.ndarray] = {
-            name: np.zeros(shape, dtype) if bounds is None
-            else rng.uniform(*bounds, shape).astype(dtype, copy=False)
-            for name, shape, bounds in _tensor_specs(config.dim, n_entities, n_relations)
-        }
+        self.tensors: dict[str, np.ndarray] = {}
+        for name, shape, bounds in _tensor_specs(config.dim, n_entities, n_relations):
+            if not config.reads(name):
+                self.tensors[name] = _unmapped_zeros(shape, dtype)
+                if bounds is not None:
+                    # `uniform` takes one 64-bit draw per value, so skipping
+                    # them leaves every read tensor with the values it had
+                    rng.bit_generator.advance(int(np.prod(shape)))
+            elif bounds is None:
+                self.tensors[name] = np.zeros(shape, dtype)
+            else:
+                self.tensors[name] = rng.uniform(*bounds, shape).astype(dtype, copy=False)
 
     @property
     def entity(self) -> np.ndarray:
@@ -173,14 +202,17 @@ class ModelParams:
         """One zero gradient buffer per tensor, each in a fresh mapping
         (`_unmapped_zeros`), so the buffer of a tensor the mode never reads
         (e.g. `center_net.*` in attention mode) never becomes resident."""
-        return {name: _unmapped_zeros(t) for name, t in self.tensors.items()}
+        return {name: _unmapped_zeros(t.shape, t.dtype) for name, t in self.tensors.items()}
 
     def copy(self) -> "ModelParams":
+        """A copy whose unread tensors are fresh zeros, as a new model's are."""
         clone = object.__new__(ModelParams)
         clone.config = self.config
         clone.n_entities = self.n_entities
         clone.n_relations = self.n_relations
-        clone.tensors = {name: t.copy() for name, t in self.tensors.items()}
+        clone.tensors = {name: t.copy() if self.config.reads(name)
+                         else _unmapped_zeros(t.shape, t.dtype)
+                         for name, t in self.tensors.items()}
         return clone
 
 
@@ -271,7 +303,7 @@ def _level_inputs(level: _Level, boxes, uses, anchor_offsets, params: ModelParam
     anchors of branch k take the offset anchor_offsets[k]."""
     cfg = params.config
     d = cfg.dim
-    fixed = cfg.geometry == "point" or cfg.offset_mode == "shared"
+    fixed = cfg.fixed_offsets
     x = None
     if level.meets:
         x = np.empty((sum(m.b * len(m.sources) for m in level.meets), 2 * d), cfg.dtype)
@@ -321,8 +353,7 @@ def _intersect(level: _Level, x: np.ndarray, boxes, anchor_offsets, params: Mode
         logits, level.attn = _mlp_forward(params, "attn", x)
     elif cfg.intersection_mode == "deepsets":
         encoded, level.center_ds = _deepsets_forward(params, "center_net", x, meets)
-    fixed = cfg.geometry == "point" or cfg.offset_mode == "shared"
-    if not fixed:
+    if not cfg.fixed_offsets:
         raw, level.offset_ds = _deepsets_forward(params, "offset_net", x, meets)
     for node in meets:
         xs = x[node.rows].reshape(node.b, -1, 2 * d)
@@ -337,7 +368,7 @@ def _intersect(level: _Level, x: np.ndarray, boxes, anchor_offsets, params: Mode
             center = centers.mean(axis=1)
         else:
             center = encoded[node.sets]
-        if fixed:
+        if cfg.fixed_offsets:
             boxes[node.key] = (center, anchor_offsets[node.key[0]])
         else:
             node.shrink = sigmoid(raw[node.sets])
@@ -432,12 +463,13 @@ class QueryForward:
     def __init__(self, batches: list[list[GroundedQuery]], params: ModelParams):
         cfg = params.config
         d = cfg.dim
-        shared = cfg.offset_mode == "shared" and cfg.geometry != "point"
+        shared = cfg.reads("shared_offset")  # shared-offset box mode
         self.params = params
         self.levels: list[_Level] = []
         self.targets = []  # (batch, key of the target node) of each branch
         # per branch, the (B, d) offset of an anchor: zero, or the shared
-        # offset in shared mode; in point and shared mode every node's
+        # offset in shared mode; in point and shared mode every node's offset
+        # is its branch's anchor offset
         anchor_offsets = []
         depth = {}
         uses = {}  # the input edges each node feeds
@@ -493,8 +525,8 @@ class QueryForward:
         self.boxes = None
         cfg = params.config
         d = cfg.dim
-        point = cfg.geometry == "point"
-        shared = cfg.offset_mode == "shared" and not point
+        fixed = cfg.fixed_offsets
+        shared = cfg.reads("shared_offset")  # shared-offset box mode
         shared_sign = np.sign(params.tensors["shared_offset"]) if shared else None
 
         pairs = (pair for batch in box_adjoints for pair in batch)
@@ -508,7 +540,7 @@ class QueryForward:
             table_rows["relation_center"].append((node.relations.ravel(), in_dc.reshape(-1, d)))
             if shared:
                 grads["shared_offset"] += shared_sign * in_do.sum(axis=(0, 1))
-            elif not point:
+            elif not fixed:
                 raw = params.tensors["relation_offset"][node.relations]
                 table_rows["relation_offset"].append(
                     (node.relations.ravel(), (np.sign(raw) * in_do).reshape(-1, d))
@@ -517,7 +549,7 @@ class QueryForward:
                 parent = adjoints.setdefault((node.key[0], src),
                                              [np.zeros((b, d)), np.zeros((b, d))])
                 parent[0] += in_dc[:, i]
-                if not (point or shared):
+                if not fixed:
                     parent[1] += in_do[:, i]
 
         while self.levels:  # deepest first; a level's caches go once it is replayed
@@ -527,7 +559,7 @@ class QueryForward:
                 if node.key not in adjoints:
                     continue
                 dc, do = adjoints.pop(node.key)
-                if point or shared:
+                if fixed:
                     # a produced offset is abs(shared) in shared mode and constant
                     # zero in point mode; either way nothing flows back through the inputs
                     if shared:
@@ -565,8 +597,8 @@ class AdamState:
     @classmethod
     def init(cls, params: ModelParams) -> "AdamState":
         return cls(
-            {k: _unmapped_zeros(t) for k, t in params.tensors.items()},
-            {k: _unmapped_zeros(t) for k, t in params.tensors.items()},
+            {k: _unmapped_zeros(t.shape, t.dtype) for k, t in params.tensors.items()},
+            {k: _unmapped_zeros(t.shape, t.dtype) for k, t in params.tensors.items()},
         )
 
 
@@ -649,7 +681,7 @@ def save_checkpoint(
     with _atomic_open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for n in names:
-            f.write(np.ascontiguousarray(params.tensors[n]).tobytes())
+            f.write(np.ascontiguousarray(params.tensors[n]))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
@@ -693,16 +725,12 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
             if found.get(name) != expected.get(name):
                 raise CompatibilityError(f"{path}: tensor {name!r} has shape {found.get(name)}, "
                                          f"the model needs {expected.get(name)} (None: absent)")
-        dtype = np.dtype(config.dtype)
         for name in names:
-            shape = expected[name]
-            count = int(np.prod(shape))
-            buf = f.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
+            tensor = np.empty(expected[name], config.dtype)
+            if f.readinto(tensor) != tensor.nbytes:
                 raise CompatibilityError(
                     f"{path}: truncated checkpoint, tensor {name!r} is incomplete"
                 )
-            tensor = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
             if not np.all(np.isfinite(tensor)):
                 raise CompatibilityError(f"{path}: tensor {name!r} has non-finite values")
             params.tensors[name] = tensor

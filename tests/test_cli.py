@@ -473,8 +473,7 @@ class TestTrainEvalAnalyze:
     ])
     def test_analyze_offsets_of_untrained_offsets_exits_2(self, capsys, pipeline, tmp_path,
                                                           flag, value, mode):
-        # these modes never train relation_offset, so its sizes are the
-        # initial draws
+        # these modes never read relation_offset, so it stays zero
         root, snapshot, queries = pipeline
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--snapshot", str(snapshot), "--queries", str(queries),

@@ -76,17 +76,27 @@ class TestModelConfig:
 
 class TestModelParamsInit:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_tensors_are_uniform_draws_in_spec_order(self, dtype):
-        params = small_params(n_entities=7, n_relations=3, dim=5, dtype=dtype)
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_tensors_are_uniform_draws_in_spec_order(self, mode, dtype):
+        # every tensor is drawn in spec order from one stream, as if all
+        # were drawn; a tensor the mode never reads is zero instead
+        intersection_mode, offset_mode, geometry = mode
+        params = small_params(n_entities=7, n_relations=3, dim=5, dtype=dtype,
+                              intersection_mode=intersection_mode, offset_mode=offset_mode,
+                              geometry=geometry)
         rng = np.random.default_rng(params.config.seed)
         specs = _tensor_specs(5, 7, 3)
         assert list(params.tensors) == [name for name, _, _ in specs]
+        unread = 0
         for name, shape, bounds in specs:
             want = (np.zeros(shape, dtype) if bounds is None
                     else rng.uniform(*bounds, shape).astype(dtype))
+            if not params.config.reads(name):
+                want, unread = np.zeros(shape, dtype), unread + 1
             got = params.tensors[name]
             assert got.dtype == np.dtype(dtype) and got.shape == shape
             assert got.tobytes() == want.tobytes(), name
+        assert unread >= 5  # the center networks or attention, and an offset
 
 
 class TestDeepSets:
@@ -137,7 +147,8 @@ class TestMlpBlockMatchesReference:
 
         params = small_params(dim=dim)
         for name, t in params.tensors.items():
-            if name.endswith(("b1", "b2")):
+            # attention mode never reads center_net.*, so its weights are zero
+            if name.endswith(("b1", "b2")) or not params.config.reads(name):
                 t[:] = rng.uniform(-0.1, 0.1, t.shape)
         for prefix in ("attn", "offset_net.inner", "center_net.outer"):
             x = rng.uniform(-1, 1, (rows, 2 * dim))
@@ -666,20 +677,51 @@ print(json.dumps({"rounds": rounds,
 """
 
 
+_PARAMS_RESIDENT_SCRIPT = """
+import json, os
+from boxquery.model import ModelConfig, ModelParams
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+start = resident()
+params = ModelParams(ModelConfig(dim=400), 1000, 100)
+built = resident()
+clone = params.copy()
+print(json.dumps({"build": built - start, "copy": resident() - built,
+                  "read": sum(t.nbytes for name, t in params.tensors.items()
+                              if params.config.reads(name))}))
+"""
+
+
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
 class TestResidentBuffers:
+    @staticmethod
+    def run_script(script):
+        import boxquery
+
+        env = dict(os.environ, PYTHONPATH=str(Path(boxquery.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        return json.loads(out.stdout)
+
+    def test_unread_parameters_stay_unmapped(self):
+        # a d=400 attention model and its copy in a fresh process: the
+        # center networks' 17.9 MB, which the mode never reads, take no
+        # resident memory in either; drawn, they did in both
+        result = self.run_script(_PARAMS_RESIDENT_SCRIPT)
+        mb = 1 << 20
+        assert result["build"] < result["read"] + 8 * mb, result
+        assert result["copy"] < result["read"] + 8 * mb, result
+
     def test_untrained_buffers_stay_unmapped(self):
         # a d=400 attention model in a fresh process, trained for one step
         # twice: its gradient and moment buffers take no resident memory
         # until written, and the center networks' are never written (the
         # mode never reads them); zero-filled buffers make about 136 MB
         # resident up front, and calloc-ed ones do from the second run on
-        import boxquery
-
-        env = dict(os.environ, PYTHONPATH=str(Path(boxquery.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", _RESIDENT_SCRIPT], env=env, check=True,
-                             capture_output=True, text=True)
-        result = json.loads(out.stdout)
+        result = self.run_script(_RESIDENT_SCRIPT)
         mb = 1 << 20
         for grown in result["rounds"]:
             assert grown["allocate"] < 8 * mb, result

@@ -6,7 +6,7 @@ import pytest
 
 from boxquery.errors import SamplingError, TrainingError
 from boxquery.model import ModelConfig, ModelParams, save_checkpoint
-from boxquery.queries import STRUCTURE_NAMES, structure_templates, template
+from boxquery.queries import STRUCTURE_NAMES, TRAINABLE_NAMES, structure_templates, template
 from boxquery.sampling import AnswerSet, GroundedQuery, answer_exact, generate_queries, try_instantiate
 from boxquery.training import (
     Workspace,
@@ -97,6 +97,22 @@ def draw_samples(rng, kg, structure_name, size, k):
     if size > 1:
         samples.append(samples[0])
     return samples
+
+
+def draw_step(rng):
+    """A random graph and three samples of each of the nine structures on
+    it, each structure's last a repeat of its first."""
+    while True:
+        kg = random_graph(rng, n_entities=7, n_relations=2, n_edges=18, augment=True)
+        steps = [draw_samples(rng, kg, name, 3, 2) for name in STRUCTURE_NAMES]
+        if None not in steps:
+            return kg, steps
+
+
+def step_samples(steps):
+    """The (queries, positives, negatives) triple of each structure's samples."""
+    samples = [tuple(list(x) for x in zip(*batch)) for batch in steps]
+    return [(qs, positives, np.stack(negatives)) for qs, positives, negatives in samples]
 
 
 def random_params(rng, mode, kg, k, dim, dtype="float64"):
@@ -192,14 +208,9 @@ class TestMergedStepMatchesPerStructureReference:
         rng = np.random.default_rng(4000 + MODE_GRID.index(mode))
         shared_negatives = 0
         for _ in range(3):
-            steps = None
-            while steps is None:
-                kg = random_graph(rng, n_entities=7, n_relations=2, n_edges=18, augment=True)
-                steps = [draw_samples(rng, kg, name, 3, 2) for name in STRUCTURE_NAMES]
-                steps = None if None in steps else steps
+            kg, steps = draw_step(rng)
             params = random_params(rng, mode, kg, 2, 8, dtype)
-            samples = [tuple(list(x) for x in zip(*batch)) for batch in steps]
-            samples = [(qs, positives, np.stack(negatives)) for qs, positives, negatives in samples]
+            samples = step_samples(steps)
             got, want, per_query = (params.zero_grads() for _ in range(3))
             total = batch_loss_and_grads(samples, params, got)
             reference = batch_loss_and_grads_per_structure(samples, params, want)
@@ -219,6 +230,82 @@ class TestMergedStepMatchesPerStructureReference:
             shared_negatives += any(a & b for i, a in enumerate(negative_sets)
                                     for b in negative_sets[i + 1:])
         assert shared_negatives
+
+
+class TestUnreadTensors:
+    """A tensor the mode never reads (`ModelConfig.reads`) changes no loss,
+    gradient or distance: filled with NaN, or with the random draws that
+    older checkpoints hold, it gives the bytes that zeros give."""
+
+    @staticmethod
+    def sampled(rng, mode, dtype):
+        kg, steps = draw_step(rng)
+        return random_params(rng, mode, kg, 2, 8, dtype), step_samples(steps)
+
+    @staticmethod
+    def scores(params, samples):
+        from boxquery.evaluation import _chunk_distances
+
+        trainable = [s for s in samples if s[0][0].structure_name in TRAINABLE_NAMES]
+        assert len(trainable) == 5
+        grads = params.zero_grads()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss_value = batch_loss_and_grads(trainable, params, grads)
+            distances = [_chunk_distances(qs, params) for qs, _, _ in samples]
+        return np.float64(loss_value).tobytes(), grads, [d.tobytes() for d in distances]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_nan_in_unread_tensors_changes_nothing(self, mode, dtype):
+        rng = np.random.default_rng(6000 + MODE_GRID.index(mode))
+        params, samples = self.sampled(rng, mode, dtype)
+        poisoned = params.copy()
+        unread = [name for name in params.tensors if not params.config.reads(name)]
+        assert unread
+        for name in unread:
+            poisoned.tensors[name].fill(np.nan)
+        want_loss, want_grads, want_distances = self.scores(params, samples)
+        loss_value, grads, distances = self.scores(poisoned, samples)
+        assert loss_value == want_loss
+        assert distances == want_distances
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+        assert not any(grads[name].any() for name in unread)
+
+    @pytest.mark.parametrize("mode", MODE_GRID)
+    def test_checkpoint_with_drawn_unread_tensors_scores_alike(self, mode, tmp_path):
+        # older models drew every tensor, read or not, from the seeded
+        # stream in spec order; such a checkpoint loads those values as
+        # they are and scores as the model with zeros does
+        from boxquery.model import _tensor_specs, load_checkpoint
+
+        rng = np.random.default_rng(7000 + MODE_GRID.index(mode))
+        params, samples = self.sampled(rng, mode, "float64")
+        cfg = params.config
+        draws = np.random.default_rng(cfg.seed)
+        drawn = {name: np.zeros(shape) if bounds is None else draws.uniform(*bounds, shape)
+                 for name, shape, bounds in _tensor_specs(cfg.dim, params.n_entities,
+                                                          params.n_relations)}
+        older = params.copy()
+        for name, tensor in older.tensors.items():
+            if cfg.reads(name):
+                assert tensor.tobytes() == drawn[name].tobytes(), name
+            else:
+                tensor[...] = drawn[name]
+        assert any(not cfg.reads(name) and drawn[name].any() for name in drawn)
+        loaded = []
+        for i, model in enumerate((params, older)):
+            save_checkpoint(tmp_path / f"{i}.ckpt", model, "e", "r")
+            loaded.append(load_checkpoint(tmp_path / f"{i}.ckpt")[0])
+        for name, tensor in older.tensors.items():
+            assert loaded[1].tensors[name].tobytes() == tensor.tobytes(), name
+        want_loss, want_grads, want_distances = self.scores(loaded[0], samples)
+        loss_value, grads, distances = self.scores(loaded[1], samples)
+        assert loss_value == want_loss
+        assert distances == want_distances
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
 
 
 class TestSampleNegatives:

@@ -13,10 +13,8 @@ from .kg import (
     GraphSplits,
     KnowledgeGraph,
     Vocabulary,
-    augment_inverses,
     build_split_graphs,
     load_splits,
-    load_triples,
     prepare_nell,
     save_splits,
 )
@@ -33,17 +31,13 @@ from .queries import (
     structure_templates,
     template,
     to_dnf,
-    validate_dag,
 )
 from .sampling import (
     AnswerSet,
     GroundedQuery,
     answer_count_report,
-    answer_exact,
-    answer_set,
     generate_heldin_queries,
     generate_queries,
-    instantiate,
     read_query_file,
     write_query_file,
 )

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParseError, VocabularyError
 
 # Appended to a relation name to form its inverse. Input relation names must
-# not contain it, which makes double augmentation detectable.
+# not contain it, so an inverse edge is told from an input edge by its name.
 INVERSE_MARKER = "^-1"
 
 SNAPSHOT_MAGIC = "boxquery-splits v1"
@@ -30,8 +30,7 @@ class Vocabulary:
     """Dense integer ids for entity and relation names.
 
     Ids are assigned in first-appearance order, so identical input order
-    yields identical ids. A frozen vocabulary rejects unknown names instead
-    of extending itself.
+    yields identical ids.
     """
 
     def __init__(self) -> None:
@@ -39,7 +38,6 @@ class Vocabulary:
         self.relation_names: list[str] = []
         self._entity_ids: dict[str, int] = {}
         self._relation_ids: dict[str, int] = {}
-        self.frozen = False
 
     @property
     def n_entities(self) -> int:
@@ -52,8 +50,6 @@ class Vocabulary:
     def entity_id(self, name: str) -> int:
         eid = self._entity_ids.get(name)
         if eid is None:
-            if self.frozen:
-                raise VocabularyError(f"unknown entity {name!r} in frozen vocabulary")
             eid = len(self.entity_names)
             self.entity_names.append(name)
             self._entity_ids[name] = eid
@@ -62,8 +58,6 @@ class Vocabulary:
     def relation_id(self, name: str) -> int:
         rid = self._relation_ids.get(name)
         if rid is None:
-            if self.frozen:
-                raise VocabularyError(f"unknown relation {name!r} in frozen vocabulary")
             rid = len(self.relation_names)
             self.relation_names.append(name)
             self._relation_ids[name] = rid
@@ -71,9 +65,6 @@ class Vocabulary:
 
     def has_relation(self, name: str) -> bool:
         return name in self._relation_ids
-
-    def freeze(self) -> None:
-        self.frozen = True
 
     def entity_hash(self) -> str:
         return _sha256_lines(self.entity_names)
@@ -175,7 +166,6 @@ class KnowledgeGraph:
         return self.vocab.relation_id(inv) if self.vocab.has_relation(inv) else None
 
     def _check_ids(self, entity: int, relation: int | None) -> None:
-        # sizes read from the shared vocabulary, which augment_inverses grows in place
         if not 0 <= entity < len(self.vocab.entity_names):
             raise VocabularyError(f"entity id {entity} out of range")
         if relation is not None and not 0 <= relation < len(self.vocab.relation_names):
@@ -242,33 +232,6 @@ def _parse_triple_lines(path: str | Path, vocab: Vocabulary) -> set[tuple[int, i
                 )
             edges.add((vocab.entity_id(head), vocab.relation_id(rel), vocab.entity_id(tail)))
     return edges
-
-
-def load_triples(path: str | Path, vocab: Vocabulary | None = None) -> KnowledgeGraph:
-    """Load a tab-separated triple file into a graph, deduplicating edges.
-
-    With `vocab` given, names are resolved against it; a frozen vocabulary
-    turns unknown names into errors.
-    """
-    if vocab is None:
-        vocab = Vocabulary()
-    edges = _parse_triple_lines(path, vocab)
-    return KnowledgeGraph(vocab, edges)
-
-
-def augment_inverses(kg: KnowledgeGraph) -> KnowledgeGraph:
-    """A new graph with every edge of `kg` plus its mirror under the inverse relation.
-
-    The vocabulary gains the inverse names in place (splits share it);
-    re-augmenting a graph whose edges already use inverse relations is an error.
-    """
-    vocab = kg.vocab
-    for h, r, t in kg.edges:
-        if vocab.relation_names[r].endswith(INVERSE_MARKER):
-            raise VocabularyError(
-                f"graph already contains inverse relation {vocab.relation_names[r]!r}"
-            )
-    return KnowledgeGraph(vocab, _with_inverses(vocab, kg.edges))
 
 
 def _with_inverses(vocab: Vocabulary, edges: Iterable[tuple[int, int, int]]) -> frozenset:

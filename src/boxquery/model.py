@@ -685,7 +685,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
-    """Returns (params, entity_hash, relation_hash)."""
+    """Returns (params, entity_hash, relation_hash). A tensor the configuration
+    never reads is checked like the others, then held as unmapped zeros, as in
+    a new model, whatever values the file holds."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -733,7 +735,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
                 )
             if not np.all(np.isfinite(tensor)):
                 raise CompatibilityError(f"{path}: tensor {name!r} has non-finite values")
-            params.tensors[name] = tensor
+            params.tensors[name] = (tensor if config.reads(name)
+                                    else _unmapped_zeros(tensor.shape, tensor.dtype))
         if f.read(1):
             raise CompatibilityError(f"{path}: trailing bytes after the last tensor")
     return params, *hashes

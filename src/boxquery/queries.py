@@ -54,9 +54,6 @@ class ComputationGraph:
     def in_edges(self, node_id: int) -> tuple[Edge, ...]:
         return tuple(sorted((e for e in self.edges if e.dst == node_id), key=lambda e: e.src))
 
-    def out_degree(self, node_id: int) -> int:
-        return sum(1 for e in self.edges if e.src == node_id)
-
     @property
     def target(self) -> Node:
         targets = [n for n in self.nodes if n.kind == TARGET]
@@ -67,11 +64,6 @@ class ComputationGraph:
     @property
     def anchors(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.kind == ANCHOR)
-
-    def is_grounded(self) -> bool:
-        if any(n.kind == ANCHOR and n.entity is None for n in self.nodes):
-            return False
-        return not any(e.op == PROJECTION and e.relation is None for e in self.edges)
 
     def topological_order(self) -> list[int]:
         """Node ids sorted so that every edge goes forward. Raises on cycles."""
@@ -99,44 +91,6 @@ class QueryStructure:
     name: str
     graph: ComputationGraph
     trainable: bool
-
-
-def validate_dag(g: ComputationGraph) -> list[str]:
-    """Check all structural invariants; returns every violation found."""
-    violations: list[str] = []
-    ids = [n.id for n in g.nodes]
-    if len(set(ids)) != len(ids):
-        violations.append("duplicate node ids")
-        return violations
-    id_set = set(ids)
-    for e in g.edges:
-        if e.src not in id_set or e.dst not in id_set:
-            violations.append(f"edge {e.src}->{e.dst} references unknown node")
-            return violations
-
-    try:
-        g.topological_order()
-    except ValueError:
-        violations.append("not acyclic")
-
-    sinks = [n for n in g.nodes if g.out_degree(n.id) == 0]
-    if len(sinks) != 1 or sinks[0].kind != TARGET:
-        violations.append("unique sink of kind target required")
-    if sum(1 for n in g.nodes if n.kind == TARGET) != 1:
-        violations.append("exactly one target node required")
-
-    for n in g.nodes:
-        in_es = g.in_edges(n.id)
-        if not in_es and n.kind != ANCHOR:
-            violations.append(f"source node {n.id} is not an anchor")
-        if in_es and n.kind == ANCHOR:
-            violations.append(f"anchor node {n.id} has in-edges")
-        ops = {e.op for e in in_es}
-        if len(ops) > 1:
-            violations.append(f"node {n.id} mixes projection and union in-edges")
-        if ops == {UNION} and len(in_es) < 2:
-            violations.append(f"union node {n.id} has fewer than 2 parents")
-    return violations
 
 
 def _mk(nodes, edges) -> ComputationGraph:
@@ -305,8 +259,9 @@ def _in_edge_positions(g: ComputationGraph) -> dict[int, list[int]]:
 
 
 def _key_recipe(g: ComputationGraph):
-    """`canonical_key`'s nesting, fixed by the topology: a source node as its position in
-    `g.nodes`, another node as ((edge position, or None for union, source recipe), ...)."""
+    """The nesting of a query's order-independent key, fixed by the topology: a source
+    node as its position in `g.nodes`, another node as ((edge position, or None for
+    union, source recipe), ...)."""
     position = {n.id: i for i, n in enumerate(g.nodes)}
     into = _in_edge_positions(g)
 
@@ -325,13 +280,6 @@ def _key_text(recipe, ents: list, rels: list) -> str:
         return f"a{ents[recipe]}"
     return "&".join(sorted((f"p{rels[edge]}" if edge is not None else "u")
                            + f"({_key_text(src, ents, rels)})" for edge, src in recipe))
-
-
-def canonical_key(g: ComputationGraph) -> str:
-    """Order-independent text key; symmetric branches serialize identically."""
-    ents = [n.entity if n.entity is not None else f"s{n.slot}" for n in g.nodes]
-    rels = [e.relation if e.relation is not None else f"s{e.slot}" for e in g.edges]
-    return _key_text(_key_recipe(g), ents, rels)
 
 
 def graph_to_text(g: ComputationGraph) -> str:

@@ -159,7 +159,10 @@ class _Plan:
         return ents, rels
 
     def degeneracies(self, ents: list, rels: list, inverse) -> list[str]:
-        """`inverse(r)` is the id of r's inverse relation, or None."""
+        """The rejected binding patterns: a relation followed by its inverse
+        along one path (union edges are transparent), and two branches of one
+        intersection bound to the same (anchor, relation) pair. `inverse(r)`
+        is the id of r's inverse relation, or None."""
         found = [f"inverse backtrack: relation {rels[a]} then {rels[b]}"
                  for a, b in self.backtracks if inverse(rels[a]) == rels[b]]
         for branches in self.branches:
@@ -188,65 +191,6 @@ class _Plan:
     def slots(self, ents: list, rels: list) -> tuple[tuple, tuple]:
         """The ids bound to the anchor slots and to the relation slots."""
         return tuple(ents[i] for i in self.anchor_at), tuple(rels[i] for i in self.relation_at)
-
-
-def _bound_ids(graph: ComputationGraph) -> tuple[list, list]:
-    if not graph.is_grounded():
-        raise ValueError("query must be fully bound")
-    return [n.entity for n in graph.nodes], [e.relation for e in graph.edges]
-
-
-def answer_exact(kg: KnowledgeGraph, query: GroundedQuery | ComputationGraph) -> set[int]:
-    """Exact denotation set by post-order traversal from the anchors."""
-    graph = query.graph if isinstance(query, GroundedQuery) else query
-    return _Plan(graph).answers(kg, *_bound_ids(graph))
-
-
-def answer_set(splits: GraphSplits, query: GroundedQuery | ComputationGraph) -> AnswerSet:
-    graph = query.graph if isinstance(query, GroundedQuery) else query
-    return _answer_set(_Plan(graph), splits, _bound_ids(graph))
-
-
-def degeneracies(graph: ComputationGraph, kg: KnowledgeGraph) -> list[str]:
-    """Static inspection for the two rejected binding patterns.
-
-    Pattern 1: a relation followed by its inverse along one path (union
-    edges are transparent, so the check also covers paths that a DNF merge
-    would create). Pattern 2: two branches of one intersection bound to the
-    same (anchor entity, relation) pair.
-    """
-    ids = [n.entity for n in graph.nodes], [e.relation for e in graph.edges]
-    return _Plan(graph).degeneracies(*ids, kg.inverse_relation)
-
-
-def try_instantiate(
-    structure: QueryStructure,
-    kg: KnowledgeGraph,
-    rng: np.random.Generator,
-    root: int | None = None,
-) -> GroundedQuery | None:
-    """One pre-order grounding attempt; None on dead ends or degeneracy."""
-    plan = _Plan(structure.graph)
-    ids = plan.ground(kg, rng, root)
-    if ids is None or plan.degeneracies(*ids, kg.inverse_relation):
-        return None
-    return GroundedQuery(structure.name, *plan.slots(*ids))
-
-
-def instantiate(
-    structure: QueryStructure,
-    kg: KnowledgeGraph,
-    rng: np.random.Generator,
-    attempts: int = DEFAULT_ATTEMPTS,
-) -> GroundedQuery:
-    """Retry try_instantiate up to `attempts` times."""
-    for _ in range(attempts):
-        q = try_instantiate(structure, kg, rng)
-        if q is not None:
-            return q
-    raise SamplingError(
-        f"could not instantiate structure {structure.name!r} in {attempts} attempts"
-    )
 
 
 def generate_queries(

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from boxquery.kg import GraphSplits, KnowledgeGraph, Vocabulary, augment_inverses
+from boxquery.kg import GraphSplits, KnowledgeGraph, Vocabulary
+from oracles import augment_inverses
 
 
 def make_graph(triples, augment=False) -> KnowledgeGraph:

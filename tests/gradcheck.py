@@ -11,10 +11,10 @@ import numpy as np
 
 from boxquery.model import ModelConfig, ModelParams
 from boxquery.queries import structure_templates
-from boxquery.sampling import answer_exact, try_instantiate
 from boxquery.training import batch_loss_and_grads
 
 from conftest import random_graph
+from oracles import answer_exact, try_instantiate
 
 EPS = 1e-6
 TOLERANCE = 1e-4

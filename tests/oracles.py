@@ -29,7 +29,7 @@ corners, not the |v - c| form of the library's blocked `dist_agg` and fused
 candidate pass, and the rank oracle builds one mask per answer where the
 library sorts the non-answers once per query. The evaluation
 oracle embeds and scores one query at a time, where the library scores a
-chunk of queries of one structure per pass over the entities. The last section
+chunk of queries of one structure per pass over the entities. One section
 keeps entry points the library no longer needs, for the tests of the
 operators behind them. The library holds boxes only as (center, offset)
 pairs of (B, d) stacks; the single-box API is here: the `Box` value with
@@ -38,7 +38,16 @@ its checks, corners and `contains`, and `dist_agg`, `dist_outside`,
 `geometry.dist_agg` with a stack of one per box. Among the rest,
 `embed_epfo` and `embed_conjunctive` embed one query, or a grounded graph
 of the structure whose template it binds, as a `QueryForward` batch of
-one, and `loss` is `training._losses` on one sample. The grounding
+one, and `loss` is `training._losses` on one sample. The single-query
+grounding entry points run the program's plan, not a copy of it:
+`try_instantiate`, `instantiate`, `degeneracies`, `answer_exact`,
+`answer_set` and `canonical_key` compile a `sampling._Plan` for the call
+and use its `ground`, `degeneracies`, `slots` and `answers` (through
+`sampling._answer_set` for the three snapshots) or the key recipe that
+generation deduplicates by. `validate_dag` and `is_grounded` check a
+graph's structure and bindings, and `load_triples` and `augment_inverses`
+load one triple file and mirror a graph's edges with the program's
+`kg._parse_triple_lines` and `kg._with_inverses`. The grounding
 oracles are the graph-walking grounding, degeneracy check, traversal and
 canonical key that query generation used before it compiled each
 structure into a slot plan: they re-read the bound `ComputationGraph`
@@ -55,7 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
-from boxquery.errors import TrainingError
+from boxquery.errors import SamplingError, TrainingError, VocabularyError
 from boxquery.evaluation import (
     METRIC_NAMES,
     EvalReport,
@@ -63,7 +72,14 @@ from boxquery.evaluation import (
     entity_distances,
     metrics_for_query,
 )
-from boxquery.kg import GraphSplits, KnowledgeGraph
+from boxquery.kg import (
+    INVERSE_MARKER,
+    GraphSplits,
+    KnowledgeGraph,
+    Vocabulary,
+    _parse_triple_lines,
+    _with_inverses,
+)
 from boxquery import geometry, training
 from boxquery.model import (
     _ADAM_BETA1,
@@ -81,14 +97,17 @@ from boxquery.queries import (
     ANCHOR,
     PROJECTION,
     STRUCTURE_NAMES,
+    TARGET,
     UNION,
     ComputationGraph,
     QueryStructure,
+    _key_recipe,
+    _key_text,
     bind,
     template,
     to_dnf,
 )
-from boxquery.sampling import AnswerSet, GroundedQuery
+from boxquery.sampling import DEFAULT_ATTEMPTS, AnswerSet, GroundedQuery, _answer_set, _Plan
 
 
 def _graph_of(query) -> ComputationGraph:
@@ -937,7 +956,10 @@ def aggregate_per_query(queries, params, splits, stage, checkpoint_id="-") -> Ev
 # Entry points the library no longer calls: the single box and its
 # distances, the geometric operators in their one-box form, the
 # intersection networks over one set of boxes, the rank of a single
-# answer, the embedding of a single query and the loss of a single sample.
+# answer, the embedding of a single query and the loss of a single sample;
+# then the grounding, answering and key of a single query, each on a plan
+# compiled for the call, the structural checks of a graph, and the loading
+# and inverse augmentation of a single triple file.
 
 
 @dataclass(frozen=True)
@@ -1091,11 +1113,137 @@ def loss(pos_dist: float, neg_dists, gamma: float) -> float:
     return float(training._losses(dists, gamma)[0])
 
 
+def is_grounded(graph: ComputationGraph) -> bool:
+    """Whether every anchor binds an entity and every projection a relation."""
+    if any(n.kind == ANCHOR and n.entity is None for n in graph.nodes):
+        return False
+    return not any(e.op == PROJECTION and e.relation is None for e in graph.edges)
+
+
+def _bound_ids(graph: ComputationGraph) -> tuple[list, list]:
+    if not is_grounded(graph):
+        raise ValueError("query must be fully bound")
+    return [n.entity for n in graph.nodes], [e.relation for e in graph.edges]
+
+
+def answer_exact(kg: KnowledgeGraph, query: GroundedQuery | ComputationGraph) -> set[int]:
+    """Exact denotation set of one grounded query or graph: `_Plan.answers`."""
+    graph = _graph_of(query)
+    return _Plan(graph).answers(kg, *_bound_ids(graph))
+
+
+def answer_set(splits: GraphSplits, query: GroundedQuery | ComputationGraph) -> AnswerSet:
+    """Train, valid and test answers of one grounded query or graph."""
+    graph = _graph_of(query)
+    return _answer_set(_Plan(graph), splits, _bound_ids(graph))
+
+
+def degeneracies(graph: ComputationGraph, kg: KnowledgeGraph) -> list[str]:
+    """The rejected binding patterns of a graph: `_Plan.degeneracies`."""
+    ids = [n.entity for n in graph.nodes], [e.relation for e in graph.edges]
+    return _Plan(graph).degeneracies(*ids, kg.inverse_relation)
+
+
+def try_instantiate(
+    structure: QueryStructure,
+    kg: KnowledgeGraph,
+    rng: np.random.Generator,
+    root: int | None = None,
+) -> GroundedQuery | None:
+    """One `_Plan.ground` attempt; None on dead ends or degeneracy."""
+    plan = _Plan(structure.graph)
+    ids = plan.ground(kg, rng, root)
+    if ids is None or plan.degeneracies(*ids, kg.inverse_relation):
+        return None
+    return GroundedQuery(structure.name, *plan.slots(*ids))
+
+
+def instantiate(
+    structure: QueryStructure,
+    kg: KnowledgeGraph,
+    rng: np.random.Generator,
+    attempts: int = DEFAULT_ATTEMPTS,
+) -> GroundedQuery:
+    """Retry try_instantiate up to `attempts` times."""
+    for _ in range(attempts):
+        q = try_instantiate(structure, kg, rng)
+        if q is not None:
+            return q
+    raise SamplingError(
+        f"could not instantiate structure {structure.name!r} in {attempts} attempts"
+    )
+
+
+def canonical_key(g: ComputationGraph) -> str:
+    """Generation's deduplication key of a graph; an unbound slot s reads `s{s}`."""
+    ents = [n.entity if n.entity is not None else f"s{n.slot}" for n in g.nodes]
+    rels = [e.relation if e.relation is not None else f"s{e.slot}" for e in g.edges]
+    return _key_text(_key_recipe(g), ents, rels)
+
+
+def validate_dag(g: ComputationGraph) -> list[str]:
+    """Check all structural invariants; returns every violation found."""
+    violations: list[str] = []
+    ids = [n.id for n in g.nodes]
+    if len(set(ids)) != len(ids):
+        violations.append("duplicate node ids")
+        return violations
+    id_set = set(ids)
+    for e in g.edges:
+        if e.src not in id_set or e.dst not in id_set:
+            violations.append(f"edge {e.src}->{e.dst} references unknown node")
+            return violations
+
+    try:
+        g.topological_order()
+    except ValueError:
+        violations.append("not acyclic")
+
+    sinks = [n for n in g.nodes if not any(e.src == n.id for e in g.edges)]
+    if len(sinks) != 1 or sinks[0].kind != TARGET:
+        violations.append("unique sink of kind target required")
+    if sum(1 for n in g.nodes if n.kind == TARGET) != 1:
+        violations.append("exactly one target node required")
+
+    for n in g.nodes:
+        in_es = g.in_edges(n.id)
+        if not in_es and n.kind != ANCHOR:
+            violations.append(f"source node {n.id} is not an anchor")
+        if in_es and n.kind == ANCHOR:
+            violations.append(f"anchor node {n.id} has in-edges")
+        ops = {e.op for e in in_es}
+        if len(ops) > 1:
+            violations.append(f"node {n.id} mixes projection and union in-edges")
+        if ops == {UNION} and len(in_es) < 2:
+            violations.append(f"union node {n.id} has fewer than 2 parents")
+    return violations
+
+
+def load_triples(path, vocab: Vocabulary | None = None) -> KnowledgeGraph:
+    """One triple file as a graph over `vocab` (a new one by default), deduplicated."""
+    if vocab is None:
+        vocab = Vocabulary()
+    return KnowledgeGraph(vocab, _parse_triple_lines(path, vocab))
+
+
+def augment_inverses(kg: KnowledgeGraph) -> KnowledgeGraph:
+    """A new graph with every edge of `kg` plus its mirror under the inverse
+    relation; the vocabulary gains the inverse names in place. A graph that
+    already uses inverse relations is rejected."""
+    vocab = kg.vocab
+    for h, r, t in kg.edges:
+        if vocab.relation_names[r].endswith(INVERSE_MARKER):
+            raise VocabularyError(
+                f"graph already contains inverse relation {vocab.relation_names[r]!r}"
+            )
+    return KnowledgeGraph(vocab, _with_inverses(vocab, kg.edges))
+
+
 # The graph-walking grounding, degeneracy check, traversal and canonical key.
 
 
 def _traversal_plan(graph: ComputationGraph):
-    if not graph.is_grounded():
+    if not is_grounded(graph):
         raise ValueError("query must be fully bound")
     order = graph.topological_order()
     return [(nid, graph.node(nid), graph.in_edges(nid)) for nid in order]

@@ -20,19 +20,14 @@ from boxquery.evaluation import aggregate, count_disjoint_queries, metrics_for_q
 from boxquery.kg import KnowledgeGraph, Vocabulary, build_split_graphs
 from boxquery.model import ModelConfig
 from boxquery.queries import structure_templates, to_dnf
-from boxquery.sampling import (
-    answer_exact,
-    generate_heldin_queries,
-    generate_queries,
-    try_instantiate,
-)
+from boxquery.sampling import generate_heldin_queries, generate_queries
 from boxquery.synth import synthesize_triples, write_synthetic_split
 from boxquery.training import train
 
 from conftest import make_splits, random_graph
 from gradcheck import MODE_GRID, check_instance, make_instance
-from oracles import (Box, answer_by_assignment_enumeration, answer_by_satisfiability, dist_box,
-                     dist_outside)
+from oracles import (Box, answer_by_assignment_enumeration, answer_by_satisfiability,
+                     answer_exact, dist_box, dist_outside, try_instantiate)
 from test_evaluation import line_world
 
 

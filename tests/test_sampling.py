@@ -11,11 +11,9 @@ from boxquery.queries import (
     ComputationGraph,
     _key_text,
     bind,
-    canonical_key,
     graph_to_text,
     structure_templates,
     template,
-    validate_dag,
 )
 from boxquery.sampling import (
     AnswerSet,
@@ -23,14 +21,9 @@ from boxquery.sampling import (
     _answer_set,
     _Plan,
     answer_count_report,
-    answer_exact,
-    answer_set,
-    degeneracies,
     generate_heldin_queries,
     generate_queries,
-    instantiate,
     read_query_file,
-    try_instantiate,
     write_query_file,
 )
 from boxquery.synth import synthesize_triples
@@ -39,10 +32,18 @@ from conftest import make_graph, make_splits, random_graph
 from oracles import (
     answer_by_assignment_enumeration,
     answer_by_satisfiability,
+    answer_exact,
+    answer_set,
     answer_set_on_graph,
+    canonical_key,
     canonical_key_on_graph,
+    degeneracies,
     degeneracies_on_graph,
+    instantiate,
+    is_grounded,
+    try_instantiate,
     try_instantiate_on_graph,
+    validate_dag,
 )
 
 
@@ -87,7 +88,7 @@ class TestInstantiate:
                 q = try_instantiate(s, kg, rng)
                 if q is None:
                     continue
-                assert q.graph.is_grounded()
+                assert is_grounded(q.graph)
                 assert validate_dag(q.graph) == []
                 assert degeneracies(q.graph, kg) == []
 
@@ -161,7 +162,7 @@ class TestAnswerExact:
                 Edge(0, 1, PROJECTION, slot=1, relation=v.relation_id("s")),
             ),
         )
-        from boxquery.queries import validate_dag
+        from oracles import validate_dag
 
         assert validate_dag(g) == []
         assert answer_exact(kg, g) == {v.entity_id("C")}
@@ -221,7 +222,7 @@ class TestGenerateQueries:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = generate_queries(splits, {"1p": 50}, seed=2, attempts=50)
-        from boxquery.queries import canonical_key
+        from oracles import canonical_key
 
         keys = [canonical_key(q.graph) for q in out["train"]]
         assert len(keys) == len(set(keys))
@@ -374,6 +375,34 @@ class TestPlanMatchesGraphWalk:
                 messages += degeneracies(bound, kg)
                 assert degeneracies(bound, kg) == degeneracies_on_graph(bound, kg)
             assert messages, name
+
+
+class TestOracleEntryPointsRunThePlan:
+    def test_single_query_calls_reach_the_plan(self, monkeypatch, rng):
+        # the single-query entry points of the oracles module drive the
+        # program's plan; one that walked the graph itself would count nothing
+        calls = Counter()
+        for name in ("ground", "degeneracies", "answers"):
+            def counted(self, *args, _name=name, _method=getattr(_Plan, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(_Plan, name, counted)
+        splits = _held_out_splits(np.random.default_rng(5), 14, 3, 60)
+        q = None
+        while q is None:
+            calls.clear()
+            q = try_instantiate(template("2i"), splits.test, rng)
+        assert calls == {"ground": 1, "degeneracies": 1}
+        calls.clear()
+        assert degeneracies(q.graph, splits.test) == []
+        assert calls == {"degeneracies": 1}
+        calls.clear()
+        answers = answer_exact(splits.test, q)
+        assert calls == {"answers": 1}
+        calls.clear()
+        assert set(answer_set(splits, q).test) == answers
+        assert calls == {"answers": 3}
 
 
 class TestGenerationWork:

@@ -252,13 +252,9 @@ def cmd_analyze(args) -> int:
 
 def _strip_inverses(graph: kg.KnowledgeGraph) -> kg.KnowledgeGraph:
     """Drop augmented inverse edges so the analysis sees the raw graph."""
-    marked = {
-        rid
-        for rid, name in enumerate(graph.vocab.relation_names)
-        if name.endswith(kg.INVERSE_MARKER)
-    }
-    edges = [e for e in graph.edges if e[1] not in marked]
-    return kg.KnowledgeGraph(graph.vocab, edges)
+    marked = np.array([name.endswith(kg.INVERSE_MARKER) for name in graph.vocab.relation_names],
+                      dtype=bool)
+    return kg.KnowledgeGraph(graph.vocab, graph.triples[~marked[graph.triples[:, 1]]])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -226,17 +226,16 @@ def offset_report(params: ModelParams, splits: GraphSplits) -> OffsetReport:
     """Per-relation box size (L1 norm of the effective offset) against the
     mean single-hop answer count on the train graph."""
     kg = splits.train
-    heads_by_relation: dict[int, set[int]] = {}
-    for h, r, _ in kg.edges:
-        heads_by_relation.setdefault(r, set()).add(h)
+    # a relation's mean answer count is its edges over its distinct heads
+    edges = np.bincount(kg.triples[:, 1], minlength=kg.n_relations)
+    heads = np.bincount(np.unique(kg.triples[:, :2], axis=0)[:, 1], minlength=kg.n_relations)
     rows = []
     sizes = []
     counts = []
     for rid, name in enumerate(kg.vocab.relation_names):
-        heads = sorted(heads_by_relation.get(rid, ()))
-        if not heads:
+        if not heads[rid]:
             continue
-        mean_answers = float(np.mean([len(kg.neighbors(h, rid)) for h in heads]))
+        mean_answers = float(edges[rid] / heads[rid])
         size = float(np.sum(params.effective_relation_offset(rid)))
         rows.append({"relation": name, "box_size": size, "mean_answers": mean_answers})
         sizes.append(size)
@@ -257,7 +256,7 @@ def count_disjoint_queries(
     extends the count with sampled conjunctions of two multi-answer
     single-hop queries. Returns (stage-one count, final count).
     """
-    pairs = sorted({(h, r) for (h, r, t) in kg.edges})
+    pairs = np.unique(kg.triples[:, :2], axis=0).tolist()
     seen = np.zeros(kg.n_entities, dtype=bool)
     m_1p = 0
     multi = []

@@ -1,9 +1,14 @@
 """Knowledge graph storage: vocabularies, triple files, inverse augmentation, splits.
 
-Graphs are immutable after construction; the valid and test graphs of a
-split are built as deltas over the graph before them and share its untouched
-index entries. A triple file is UTF-8 text, one triple per line, fields
-separated by a single tab; blank lines and comment lines are rejected.
+A triple file parses straight into an `(E, 3)` array of (head, relation,
+tail) ids, and inverse augmentation mirrors the whole array at once. A graph
+holds its distinct edges as a sorted id array and answers lookups from
+per-relation dicts of sorted id tuples, each index built by one sort of
+packed int64 keys. Graphs are immutable after construction; the valid and
+test graphs of a split hold only the entries that their extra edges touch
+and read every other entry from the train graph's indices. A triple file is
+UTF-8 text, one triple per line, fields separated by a single tab; blank
+lines and comment lines are rejected.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -63,6 +69,14 @@ class Vocabulary:
             self._relation_ids[name] = rid
         return rid
 
+    def entity_ids(self, names: Sequence[str]) -> np.ndarray:
+        """Ids of `names`, as by `entity_id` on each in turn."""
+        return _ids(names, self.entity_names, self._entity_ids)
+
+    def relation_ids(self, names: Sequence[str]) -> np.ndarray:
+        """Ids of `names`, as by `relation_id` on each in turn."""
+        return _ids(names, self.relation_names, self._relation_ids)
+
     def has_relation(self, name: str) -> bool:
         return name in self._relation_ids
 
@@ -71,6 +85,15 @@ class Vocabulary:
 
     def relation_hash(self) -> str:
         return _sha256_lines(self.relation_names)
+
+
+def _ids(names: Sequence[str], registered: list[str], ids: dict[str, int]) -> np.ndarray:
+    """Register the names not yet in `ids` in order of first appearance, then
+    look every name up."""
+    new = [name for name in dict.fromkeys(names) if name not in ids]
+    ids.update(zip(new, range(len(registered), len(registered) + len(new))))
+    registered.extend(new)
+    return np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
 
 
 def _sha256_lines(names: Sequence[str]) -> str:
@@ -84,40 +107,46 @@ def _sha256_lines(names: Sequence[str]) -> str:
 class KnowledgeGraph:
     """Immutable labeled digraph: `base` (if any) plus `edges`.
 
-    The indices start as shallow copies of the base's, so every key the new
-    edges do not touch shares the base's tuple; one pass range-checks the new
-    edges and groups them by key, and only those keys are rebuilt. Without a
-    base the whole graph is built the same way from empty indices. Edges
-    already in the base are dropped first.
+    `triples` holds the distinct edges as an `(E, 3)` int32 array of (head,
+    relation, tail) ids in lexicographic order. The out- and in-indices map
+    a relation to a dict from an entity to the sorted tuple of its tails or
+    heads, and the third index maps an entity to the sorted relations of its
+    in-edges; each is built by one sort of packed int64 keys. A graph built
+    over a base indexes only the keys that the edges added since the root
+    (the first graph without a base) touch, from all its edges under those
+    keys; a lookup that misses them reads the root's entry, which no added
+    edge changed.
     """
 
-    def __init__(self, vocab: Vocabulary, edges: Iterable[tuple[int, int, int]],
+    def __init__(self, vocab: Vocabulary, edges: np.ndarray | Sequence[tuple[int, int, int]],
                  base: KnowledgeGraph | None = None):
         self.vocab = vocab
-        old = base.edges if base is not None else frozenset()
-        new = frozenset(edges) - old
-        self.edges: frozenset[tuple[int, int, int]] = old | new
-        self._out, self._in, self._relations_into = (
-            (dict(base._out), dict(base._in), dict(base._relations_into))
-            if base is not None else ({}, {}, {}))
         n_ent, n_rel = vocab.n_entities, vocab.n_relations
-        out: dict[tuple[int, int], list[int]] = {}
-        inc: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in new:
-            if not (0 <= h < n_ent and 0 <= t < n_ent):
-                raise VocabularyError(f"edge ({h},{r},{t}) references unknown entity id")
-            if not 0 <= r < n_rel:
-                raise VocabularyError(f"edge ({h},{r},{t}) references unknown relation id")
-            out.setdefault((h, r), []).append(t)
-            inc.setdefault((t, r), []).append(h)
-        rels_in: dict[int, list[int]] = {}  # relations into t that the base lacks
-        for t, r in inc:
-            if (t, r) not in self._in:
-                rels_in.setdefault(t, []).append(r)
-        for index, delta in ((self._out, out), (self._in, inc), (self._relations_into, rels_in)):
-            for key, values in delta.items():
-                values.extend(index.get(key, ()))
-                index[key] = tuple(sorted(values))
+        new = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        _check_range(new, n_ent, n_rel)
+        codes = _distinct(_codes(new, n_ent, n_rel))
+        if base is not None:
+            codes = _distinct(np.concatenate([_codes(base.triples, n_ent, n_rel), codes]))
+        self.triples = _triples(codes, n_ent, n_rel)
+        self._root = root = None if base is None else base._root or base
+        h, r, t = self.triples.T.astype(np.int64)
+        out = np.sort((r * n_ent + h) * n_ent + t)
+        inc = np.sort((r * n_ent + t) * n_ent + h)
+        into = _distinct(t * n_rel + r)
+        if root is not None:  # index only the keys that edges added since the root touch
+            added = codes[~_member(codes, _codes(root.triples, n_ent, n_rel))]
+            ah, ar, at = _triples(added, n_ent, n_rel).T.astype(np.int64)
+            out = out[_member(out // n_ent, ar * n_ent + ah)]
+            inc = inc[_member(inc // n_ent, ar * n_ent + at)]
+            into = into[_member(into // n_rel, at)]
+        ids = np.arange(max(n_ent, n_rel)).astype(object)  # one int object per id for all entries
+        self._out = _index(out, n_ent, ids)
+        self._in = _index(inc, n_ent, ids)
+        self._relations_into = _runs(*np.divmod(into, n_rel), ids)
+        # lookups that miss this graph's own entries fall through to the root's
+        self._out_below, self._in_below, self._relations_into_below = (
+            (root._out, root._in, root._relations_into) if root is not None
+            else (_NO_ENTRIES,) * 3)
 
     @property
     def n_entities(self) -> int:
@@ -129,12 +158,13 @@ class KnowledgeGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.triples)
 
     def neighbors(self, entity: int, relation: int) -> tuple[int, ...]:
         """Entities reachable from `entity` via one `relation` edge, sorted."""
         self._check_ids(entity, relation)
-        return self._out.get((entity, relation), ())
+        return (self._out.get(relation, _NO_ENTRIES).get(entity)
+                or self._out_below.get(relation, _NO_ENTRIES).get(entity, ()))
 
     def project_frontier(self, entities: set[int], relation: int) -> set[int]:
         """Union of neighbors(v, relation) over a whole entity set.
@@ -142,19 +172,22 @@ class KnowledgeGraph:
         One out-index lookup per frontier entity; ids are not range-checked.
         """
         out: set[int] = set()
+        own = self._out.get(relation, _NO_ENTRIES)
+        below = self._out_below.get(relation, _NO_ENTRIES)
         for v in entities:
-            out.update(self._out.get((v, relation), ()))
+            out.update(own.get(v) or below.get(v, ()))
         return out
 
     def sources(self, entity: int, relation: int) -> tuple[int, ...]:
         """Entities with an edge into `entity` via `relation`, sorted."""
         self._check_ids(entity, relation)
-        return self._in.get((entity, relation), ())
+        return (self._in.get(relation, _NO_ENTRIES).get(entity)
+                or self._in_below.get(relation, _NO_ENTRIES).get(entity, ()))
 
     def relations_into(self, entity: int) -> tuple[int, ...]:
         """Relations with at least one edge ending at `entity`, sorted."""
         self._check_ids(entity, None)
-        return self._relations_into.get(entity, ())
+        return self._relations_into.get(entity) or self._relations_into_below.get(entity, ())
 
     def inverse_relation(self, relation: int) -> int | None:
         """Id of the inverse relation, if it exists in the vocabulary."""
@@ -172,6 +205,94 @@ class KnowledgeGraph:
             raise VocabularyError(f"relation id {relation} out of range")
 
 
+_NO_ENTRIES: dict = {}  # the index entry of a relation without edges; never written
+
+
+def _check_range(edges: np.ndarray, n_ent: int, n_rel: int) -> None:
+    """Raise on the first edge whose ids lie outside the vocabulary."""
+    bad_ent = ((edges[:, [0, 2]] < 0) | (edges[:, [0, 2]] >= n_ent)).any(axis=1)
+    bad_rel = (edges[:, 1] < 0) | (edges[:, 1] >= n_rel)
+    if bad_ent.any() or bad_rel.any():
+        i = int(np.argmax(bad_ent | bad_rel))
+        h, r, t = edges[i].tolist()
+        kind = "entity" if bad_ent[i] else "relation"
+        raise VocabularyError(f"edge ({h},{r},{t}) references unknown {kind} id")
+
+
+def _codes(triples: np.ndarray, n_ent: int, n_rel: int) -> np.ndarray:
+    """One int64 per (head, relation, tail) row, ordered as the rows are."""
+    if n_rel * n_ent * n_ent >= 1 << 63:
+        raise ValueError(f"{n_ent} entities and {n_rel} relations overflow int64 edge keys")
+    h, r, t = triples.T.astype(np.int64)
+    return (h * n_rel + r) * n_ent + t
+
+
+def _triples(codes: np.ndarray, n_ent: int, n_rel: int) -> np.ndarray:
+    """The `(E, 3)` int32 rows of `_codes`."""
+    hr, t = np.divmod(codes, n_ent)
+    return np.stack([hr // n_rel, hr % n_rel, t], axis=1).astype(np.int32)
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, sorted."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
+def _unique_rows(triples: np.ndarray, vocab: Vocabulary) -> np.ndarray:
+    """The distinct rows of an `(E, 3)` id array in lexicographic order."""
+    n_ent, n_rel = vocab.n_entities, vocab.n_relations
+    return _triples(_distinct(_codes(triples, n_ent, n_rel)), n_ent, n_rel)
+
+
+def _not_in(a: np.ndarray, b: np.ndarray, n_ent: int, n_rel: int) -> np.ndarray:
+    """Mask of the rows of `a` that are not rows of `b`."""
+    return ~_member(_codes(a, n_ent, n_rel), _codes(b, n_ent, n_rel))
+
+
+def _member(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the `values` that occur in `keys`."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    keys = np.sort(keys)
+    return keys[np.minimum(np.searchsorted(keys, values), len(keys) - 1)] == values
+
+
+def _run_starts(keys: np.ndarray) -> list[int]:
+    """Where each run of equal values starts in a sorted array."""
+    if not len(keys):
+        return []
+    return [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()]
+
+
+def _slices(values: np.ndarray, starts: list[int], ids: np.ndarray) -> list[tuple[int, ...]]:
+    """`values` cut into tuples at `starts`."""
+    flat = tuple(ids[values].tolist())
+    return list(map(flat.__getitem__, map(slice, starts, [*starts[1:], len(flat)])))
+
+
+def _runs(keys: np.ndarray, values: np.ndarray, ids: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """{key: its values} over the runs of equal keys in sorted `keys`; `ids`
+    maps an id to its int object."""
+    starts = _run_starts(keys)
+    return dict(zip(ids[keys[starts]].tolist(), _slices(values, starts, ids)))
+
+
+def _index(codes: np.ndarray, n_ent: int, ids: np.ndarray) -> dict[int, dict[int, tuple[int, ...]]]:
+    """{relation: {key: sorted values}} from the sorted codes
+    `(relation * n_ent + key) * n_ent + value`."""
+    pairs, values = np.divmod(codes, n_ent)
+    starts = _run_starts(pairs)
+    groups = _slices(values, starts, ids)
+    rels, keys = np.divmod(pairs[starts], n_ent)
+    keys = ids[keys].tolist()
+    cut = _run_starts(rels)
+    return {ids[r]: dict(zip(keys[a:b], groups[a:b]))
+            for r, a, b in zip(rels[cut].tolist(), cut, [*cut[1:], len(groups)])}
+
+
 @dataclass(frozen=True)
 class GraphSplits:
     """Nested train/valid/test graphs over one shared vocabulary."""
@@ -184,9 +305,10 @@ class GraphSplits:
     def __post_init__(self):
         if not (self.train.vocab is self.valid.vocab is self.test.vocab):
             raise VocabularyError("splits must share one vocabulary")
-        if not self.train.edges <= self.valid.edges:
+        n_ent, n_rel = self.vocab.n_entities, self.vocab.n_relations
+        if _not_in(self.train.triples, self.valid.triples, n_ent, n_rel).any():
             raise VocabularyError("train edges must be a subset of valid edges")
-        if not self.valid.edges <= self.test.edges:
+        if _not_in(self.valid.triples, self.test.triples, n_ent, n_rel).any():
             raise VocabularyError("valid edges must be a subset of test edges")
 
     @property
@@ -211,36 +333,54 @@ def _open_text(path: str | Path):
                              data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def _parse_triple_lines(path: str | Path, vocab: Vocabulary) -> set[tuple[int, int, int]]:
-    edges: set[tuple[int, int, int]] = set()
+def _parse_triple_lines(path: str | Path, vocab: Vocabulary) -> np.ndarray:
+    """The distinct triples of a triple file as an `(E, 3)` id array in
+    lexicographic order. Names new to `vocab` get ids in order of first
+    appearance, heads before tails within a line."""
     with _open_text(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                raise ParseError("blank line not allowed", str(path), lineno)
-            if line.lstrip().startswith("#"):
-                raise ParseError("comment lines not allowed", str(path), lineno)
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(fields)}", str(path), lineno
-                )
-            head, rel, tail = fields
-            if INVERSE_MARKER in rel:
-                raise VocabularyError(
-                    f"{path}:{lineno}: relation {rel!r} contains reserved marker {INVERSE_MARKER!r}"
-                )
-            edges.add((vocab.entity_id(head), vocab.relation_id(rel), vocab.entity_id(tail)))
-    return edges
+        text = f.read()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # after the final newline, or an empty file
+    fields = [line.split("\t") for line in lines]
+    leads = [s[:1] for s in map(str.lstrip, lines)]
+    # a screen over the whole file; only a file that fails it is walked line
+    # by line, to report its first bad line
+    if "" in leads or "#" in leads or set(map(len, fields)) - {3} or INVERSE_MARKER in text:
+        _check_lines(path, leads, fields)
+    if not fields:
+        return np.empty((0, 3), dtype=np.int32)
+    heads, rels, tails = zip(*fields)
+    ents = vocab.entity_ids(list(chain.from_iterable(zip(heads, tails)))).reshape(-1, 2)
+    triples = np.stack([ents[:, 0], vocab.relation_ids(rels), ents[:, 1]], axis=1)
+    return _unique_rows(triples, vocab)
 
 
-def _with_inverses(vocab: Vocabulary, edges: Iterable[tuple[int, int, int]]) -> frozenset:
-    """`edges` plus (t, inverse of r, h) for each, registering the inverse
+def _check_lines(path: str | Path, leads: list[str], fields: list[list[str]]) -> None:
+    """Raise on the first line that is blank, a comment or not three fields,
+    or whose relation holds the reserved inverse marker."""
+    for lineno, (lead, row) in enumerate(zip(leads, fields), start=1):
+        if not lead:
+            raise ParseError("blank line not allowed", str(path), lineno)
+        if lead == "#":
+            raise ParseError("comment lines not allowed", str(path), lineno)
+        if len(row) != 3:
+            raise ParseError(f"expected 3 tab-separated fields, got {len(row)}", str(path), lineno)
+        if INVERSE_MARKER in row[1]:
+            raise VocabularyError(
+                f"{path}:{lineno}: relation {row[1]!r} contains reserved marker {INVERSE_MARKER!r}"
+            )
+
+
+def _with_inverses(vocab: Vocabulary, edges: np.ndarray) -> np.ndarray:
+    """`edges` plus (t, inverse of r, h) for each row, registering the inverse
     name of every base relation in `vocab`. Edges must use base relations."""
     base_names = [n for n in vocab.relation_names if not n.endswith(INVERSE_MARKER)]
     inverse_ids = {vocab.relation_id(n): vocab.relation_id(n + INVERSE_MARKER) for n in base_names}
-    edges = frozenset(edges)
-    return edges.union([(t, inverse_ids[r], h) for h, r, t in edges])
+    inverse = np.zeros(vocab.n_relations, dtype=edges.dtype)
+    inverse[list(inverse_ids)] = list(inverse_ids.values())
+    mirrored = np.stack([edges[:, 2], inverse[edges[:, 1]], edges[:, 0]], axis=1)
+    return np.concatenate([edges, mirrored])
 
 
 def build_split_graphs(
@@ -268,7 +408,8 @@ def build_split_graphs(
         "train_edges": len(train_edges),
         "valid_edges": len(valid_only),
         "test_edges": len(test_only),
-        "total_edges": len(train_edges | valid_only | test_only),
+        "total_edges": len(_unique_rows(np.concatenate([train_edges, valid_only, test_only]),
+                                        vocab)),
     }
 
     train = KnowledgeGraph(vocab, _with_inverses(vocab, train_edges))
@@ -305,10 +446,9 @@ def prepare_nell(
     No triple is dropped, so the three files partition the input.
     """
     vocab = Vocabulary()
-    all_edges: set[tuple[int, int, int]] = set()
-    for path in whole_graph_files:
-        all_edges |= _parse_triple_lines(path, vocab)
-    if not all_edges:
+    parts = [_parse_triple_lines(path, vocab) for path in whole_graph_files]
+    all_edges = _unique_rows(np.concatenate(parts), vocab)
+    if not len(all_edges):
         raise ValueError("combined triple set is empty")
     total = len(all_edges)
     if valid_size + test_size >= total:
@@ -316,7 +456,8 @@ def prepare_nell(
             f"valid_size + test_size = {valid_size + test_size} must be < {total} triples"
         )
 
-    train, valid_kept, test_kept = sample_holdout(all_edges, valid_size, test_size, seed)
+    train, valid_kept, test_kept = sample_holdout(
+        map(tuple, all_edges.tolist()), valid_size, test_size, seed)
 
     out_dir = Path(out_dir)
     paths = (out_dir / "train.txt", out_dir / "valid.txt", out_dir / "test.txt")
@@ -382,9 +523,10 @@ def _make_parents(path: Path) -> None:
 def save_splits(splits: GraphSplits, path: str | Path) -> None:
     """Write a line-based snapshot of the vocabulary and the three edge sets."""
     vocab = splits.vocab
-    train_edges = sorted(splits.train.edges)
-    valid_extra = sorted(splits.valid.edges - splits.train.edges)
-    test_extra = sorted(splits.test.edges - splits.valid.edges)
+    n_ent, n_rel = vocab.n_entities, vocab.n_relations
+    train, valid, test = splits.train.triples, splits.valid.triples, splits.test.triples
+    valid_extra = valid[_not_in(valid, train, n_ent, n_rel)]
+    test_extra = test[_not_in(test, valid, n_ent, n_rel)]
     stats = splits.raw_stats or {}
     with _atomic_open(path) as f:
         f.write(SNAPSHOT_MAGIC + "\n")
@@ -395,10 +537,10 @@ def save_splits(splits: GraphSplits, path: str | Path) -> None:
         f.write(f"relations {vocab.n_relations}\n")
         for name in vocab.relation_names:
             f.write(name + "\n")
-        for label, edges in (("train", train_edges), ("valid-extra", valid_extra),
+        for label, edges in (("train", train), ("valid-extra", valid_extra),
                              ("test-extra", test_extra)):
             f.write(f"{label} {len(edges)}\n")
-            for h, r, t in edges:
+            for h, r, t in edges.tolist():
                 f.write(f"{h}\t{r}\t{t}\n")
 
 
@@ -441,13 +583,12 @@ def _parse_snapshot(lines: list[str], path: str | Path) -> GraphSplits:
     for name in names:
         vocab.relation_id(name)
 
-    def read_edges(label: str) -> set[tuple[int, int, int]]:
+    def read_edges(label: str) -> np.ndarray:
         block, _ = read_block(label)
-        out = set()
-        for line in block:
-            h, r, t = line.split("\t")
-            out.add((int(h), int(r), int(t)))
-        return out
+        rows = [line.split("\t") for line in block]
+        if set(map(len, rows)) - {3}:
+            raise ValueError(f"{label} edge line without 3 tab-separated ids")
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
     train = KnowledgeGraph(vocab, read_edges("train"))
     valid = KnowledgeGraph(vocab, read_edges("valid-extra"), base=train)

@@ -34,7 +34,7 @@ def make_splits(train, valid_extra=(), test_extra=(), augment=True) -> GraphSpli
     train_edges = set(to_ids(train))
     valid_edges = train_edges | set(to_ids(valid_extra))
     test_edges = valid_edges | set(to_ids(test_extra))
-    graphs = [KnowledgeGraph(vocab, e) for e in (train_edges, valid_edges, test_edges)]
+    graphs = [KnowledgeGraph(vocab, sorted(e)) for e in (train_edges, valid_edges, test_edges)]
     if augment:
         graphs = [augment_inverses(g) for g in graphs]
     return GraphSplits(*graphs)

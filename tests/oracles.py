@@ -47,7 +47,13 @@ and use its `ground`, `degeneracies`, `slots` and `answers` (through
 generation deduplicates by. `validate_dag` and `is_grounded` check a
 graph's structure and bindings, and `load_triples` and `augment_inverses`
 load one triple file and mirror a graph's edges with the program's
-`kg._parse_triple_lines` and `kg._with_inverses`. The grounding
+`kg._parse_triple_lines` and `kg._with_inverses`. The graph oracle
+`DictKnowledgeGraph` is the knowledge graph as the library built it before
+its edges became sorted id arrays: an edge frozenset and tuple-keyed dicts
+filled by one `setdefault` append per edge, with valid and test built as
+deltas over shallow copies of the dicts of the graph before them, against
+which the library's sorted indices and root fall-through are compared;
+`edge_set` reads a library graph's edges as a set of tuples. The grounding
 oracles are the graph-walking grounding, degeneracy check, traversal and
 canonical key that query generation used before it compiled each
 structure into a slot plan: they re-read the bound `ComputationGraph`
@@ -124,6 +130,7 @@ def answer_by_satisfiability(kg: KnowledgeGraph, query) -> set[int]:
     plain enumeration over all entities.
     """
     graph = _graph_of(query)
+    edges = edge_set(kg)
 
     def sat(node_id: int, value: int) -> bool:
         node = graph.node(node_id)
@@ -135,7 +142,7 @@ def answer_by_satisfiability(kg: KnowledgeGraph, query) -> set[int]:
             return any(sat(e.src, value) for e in in_es)
         for e in in_es:
             if not any(
-                (u, e.relation, value) in kg.edges and sat(e.src, u)
+                (u, e.relation, value) in edges and sat(e.src, u)
                 for u in range(kg.n_entities)
             ):
                 return False
@@ -153,13 +160,14 @@ def answer_by_assignment_enumeration(kg: KnowledgeGraph, query) -> set[int]:
         raise ValueError("assignment enumeration handles conjunctive graphs only")
     free = [n.id for n in graph.nodes if n.kind != ANCHOR]
     fixed = {n.id: n.entity for n in graph.nodes if n.kind == ANCHOR}
+    edges = edge_set(kg)
     target = graph.target.id
     answers = set()
     for combo in itertools.product(range(kg.n_entities), repeat=len(free)):
         assignment = dict(fixed)
         assignment.update(zip(free, combo))
         if all(
-            (assignment[e.src], e.relation, assignment[e.dst]) in kg.edges
+            (assignment[e.src], e.relation, assignment[e.dst]) in edges
             for e in graph.edges
         ):
             answers.add(assignment[target])
@@ -1231,12 +1239,93 @@ def augment_inverses(kg: KnowledgeGraph) -> KnowledgeGraph:
     relation; the vocabulary gains the inverse names in place. A graph that
     already uses inverse relations is rejected."""
     vocab = kg.vocab
-    for h, r, t in kg.edges:
+    for r in kg.triples[:, 1].tolist():
         if vocab.relation_names[r].endswith(INVERSE_MARKER):
             raise VocabularyError(
                 f"graph already contains inverse relation {vocab.relation_names[r]!r}"
             )
-    return KnowledgeGraph(vocab, _with_inverses(vocab, kg.edges))
+    return KnowledgeGraph(vocab, _with_inverses(vocab, kg.triples))
+
+
+def edge_set(kg) -> set[tuple[int, int, int]]:
+    """The edges of a graph as a set of (head, relation, tail) tuples."""
+    return set(map(tuple, kg.triples.tolist()))
+
+
+class DictKnowledgeGraph:
+    """The graph as the library built it before its edges became sorted id
+    arrays: a frozenset of edge tuples and three dicts, `(entity, relation)`
+    to sorted out-neighbors and to sorted sources, and entity to the sorted
+    relations into it, filled by one `setdefault` append per edge.
+
+    With a base, the dicts start as shallow copies of the base's, so every
+    key the new edges do not touch shares the base's tuple; one pass
+    range-checks the new edges and groups them by key, and only those keys
+    are rebuilt. Edges already in the base are dropped first.
+    """
+
+    def __init__(self, vocab: Vocabulary, edges, base: "DictKnowledgeGraph | None" = None):
+        self.vocab = vocab
+        old = base.edges if base is not None else frozenset()
+        new = frozenset(edges) - old
+        self.edges: frozenset[tuple[int, int, int]] = old | new
+        self._out, self._in, self._relations_into = (
+            (dict(base._out), dict(base._in), dict(base._relations_into))
+            if base is not None else ({}, {}, {}))
+        n_ent, n_rel = vocab.n_entities, vocab.n_relations
+        out: dict[tuple[int, int], list[int]] = {}
+        inc: dict[tuple[int, int], list[int]] = {}
+        for h, r, t in new:
+            if not (0 <= h < n_ent and 0 <= t < n_ent):
+                raise VocabularyError(f"edge ({h},{r},{t}) references unknown entity id")
+            if not 0 <= r < n_rel:
+                raise VocabularyError(f"edge ({h},{r},{t}) references unknown relation id")
+            out.setdefault((h, r), []).append(t)
+            inc.setdefault((t, r), []).append(h)
+        rels_in: dict[int, list[int]] = {}  # relations into t that the base lacks
+        for t, r in inc:
+            if (t, r) not in self._in:
+                rels_in.setdefault(t, []).append(r)
+        for index, delta in ((self._out, out), (self._in, inc), (self._relations_into, rels_in)):
+            for key, values in delta.items():
+                values.extend(index.get(key, ()))
+                index[key] = tuple(sorted(values))
+
+    @property
+    def n_entities(self) -> int:
+        return self.vocab.n_entities
+
+    @property
+    def n_relations(self) -> int:
+        return self.vocab.n_relations
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+    def neighbors(self, entity: int, relation: int) -> tuple[int, ...]:
+        self._check_ids(entity, relation)
+        return self._out.get((entity, relation), ())
+
+    def project_frontier(self, entities: set[int], relation: int) -> set[int]:
+        out: set[int] = set()
+        for v in entities:
+            out.update(self._out.get((v, relation), ()))
+        return out
+
+    def sources(self, entity: int, relation: int) -> tuple[int, ...]:
+        self._check_ids(entity, relation)
+        return self._in.get((entity, relation), ())
+
+    def relations_into(self, entity: int) -> tuple[int, ...]:
+        self._check_ids(entity, None)
+        return self._relations_into.get(entity, ())
+
+    def _check_ids(self, entity: int, relation: int | None) -> None:
+        if not 0 <= entity < len(self.vocab.entity_names):
+            raise VocabularyError(f"entity id {entity} out of range")
+        if relation is not None and not 0 <= relation < len(self.vocab.relation_names):
+            raise VocabularyError(f"relation id {relation} out of range")
 
 
 # The graph-walking grounding, degeneracy check, traversal and canonical key.

@@ -418,7 +418,7 @@ class TestCountDisjointQueries:
         triples = [(f"x{i}", "r", f"y{i}") for i in range(6)]
         triples += [(f"y{i}", "s", f"z{i}") for i in range(6)]
         kg = make_graph(triples)
-        pairs = {(h, r) for (h, r, t) in kg.edges}
+        pairs = {(h, r) for (h, r, t) in kg.triples.tolist()}
         m_1p, m_total = count_disjoint_queries(kg, rng)
         assert m_1p == len(pairs) == 12
         assert m_total == m_1p  # no multi-answer pairs, so no 2i stage

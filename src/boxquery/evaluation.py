@@ -26,8 +26,6 @@ from .kg import GraphSplits, KnowledgeGraph
 from .model import ModelParams, QueryForward
 from .sampling import GroundedQuery
 
-STAGES = ("train", "validation", "test")
-
 METRIC_NAMES = ("mrr", "h1", "h3", "h10")
 
 # queries of one structure embedded and scored together; the (chunk, N)

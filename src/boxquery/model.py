@@ -56,11 +56,6 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        # accept the long-form aliases for the variant switches
-        if self.intersection_mode == "deepsets-center":
-            self.intersection_mode = "deepsets"
-        if self.offset_mode == "shared-global":
-            self.offset_mode = "shared"
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0 < self.gamma < float("inf"):

@@ -301,40 +301,3 @@ def graph_to_text(g: ComputationGraph) -> str:
         else:
             edge_parts.append(f"{e.src}-{e.dst}:u")
     return ",".join(node_parts) + ";" + ",".join(edge_parts)
-
-
-def graph_from_text(text: str) -> ComputationGraph:
-    try:
-        return _graph_from_text(text)
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"malformed graph serialization {text!r}: {exc}") from exc
-
-
-def _graph_from_text(text: str) -> ComputationGraph:
-    node_text, edge_text = text.split(";")
-    nodes = []
-    for part in node_text.split(","):
-        fields = part.split(":")
-        nid = int(fields[0])
-        if fields[1] == "a":
-            entity = None if fields[3] == "-" else int(fields[3])
-            nodes.append(Node(nid, ANCHOR, slot=int(fields[2]), entity=entity))
-        elif fields[1] == "v":
-            nodes.append(Node(nid, VARIABLE))
-        elif fields[1] == "t":
-            nodes.append(Node(nid, TARGET))
-        else:
-            raise ValueError(f"unknown node kind {fields[1]!r}")
-    edges = []
-    for part in edge_text.split(","):
-        ends, rest = part.split(":", 1)
-        src, dst = (int(x) for x in ends.split("-"))
-        fields = rest.split(":")
-        if fields[0] == "p":
-            relation = None if fields[2] == "-" else int(fields[2])
-            edges.append(Edge(src, dst, PROJECTION, slot=int(fields[1]), relation=relation))
-        elif fields[0] == "u":
-            edges.append(Edge(src, dst, UNION))
-        else:
-            raise ValueError(f"unknown edge op {fields[0]!r}")
-    return ComputationGraph(tuple(nodes), tuple(edges))

@@ -31,7 +31,6 @@ from .queries import (
     _key_recipe,
     _key_text,
     bind,
-    graph_from_text,
     graph_to_text,
     structure_templates,
     template,
@@ -70,25 +69,6 @@ class GroundedQuery:
     def graph(self) -> ComputationGraph:
         """The structure's template bound with the slot ids."""
         return bind(template(self.structure_name).graph, self.anchors, self.relations)
-
-    @classmethod
-    def from_graph(cls, name: str, graph: ComputationGraph,
-                   answers: AnswerSet | None = None) -> "GroundedQuery":
-        """The query of structure `name` whose bound template is `graph`;
-        ValueError for an unknown structure, an unbound slot or another graph."""
-        if name not in STRUCTURE_NAMES:
-            raise ValueError(f"unknown query structure {name!r}")
-        anchors = sorted(graph.anchors, key=lambda n: n.slot)
-        projections = sorted((e for e in graph.edges if e.op == PROJECTION), key=lambda e: e.slot)
-        query = cls(name, tuple(n.entity for n in anchors),
-                    tuple(e.relation for e in projections), answers)
-        try:
-            same = graph_to_text(query.graph) == graph_to_text(graph)
-        except IndexError:  # the graph leaves a slot of the template unbound
-            same = False
-        if not same:
-            raise ValueError(f"graph is not a {name} query")
-        return query
 
 
 class _Plan:
@@ -350,22 +330,48 @@ def _check_ids(q: GroundedQuery, vocab: Vocabulary, where: str) -> None:
     ids += [("relation", r, vocab.n_relations) for r in q.relations]
     ids += [("answer", a, vocab.n_entities) for a in q.answers.test]
     for kind, value, n in ids:
-        if value is None or not 0 <= value < n:
+        if not 0 <= value < n:
             raise CompatibilityError(
                 f"{where}: {kind} id {value} is outside the snapshot's range [0, {n})"
             )
 
 
+def _query_from_text(name: str, text: str, answers: AnswerSet | None = None) -> GroundedQuery:
+    """The query of structure `name` that graph `text` renders, read by the
+    ids in its anchor tokens (`id:a:slot:entity`) and projection tokens
+    (`src-dst:p:slot:relation`). ValueError unless the text's node tokens
+    and edge tokens, in any order, are those `graph_to_text` writes for it."""
+    if name not in STRUCTURE_NAMES:
+        raise ValueError(f"unknown query structure {name!r}")
+    graph = template(name).graph
+    ids = {"a": [None] * len(graph.anchors),
+           "p": [None] * sum(e.op == PROJECTION for e in graph.edges)}
+    listed = [sorted(part.split(",")) for part in text.split(";")]
+    try:
+        for fields in (token.split(":") for part in listed for token in part):
+            if fields[1:2] in (["a"], ["p"]):
+                ids[fields[1]][int(fields[2])] = int(fields[3])
+        query = GroundedQuery(name, tuple(ids["a"]), tuple(ids["p"]), answers)
+        rendered = graph_to_text(query.graph)
+        if [sorted(part.split(",")) for part in rendered.split(";")] == listed:
+            return query
+    except (ValueError, IndexError):  # a missing or non-integer field, a slot out of range
+        pass
+    raise ValueError(f"graph {text!r} is not a {name} query")
+
+
 def read_query_file(path: str | Path, vocab: Vocabulary | None = None) -> list[GroundedQuery]:
-    """Parse a query file; each line's graph must match its structure name.
-    With `vocab`, every anchor, relation and answer id must lie in its
-    range, else CompatibilityError names the line."""
+    """Parse a query file. A line's query is read by the slot ids of its
+    graph text, which must list the node and edge tokens that the writer
+    renders for that query, in any order. With `vocab`, every anchor,
+    relation and answer id must lie in its range, else CompatibilityError
+    names the line."""
     queries = []
     with _open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             try:
                 name, graph_text, train, valid, test = line.rstrip("\n").split("\t")
-                q = GroundedQuery.from_graph(name, graph_from_text(graph_text), AnswerSet(
+                q = _query_from_text(name, graph_text, AnswerSet(
                     *(_ids_from_text(ids) for ids in (train, valid, test))))
             except ValueError as exc:
                 raise ParseError(str(exc), str(path), lineno) from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SamplingError, TrainingError
-from .geometry import dist_box_grad, dist_box_rows
+from .geometry import dist_box_grad
 from .kg import GraphSplits
 from .model import (AdamState, ModelConfig, ModelParams, QueryForward, _scatter_rows, adam_step,
                     sigmoid)
@@ -75,10 +75,10 @@ def _candidate_pass(candidates: np.ndarray, boxes, params: ModelParams, grads, w
                     adjoints) -> float:
     """Summed loss of B samples of one structure, query i with the candidates
     in row i of `candidates` (its positive, then its negatives), given its
-    boxes, one (center, offset) pair of (B, d) stacks per branch. With
-    `grads`, the candidates' entity gradients are added to it and the box
-    adjoints written to `adjoints`, one (d_center, d_offset) pair of (B, d)
-    arrays per branch, every row of which is written."""
+    boxes, one (center, offset) pair of (B, d) stacks per branch. The
+    candidates' entity gradients are added to `grads` and the box adjoints
+    written to `adjoints`, one (d_center, d_offset) pair of (B, d) arrays per
+    branch, every row of which is written."""
     cfg = params.config
     entity = params.entity
     b, width = candidates.shape
@@ -91,20 +91,15 @@ def _candidate_pass(candidates: np.ndarray, boxes, params: ModelParams, grads, w
         vecs = np.take(entity, ids, axis=0, mode="wrap",  # in range: checked by the caller
                        out=workspace.buffer("vecs", shape, entity.dtype))
         chunk_boxes = [(center[rows], offset[rows]) for center, offset in boxes]
-        if grads is None:
-            passes = [(dist_box_rows(vecs, center, offset, cfg.alpha),)
-                      for center, offset in chunk_boxes]
-        else:  # one fused distance and gradient pass per branch
-            passes = [dist_box_grad(vecs, center, offset, cfg.alpha,
-                                    out=(workspace.buffer(("dv", i), shape),
-                                         workspace.buffer(("do", i), shape)))
-                      for i, (center, offset) in enumerate(chunk_boxes)]
+        # one fused distance and gradient pass per branch
+        passes = [dist_box_grad(vecs, center, offset, cfg.alpha,
+                                out=(workspace.buffer(("dv", i), shape),
+                                     workspace.buffer(("do", i), shape)))
+                  for i, (center, offset) in enumerate(chunk_boxes)]
         per_box = np.stack([dist for dist, *_ in passes])
         branches = np.argmin(per_box, axis=0)
         dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
         losses.append(_losses(dists, cfg.gamma))
-        if grads is None:
-            continue
         # d loss / d distance, then chain through the box distance of the
         # branch that is closest to each candidate
         dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
@@ -123,16 +118,16 @@ def _candidate_pass(candidates: np.ndarray, boxes, params: ModelParams, grads, w
     return float(sum(np.concatenate(losses).tolist()))
 
 
-def batch_loss_and_grads(samples, params: ModelParams, grads: dict[str, np.ndarray] | None = None,
+def batch_loss_and_grads(samples, params: ModelParams, grads: dict[str, np.ndarray],
                          workspace: Workspace | None = None) -> float:
     """Summed loss of the batches in `samples`, one (queries, positives,
     negatives) triple per structure: B queries of one structure, query i
     with positive positives[i] and the k negatives in row i of `negatives`.
-    Gradients of the loss are accumulated into `grads`; with None, only the
-    loss is computed. One forward pass embeds every batch and one backward
-    pass differentiates them; the candidates are scored per batch. The
-    candidate pass and the (B, d) box adjoints use `workspace`, a fresh one
-    if None. The loss is the sum of the batches' losses, in their order."""
+    Gradients of the loss are accumulated into `grads`. One forward pass
+    embeds every batch and one backward pass differentiates them; the
+    candidates are scored per batch. The candidate pass and the (B, d) box
+    adjoints use `workspace`, a fresh one if None. The loss is the sum of
+    the batches' losses, in their order."""
     cfg = params.config
     n_entities = len(params.entity)
     candidates = [np.concatenate((np.asarray(positives)[:, None], negatives), axis=1).astype(int)
@@ -143,14 +138,12 @@ def batch_loss_and_grads(samples, params: ModelParams, grads: dict[str, np.ndarr
     forward = QueryForward([queries for queries, _, _ in samples], params)
     totals, adjoints = [], []
     for i, ids in enumerate(candidates):
-        adjoints.append([] if grads is None else [
-            tuple(workspace.buffer((name, i, branch), (len(ids), cfg.dim))
-                  for name in ("d_center", "d_offset"))
-            for branch in range(len(forward.boxes[i]))])
+        adjoints.append([tuple(workspace.buffer((name, i, branch), (len(ids), cfg.dim))
+                               for name in ("d_center", "d_offset"))
+                         for branch in range(len(forward.boxes[i]))])
         totals.append(_candidate_pass(ids, forward.boxes[i], params, grads, workspace,
                                       adjoints[-1]))
-    if grads is not None:
-        forward.backward(adjoints, grads)
+    forward.backward(adjoints, grads)
     return sum(totals)
 
 

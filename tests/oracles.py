@@ -110,10 +110,12 @@ from boxquery.queries import (
     _key_recipe,
     _key_text,
     bind,
+    graph_to_text,
     template,
     to_dnf,
 )
-from boxquery.sampling import DEFAULT_ATTEMPTS, AnswerSet, GroundedQuery, _answer_set, _Plan
+from boxquery.sampling import (DEFAULT_ATTEMPTS, AnswerSet, GroundedQuery, _answer_set, _Plan,
+                               _query_from_text)
 
 
 def _graph_of(query) -> ComputationGraph:
@@ -510,12 +512,12 @@ class PerStructureForward:
 
 
 def structure_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, positives,
-                         negatives: np.ndarray, grads: dict[str, np.ndarray] | None = None,
+                         negatives: np.ndarray, grads: dict[str, np.ndarray],
                          workspace: training.Workspace | None = None) -> float:
     """Summed loss of B samples of one structure: query i with positive
     positives[i] and the k negatives in row i of `negatives`. Gradients of
-    the loss are accumulated into `grads`; with None, only the loss is
-    computed. The candidate pass runs in `workspace`, a fresh one if None."""
+    the loss are accumulated into `grads`. The candidate pass runs in
+    `workspace`, a fresh one if None."""
     cfg = params.config
     entity = params.entity
     forward = PerStructureForward(queries, params)
@@ -524,8 +526,7 @@ def structure_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, 
     if candidates.min() < 0 or candidates.max() >= len(entity):
         raise IndexError(f"candidate entity ids must lie in [0, {len(entity)})")
     workspace = training.Workspace() if workspace is None else workspace
-    adjoints = [] if grads is None else [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim)))
-                                         for _ in forward.boxes]
+    adjoints = [(np.zeros((b, cfg.dim)), np.zeros((b, cfg.dim))) for _ in forward.boxes]
     losses = []
     # the candidates of a few queries at a time, so their blocks stay small
     chunk = max(1, training._CANDIDATE_BLOCK // (width * cfg.dim))
@@ -535,20 +536,15 @@ def structure_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, 
         vecs = np.take(entity, ids, axis=0, mode="wrap",  # in range: checked above
                        out=workspace.buffer("vecs", shape, entity.dtype))
         boxes = [(center[rows], offset[rows]) for center, offset in forward.boxes]
-        if grads is None:
-            passes = [(geometry.dist_box_rows(vecs, center, offset, cfg.alpha),)
-                      for center, offset in boxes]
-        else:  # one fused distance and gradient pass per branch
-            passes = [geometry.dist_box_grad(vecs, center, offset, cfg.alpha,
-                                    out=(workspace.buffer(("dv", i), shape),
-                                         workspace.buffer(("do", i), shape)))
-                      for i, (center, offset) in enumerate(boxes)]
+        # one fused distance and gradient pass per branch
+        passes = [geometry.dist_box_grad(vecs, center, offset, cfg.alpha,
+                                         out=(workspace.buffer(("dv", i), shape),
+                                              workspace.buffer(("do", i), shape)))
+                  for i, (center, offset) in enumerate(boxes)]
         per_box = np.stack([dist for dist, *_ in passes])
         branches = np.argmin(per_box, axis=0)
         dists = np.take_along_axis(per_box, branches[None], axis=0)[0].astype(float)
         losses.append(training._losses(dists, cfg.gamma))
-        if grads is None:
-            continue
         # d loss / d distance, then chain through the box distance of the
         # branch that is closest to each candidate
         dloss_ddist = np.concatenate((sigmoid(dists[:, :1] - cfg.gamma),
@@ -564,12 +560,11 @@ def structure_loss_and_grads(queries: list[GroundedQuery], params: ModelParams, 
             d_center[rows] = -dv.sum(axis=1)  # the center gradient is -dv
             do *= weight
             d_offset[rows] = do.sum(axis=1)
-    if grads is not None:
-        forward.backward(adjoints, grads)
+    forward.backward(adjoints, grads)
     return float(sum(np.concatenate(losses).tolist()))
 
 
-def batch_loss_and_grads_per_structure(samples, params, grads=None, workspace=None) -> float:
+def batch_loss_and_grads_per_structure(samples, params, grads, workspace=None) -> float:
     """Reference for `training.batch_loss_and_grads`: one forward and one
     backward pass per structure, each intersection network run once per
     structure, and the losses of the structures summed in their order."""
@@ -1092,7 +1087,7 @@ def _as_query(query: GroundedQuery | ComputationGraph) -> GroundedQuery:
         return query
     for name in STRUCTURE_NAMES:
         try:
-            return GroundedQuery.from_graph(name, query)
+            return _query_from_text(name, graph_to_text(query))
         except ValueError:
             continue
     raise ValueError("graph binds no query structure")
@@ -1467,7 +1462,7 @@ def try_instantiate_on_graph(
     grounded = bind(graph, anchor_bindings, relation_bindings)
     if degeneracies_on_graph(grounded, kg):
         return None
-    return GroundedQuery.from_graph(structure.name, grounded)
+    return _query_from_text(structure.name, graph_to_text(grounded))
 
 
 def canonical_key_on_graph(g: ComputationGraph) -> str:

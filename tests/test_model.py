@@ -20,10 +20,11 @@ from boxquery.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from boxquery.queries import STRUCTURE_NAMES, bind, template, to_dnf
+from boxquery.queries import STRUCTURE_NAMES, bind, graph_to_text, template, to_dnf
 from boxquery.sampling import (
     AnswerSet,
     GroundedQuery,
+    _query_from_text,
     read_query_file,
     write_query_file,
 )
@@ -310,18 +311,17 @@ class TestEmbedConjunctive:
         params.tensors["offset_net.outer.b2"][:] = -1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            forward = QueryForward([[GroundedQuery.from_graph("2i", g)]], params)
+            forward = QueryForward([[_query_from_text("2i", graph_to_text(g))]], params)
         _, offset = forward.boxes[0][0]
         shrink = forward.levels[-1].meets[0].shrink
         assert np.all(shrink == 0.0)
         assert np.all(offset == 0.0)
 
-    def test_mode_aliases_accepted(self):
-        config = ModelConfig(
-            dim=4, intersection_mode="deepsets-center", offset_mode="shared-global"
-        )
-        assert config.intersection_mode == "deepsets"
-        assert config.offset_mode == "shared"
+    @pytest.mark.parametrize("field, alias", [("intersection_mode", "deepsets-center"),
+                                              ("offset_mode", "shared-global")])
+    def test_mode_aliases_rejected(self, field, alias):
+        with pytest.raises(ValueError, match=f"unknown .* mode '{alias}'"):
+            ModelConfig(dim=4, **{field: alias})
 
     def test_shared_offset_everywhere(self, rng):
         kg = make_graph([("A", "r", "B"), ("B", "s", "C")], augment=True)

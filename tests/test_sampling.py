@@ -271,7 +271,15 @@ class TestQueryFiles:
         "2i\t0:a:0:3,1:t;0-1:p:0:1\t-\t-\t-\n",
         "zz\t0:a:0:3,1:t;0-1:p:0:1\t-\t-\t-\n",
         "1p\t0:a:0:3,1:v,2:t;0-1:p:0:1,1-2:p:1:0\t-\t-\t-\n",
-    ], ids=["bad-graph", "1p-graph-as-2i", "unknown-structure", "2p-graph-as-1p"])
+        "1p\t0:a:0:-,1:t;0-1:p:0:-\t-\t-\t-\n",
+        "1p\t0:a:0:3:junk,1:t;0-1:p:0:1\t-\t-\t-\n",
+        "1p\t0:a:0:3,1:t:x;0-1:p:0:1\t-\t-\t-\n",
+        "1p\t0:a:0:3,1:t;0-1:p:0:1:9\t-\t-\t-\n",
+        "1p\t0:a:0:03,1:t;0-1:p:0:1\t-\t-\t-\n",
+        "2i\t0:a:0:3,1:a:1:2,2:t;0-2:p:0:+1,1-2:p:1:0\t-\t-\t-\n",
+    ], ids=["bad-graph", "1p-graph-as-2i", "unknown-structure", "2p-graph-as-1p",
+            "unbound-slots", "anchor-trailing-field", "node-trailing-field",
+            "edge-trailing-field", "zero-padded-id", "signed-id"])
     def test_malformed_line_reports_location(self, tmp_path, line):
         from boxquery.errors import ParseError
 
@@ -288,14 +296,10 @@ class TestQueryFiles:
         assert q.structure_name == "2i"
         assert len(q.graph.anchors) == 2
 
-    def test_round_trip(self, rng, tmp_path):
-        splits = make_splits(
-            [("A", "r", "B"), ("B", "s", "C"), ("C", "r", "D"), ("D", "s", "A")]
-        )
-        queries = generate_heldin_queries(
-            splits, {name: 3 for name in ("1p", "2p", "2i", "2u", "up")}, seed=4
-        )
-        assert queries
+    def test_round_trip(self, tmp_path):
+        splits = _held_out_splits(np.random.default_rng(5), 14, 3, 60)
+        queries = generate_heldin_queries(splits, dict.fromkeys(STRUCTURE_NAMES, 3), seed=4)
+        assert {q.structure_name for q in queries} == set(STRUCTURE_NAMES)
         path = tmp_path / "queries.txt"
         write_query_file(path, queries)
         back = read_query_file(path)

@@ -654,7 +654,6 @@ class TestWorkspaceMatchesAllocatingPass:
                 total = batch_loss_and_grads(samples, params, got, self.poisoned(workspace))
                 assert total == batch_loss_and_grads(samples, params, fresh)
                 assert total == batch_loss_and_grads_allocating(samples, params, want)
-                assert total == batch_loss_and_grads(samples, params)
                 for name in got:
                     assert got[name].dtype == np.dtype(dtype)
                     assert got[name].tobytes() == fresh[name].tobytes(), (structure.name, name)

@@ -127,13 +127,13 @@ def cmd_generate_queries(args) -> int:
     generated = sampling.generate_queries(splits, counts, args.seed)
     for split_name, queries in generated.items():
         path = out_dir / QUERY_FILES[split_name]
-        sampling.write_query_file(path, queries)
+        sampling.write_query_file(path, queries, splits.vocab)
         print(f"{split_name}: {len(queries)} queries -> {path}")
     if args.heldin_count:
         heldin_counts = {name: args.heldin_count for name in counts}
         queries = sampling.generate_heldin_queries(splits, heldin_counts, args.seed)
         path = out_dir / QUERY_FILES["heldin"]
-        sampling.write_query_file(path, queries)
+        sampling.write_query_file(path, queries, splits.vocab)
         print(f"heldin: {len(queries)} queries -> {path}")
     test_queries = generated["test"] or None
     if test_queries:

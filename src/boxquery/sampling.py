@@ -13,7 +13,7 @@ and the ids bound to the template's slots; no graph is bound to generate it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from .kg import GraphSplits, KnowledgeGraph, Vocabulary, _atomic_open, _open_tex
 from .queries import (
     ANCHOR,
     PROJECTION,
-    STRUCTURE_NAMES,
     UNION,
     ComputationGraph,
     QueryStructure,
@@ -31,7 +30,6 @@ from .queries import (
     _key_recipe,
     _key_text,
     bind,
-    graph_to_text,
     structure_templates,
     template,
 )
@@ -294,88 +292,89 @@ def answer_count_report(queries: list[GroundedQuery]) -> dict[str, float]:
     return {name: float(np.mean(counts)) for name, counts in sorted(totals.items())}
 
 
-def _ids_to_text(ids: tuple[int, ...]) -> str:
-    return ",".join(str(i) for i in ids) if ids else "-"
+QUERY_MAGIC = "boxquery-queries v2"
+
+# the anchor and relation slot counts of each structure
+_SLOTS = {s.name: (len(s.graph.anchors), sum(e.op == PROJECTION for e in s.graph.edges))
+          for s in structure_templates()}
+
+
+def _ids_to_text(ids) -> str:
+    return ",".join(map(str, ids)) if ids else "-"
 
 
 def _ids_from_text(text: str) -> tuple[int, ...]:
-    if text == "-":
-        return ()
-    return tuple(int(x) for x in text.split(","))
+    """The ids of a list exactly as `_ids_to_text` writes them."""
+    try:
+        ids = () if text == "-" else tuple(map(int, text.split(",")))
+        if _ids_to_text(ids) == text:
+            return ids
+    except ValueError:  # an empty or non-integer id
+        pass
+    raise ValueError(f"id list {text!r} is not written as comma-separated integers")
 
 
-def write_query_file(path: str | Path, queries: list[GroundedQuery]) -> None:
-    """One query per line: structure, graph, and the three answer id lists."""
+def write_query_file(path: str | Path, queries: list[GroundedQuery], vocab: Vocabulary) -> None:
+    """A header with the format and the snapshot's vocabulary hashes, then one
+    record per query: structure, anchor ids, relation ids, the train answers,
+    and the answers the valid graph adds and then the test graph adds."""
     with _atomic_open(path) as f:
+        f.write(f"{QUERY_MAGIC}\t{vocab.entity_hash()}\t{vocab.relation_hash()}\n")
         for q in queries:
             if q.answers is None:
                 raise ValueError("queries must carry answer sets")
-            f.write(
-                "\t".join(
-                    (
-                        q.structure_name,
-                        graph_to_text(q.graph),
-                        _ids_to_text(q.answers.train),
-                        _ids_to_text(q.answers.valid),
-                        _ids_to_text(q.answers.test),
-                    )
-                )
-                + "\n"
-            )
+            train, valid, test = map(set, astuple(q.answers))
+            lists = (q.anchors, q.relations, sorted(train), sorted(valid - train),
+                     sorted(test - valid))
+            f.write("\t".join([q.structure_name, *map(_ids_to_text, lists)]) + "\n")
 
 
 def _check_ids(q: GroundedQuery, vocab: Vocabulary, where: str) -> None:
     # answers nest (train <= valid <= test), so the test set covers all three
-    ids = [("anchor entity", a, vocab.n_entities) for a in q.anchors]
-    ids += [("relation", r, vocab.n_relations) for r in q.relations]
-    ids += [("answer", a, vocab.n_entities) for a in q.answers.test]
-    for kind, value, n in ids:
-        if not 0 <= value < n:
-            raise CompatibilityError(
-                f"{where}: {kind} id {value} is outside the snapshot's range [0, {n})"
-            )
+    for kind, ids, n in (("anchor entity", q.anchors, vocab.n_entities),
+                         ("relation", q.relations, vocab.n_relations),
+                         ("answer", q.answers.test, vocab.n_entities)):
+        for value in ids:
+            if not 0 <= value < n:
+                raise CompatibilityError(
+                    f"{where}: {kind} id {value} is outside the snapshot's range [0, {n})")
 
 
-def _query_from_text(name: str, text: str, answers: AnswerSet | None = None) -> GroundedQuery:
-    """The query of structure `name` that graph `text` renders, read by the
-    ids in its anchor tokens (`id:a:slot:entity`) and projection tokens
-    (`src-dst:p:slot:relation`). ValueError unless the text's node tokens
-    and edge tokens, in any order, are those `graph_to_text` writes for it."""
-    if name not in STRUCTURE_NAMES:
-        raise ValueError(f"unknown query structure {name!r}")
-    graph = template(name).graph
-    ids = {"a": [None] * len(graph.anchors),
-           "p": [None] * sum(e.op == PROJECTION for e in graph.edges)}
-    listed = [sorted(part.split(",")) for part in text.split(";")]
-    try:
-        for fields in (token.split(":") for part in listed for token in part):
-            if fields[1:2] in (["a"], ["p"]):
-                ids[fields[1]][int(fields[2])] = int(fields[3])
-        query = GroundedQuery(name, tuple(ids["a"]), tuple(ids["p"]), answers)
-        rendered = graph_to_text(query.graph)
-        if [sorted(part.split(",")) for part in rendered.split(";")] == listed:
-            return query
-    except (ValueError, IndexError):  # a missing or non-integer field, a slot out of range
-        pass
-    raise ValueError(f"graph {text!r} is not a {name} query")
+def _query_from_record(line: str) -> GroundedQuery:
+    """A record's query; ValueError unless the writer could have written it."""
+    name, *fields = line.rstrip("\n").split("\t")
+    if len(fields) != 5:
+        raise ValueError(f"expected 6 tab-separated fields, got {len(fields) + 1}")
+    anchors, relations, train, valid, test = map(_ids_from_text, fields)
+    if _SLOTS.get(name) != (len(anchors), len(relations)):
+        raise ValueError(f"{name!r} is not a query structure with {len(anchors)} anchor "
+                         f"and {len(relations)} relation slots")
+    every = train + valid + test
+    if len(set(every)) < len(every) or any(x != tuple(sorted(x)) for x in (train, valid, test)):
+        raise ValueError("the answer id lists must each increase strictly and share no id")
+    return GroundedQuery(name, anchors, relations,
+                         AnswerSet(train, tuple(sorted(train + valid)), tuple(sorted(every))))
 
 
-def read_query_file(path: str | Path, vocab: Vocabulary | None = None) -> list[GroundedQuery]:
-    """Parse a query file. A line's query is read by the slot ids of its
-    graph text, which must list the node and edge tokens that the writer
-    renders for that query, in any order. With `vocab`, every anchor,
-    relation and answer id must lie in its range, else CompatibilityError
-    names the line."""
+def read_query_file(path: str | Path, vocab: Vocabulary) -> list[GroundedQuery]:
+    """Parse a query file that `write_query_file` wrote for `vocab`'s snapshot.
+    ParseError names the line of a missing header or a malformed record.
+    CompatibilityError names the file when its header is another snapshot's,
+    and the line when an anchor, relation or answer id lies outside `vocab`."""
     queries = []
     with _open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
+        magic, *found = f.readline().rstrip("\n").split("\t")
+        if magic != QUERY_MAGIC or len(found) != 2:
+            raise ParseError(f"not a {QUERY_MAGIC!r} query file; regenerate it with "
+                             "generate-queries", str(path), 1)
+        if found != [vocab.entity_hash(), vocab.relation_hash()]:
+            raise CompatibilityError(f"{path}: generated from another snapshot (entities "
+                                     f"{found[0][:12]}, relations {found[1][:12]})")
+        for lineno, line in enumerate(f, start=2):
             try:
-                name, graph_text, train, valid, test = line.rstrip("\n").split("\t")
-                q = _query_from_text(name, graph_text, AnswerSet(
-                    *(_ids_from_text(ids) for ids in (train, valid, test))))
+                q = _query_from_record(line)
             except ValueError as exc:
                 raise ParseError(str(exc), str(path), lineno) from exc
-            if vocab is not None:
-                _check_ids(q, vocab, f"{path}:{lineno}")
+            _check_ids(q, vocab, f"{path}:{lineno}")
             queries.append(q)
     return queries

@@ -114,8 +114,22 @@ from boxquery.queries import (
     template,
     to_dnf,
 )
-from boxquery.sampling import (DEFAULT_ATTEMPTS, AnswerSet, GroundedQuery, _answer_set, _Plan,
-                               _query_from_text)
+from boxquery.sampling import DEFAULT_ATTEMPTS, AnswerSet, GroundedQuery, _answer_set, _Plan
+
+
+def _query_from_graph(name: str, graph: ComputationGraph) -> GroundedQuery:
+    """The query of structure `name` whose slot ids `graph` binds. ValueError
+    unless binding the template with those ids gives `graph` back."""
+    try:
+        anchors = tuple(n.entity for n in sorted(graph.anchors, key=lambda n: n.slot))
+        relations = tuple(e.relation for e in sorted(
+            (e for e in graph.edges if e.op == PROJECTION), key=lambda e: e.slot))
+        query = GroundedQuery(name, anchors, relations)
+        if None not in anchors + relations and graph_to_text(query.graph) == graph_to_text(graph):
+            return query
+    except (KeyError, IndexError, TypeError):  # an unknown structure, a missing slot
+        pass
+    raise ValueError(f"graph {graph_to_text(graph)} is not a bound {name} query")
 
 
 def _graph_of(query) -> ComputationGraph:
@@ -1087,7 +1101,7 @@ def _as_query(query: GroundedQuery | ComputationGraph) -> GroundedQuery:
         return query
     for name in STRUCTURE_NAMES:
         try:
-            return _query_from_text(name, graph_to_text(query))
+            return _query_from_graph(name, query)
         except ValueError:
             continue
     raise ValueError("graph binds no query structure")
@@ -1462,7 +1476,7 @@ def try_instantiate_on_graph(
     grounded = bind(graph, anchor_bindings, relation_bindings)
     if degeneracies_on_graph(grounded, kg):
         return None
-    return _query_from_text(structure.name, graph_to_text(grounded))
+    return _query_from_graph(structure.name, grounded)
 
 
 def canonical_key_on_graph(g: ComputationGraph) -> str:

@@ -1,5 +1,4 @@
 import json
-import re
 import shutil
 import warnings
 
@@ -559,33 +558,46 @@ class TestNonUtf8Input:
                             "--dry-run"], bad, 2)
 
 
-def _corrupt_first_line(queries, tmp_path, name, edit):
-    """Copy the query directory and apply `edit` to the first line of `name`."""
-    import shutil
-
+def _corrupt_first_record(queries, tmp_path, name, edit):
+    """Copy the query directory and apply `edit` to the first record of
+    `name`, on line 2 below the header."""
     copy = tmp_path / "queries"
     shutil.copytree(queries, copy)
     path = copy / name
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[0] = edit(lines[0])
+    lines[1] = edit(lines[1])
     path.write_text("".join(lines), encoding="utf-8")
     return copy
 
 
+def _edit_field(line, index, change):
+    """`line` with record field `index` (0 is the structure) replaced by
+    `change(field)`."""
+    fields = line.rstrip("\n").split("\t")
+    fields[index] = change(fields[index])
+    return "\t".join(fields) + "\n"
+
+
+def _set_first(value):
+    return lambda ids: ",".join([str(value), *ids.split(",")[1:]])
+
+
 def _set_anchor(value):
-    return lambda line: re.sub(r"(\d+:a:\d+:)\d+", rf"\g<1>{value}", line, count=1)
+    return lambda line: _edit_field(line, 1, _set_first(value))
 
 
 def _set_relation(value):
-    return lambda line: re.sub(r"(\d+-\d+:p:\d+:)\d+", rf"\g<1>{value}", line, count=1)
+    return lambda line: _edit_field(line, 2, _set_first(value))
 
 
 def _add_answer(value):
     def edit(line):
-        # train <= valid <= test must still nest, so every column gains it
-        name, graph, *answers = line.rstrip("\n").split("\t")
-        answers = [value if a == "-" else f"{a},{value}" for a in answers]
-        return "\t".join([name, graph, *answers]) + "\n"
+        # the valid and test answers nest over the train answers, so adding
+        # it to the train list, in increasing order, adds it to all three
+        def add(ids):
+            train = [] if ids == "-" else [int(i) for i in ids.split(",")]
+            return ",".join(map(str, sorted(train + [value])))
+        return _edit_field(line, 3, add)
     return edit
 
 
@@ -602,34 +614,77 @@ class TestQueryFileIds:
     ])
     def test_eval_rejects_bad_id(self, capsys, pipeline, checkpoint, tmp_path, edit, kind):
         _, snapshot, queries = pipeline
-        bad = _corrupt_first_line(queries, tmp_path, "heldin-queries.txt", edit)
+        bad = _corrupt_first_record(queries, tmp_path, "heldin-queries.txt", edit)
         code, out, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
                              "--snapshot", str(snapshot), "--queries", str(bad),
                              "--stage", "train")
         assert code == 2
-        assert "heldin-queries.txt:1" in err
+        assert "heldin-queries.txt:2" in err
         assert kind in err
         assert "overall" not in out
 
     @pytest.mark.parametrize("label", ["2i", "zz"])
     def test_eval_rejects_mislabelled_structure(self, capsys, pipeline, checkpoint, tmp_path,
                                                 label):
-        # the first held-in line is a 1p query
+        # the first held-in record is a 1p query
         _, snapshot, queries = pipeline
-        bad = _corrupt_first_line(queries, tmp_path, "heldin-queries.txt",
-                                  lambda line: label + line[line.index("\t"):])
+        bad = _corrupt_first_record(queries, tmp_path, "heldin-queries.txt",
+                                    lambda line: label + line[line.index("\t"):])
         code, out, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
                              "--snapshot", str(snapshot), "--queries", str(bad),
                              "--stage", "train")
         assert code == 1
-        assert err.startswith("error:") and "heldin-queries.txt:1" in err
+        assert err.startswith("error:") and "heldin-queries.txt:2" in err
         assert "overall" not in out
 
     def test_train_checks_ids(self, capsys, pipeline, tmp_path):
         root, snapshot, queries = pipeline
-        bad = _corrupt_first_line(queries, tmp_path, "train-queries.txt", _set_anchor(999))
+        bad = _corrupt_first_record(queries, tmp_path, "train-queries.txt", _set_anchor(999))
         code, _, err = run(capsys, "train", "--snapshot", str(snapshot),
                            "--queries", str(bad), "--out", str(tmp_path / "x.ckpt"),
                            "--dim", "8", "--negatives", "4", "--dry-run")
         assert code == 2
-        assert "train-queries.txt:1" in err
+        assert "train-queries.txt:2" in err
+
+
+class TestQueryFileHeader:
+    def test_eval_rejects_queries_of_another_snapshot(self, capsys, pipeline, checkpoint,
+                                                      tmp_path):
+        _, snapshot, _ = pipeline
+        data, other, queries = tmp_path / "d", tmp_path / "other.snap", tmp_path / "q"
+        for argv in (["synthesize-kg", "--kind", "bipartite", "--entities", "18",
+                      "--out", str(data), "--valid-fraction", "0.05", "--test-fraction", "0.05"],
+                     ["prepare-data", "--train", str(data / "train.txt"),
+                      "--valid", str(data / "valid.txt"), "--test", str(data / "test.txt"),
+                      "--out", str(other)],
+                     ["generate-queries", "--snapshot", str(other), "--out", str(queries),
+                      "--count", "2"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the tiny graph cannot fill every count
+                assert main(argv) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
+                             "--snapshot", str(snapshot), "--queries", str(queries))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {queries / 'test-queries.txt'}: generated from another "
+                              "snapshot")
+        assert "overall" not in out
+
+    def test_file_without_header_asks_to_regenerate(self, capsys, pipeline, checkpoint,
+                                                     tmp_path):
+        # a record of the format before the header: structure, graph text
+        # and the three answer lists
+        _, snapshot, queries = pipeline
+        copy = tmp_path / "queries"
+        shutil.copytree(queries, copy)
+        (copy / "heldin-queries.txt").write_text("1p\t0:a:0:3,1:t;0-1:p:0:1\t1\t1\t1\n",
+                                                 encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
+                             "--snapshot", str(snapshot), "--queries", str(copy),
+                             "--stage", "train")
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {copy / 'heldin-queries.txt'}:1: ")
+        assert "regenerate" in err
+        assert "overall" not in out

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,19 +19,13 @@ from boxquery.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from boxquery.queries import STRUCTURE_NAMES, bind, graph_to_text, template, to_dnf
-from boxquery.sampling import (
-    AnswerSet,
-    GroundedQuery,
-    _query_from_text,
-    read_query_file,
-    write_query_file,
-)
+from boxquery.queries import STRUCTURE_NAMES, bind, template, to_dnf
+from boxquery.sampling import GroundedQuery
 
 from conftest import make_graph, random_graph
 from gradcheck import MODE_GRID, check_instance, make_instance, query_loss_and_grads
-from oracles import (Box, attention_weights, deepsets_forward, dist_box, embed_conjunctive,
-                     embed_epfo, try_instantiate)
+from oracles import (Box, _query_from_graph, attention_weights, deepsets_forward, dist_box,
+                     embed_conjunctive, embed_epfo, try_instantiate)
 
 
 def small_params(n_entities=6, n_relations=4, dim=4, **kwargs) -> ModelParams:
@@ -311,7 +304,7 @@ class TestEmbedConjunctive:
         params.tensors["offset_net.outer.b2"][:] = -1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            forward = QueryForward([[_query_from_text("2i", graph_to_text(g))]], params)
+            forward = QueryForward([[_query_from_graph("2i", g)]], params)
         _, offset = forward.boxes[0][0]
         shrink = forward.levels[-1].meets[0].shrink
         assert np.all(shrink == 0.0)
@@ -415,23 +408,6 @@ class TestQueryForward:
         params = small_params()
         QueryForward([[self.grounded("up", rng) for _ in range(b)]], params)
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
-    def test_node_and_edge_order_of_a_query_line_is_immaterial(self, rng, tmp_path, name):
-        q = replace(self.grounded(name, rng), answers=AnswerSet((), (), (0,)))
-        write_query_file(tmp_path / "q.txt", [q])
-        structure, graph, *answers = (tmp_path / "q.txt").read_text(encoding="utf-8").split("\t")
-        reversed_graph = ";".join(",".join(part.split(",")[::-1]) for part in graph.split(";"))
-        assert reversed_graph != graph
-        (tmp_path / "r.txt").write_text("\t".join([structure, reversed_graph, *answers]),
-                                        encoding="utf-8")
-        flipped, = read_query_file(tmp_path / "r.txt")
-        assert flipped == q
-        params = small_params()
-        for (base_center, base_offset), (center, offset) in zip(
-                QueryForward([[q]], params).boxes[0], QueryForward([[flipped]], params).boxes[0]):
-            assert base_center.tobytes() == center.tobytes()
-            assert base_offset.tobytes() == offset.tobytes()
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode", MODE_GRID)

@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from boxquery.errors import SamplingError
+from boxquery.errors import CompatibilityError, ParseError, SamplingError
 from boxquery.queries import (
     STRUCTURE_NAMES,
+    TRAINABLE_NAMES,
     ComputationGraph,
     _key_text,
     bind,
@@ -266,44 +267,71 @@ class TestAnswerCountReport:
 
 
 class TestQueryFiles:
-    @pytest.mark.parametrize("line", [
-        "1p\tnot-a-graph\t-\t-\t-\n",
-        "2i\t0:a:0:3,1:t;0-1:p:0:1\t-\t-\t-\n",
-        "zz\t0:a:0:3,1:t;0-1:p:0:1\t-\t-\t-\n",
-        "1p\t0:a:0:3,1:v,2:t;0-1:p:0:1,1-2:p:1:0\t-\t-\t-\n",
-        "1p\t0:a:0:-,1:t;0-1:p:0:-\t-\t-\t-\n",
-        "1p\t0:a:0:3:junk,1:t;0-1:p:0:1\t-\t-\t-\n",
-        "1p\t0:a:0:3,1:t:x;0-1:p:0:1\t-\t-\t-\n",
-        "1p\t0:a:0:3,1:t;0-1:p:0:1:9\t-\t-\t-\n",
-        "1p\t0:a:0:03,1:t;0-1:p:0:1\t-\t-\t-\n",
-        "2i\t0:a:0:3,1:a:1:2,2:t;0-2:p:0:+1,1-2:p:1:0\t-\t-\t-\n",
-    ], ids=["bad-graph", "1p-graph-as-2i", "unknown-structure", "2p-graph-as-1p",
-            "unbound-slots", "anchor-trailing-field", "node-trailing-field",
-            "edge-trailing-field", "zero-padded-id", "signed-id"])
-    def test_malformed_line_reports_location(self, tmp_path, line):
-        from boxquery.errors import ParseError
-
+    @pytest.mark.parametrize("record, error", [
+        ("1p\t0\t1\t3,03,+1\t-\t-\n", ParseError),
+        ("1p\t0\t1\t 3,3,1\t-\t-\n", ParseError),
+        ("1p\t0\t1\t1,1\t-\t-\n", ParseError),
+        ("1p\t0\t1\t3,1\t-\t-\n", ParseError),
+        ("1p\t0\t1\t1,3\t3\t-\n", ParseError),
+        ("1p\t0\t1\t\t-\t-\n", ParseError),
+        ("1p\t0\t1\t1,,3\t-\t-\n", ParseError),
+        ("2i\t0\t1\t-\t-\t-\n", ParseError),
+        ("zz\t0\t1\t-\t-\t-\n", ParseError),
+        ("1p\t0\t1\t-\t-\n", ParseError),
+        ("1p\t0\t1\t-\t-\t-\t-\n", ParseError),
+        # `-1` is written as `str` writes it; like any id outside the snapshot
+        # it is a CompatibilityError (exit 2), as TestQueryFileIds pins
+        ("1p\t-1\t1\t-\t-\t-\n", CompatibilityError),
+        ("1p\t0\t1\t-\t-\t-1\n", CompatibilityError),
+    ], ids=["padded-and-signed", "spaced-duplicate", "duplicate", "unsorted",
+            "valid-adds-a-train-answer", "empty-field", "empty-id", "slot-count",
+            "unknown-structure", "five-fields", "seven-fields", "negative-anchor",
+            "negative-answer"])
+    def test_malformed_line_reports_location(self, tmp_path, record, error):
+        splits = make_splits([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "D")])
         path = tmp_path / "bad.txt"
-        path.write_text(line, encoding="utf-8")
-        with pytest.raises(ParseError, match="bad.txt:1"):
-            read_query_file(path)
+        write_query_file(path, [], splits.vocab)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(record)
+        with pytest.raises(error, match="bad.txt:2"):
+            read_query_file(path, splits.vocab)
 
-    def test_structure_check_ignores_listing_order(self, tmp_path):
+    def test_header_binds_the_snapshot(self, tmp_path):
+        splits = make_splits([("A", "r", "B"), ("B", "s", "C")])
+        other = make_splits([("A", "r", "B"), ("B", "t", "C")])
         path = tmp_path / "q.txt"
-        path.write_text("2i\t2:t,1:a:1:2,0:a:0:3;1-2:p:1:0,0-2:p:0:1\t-\t-\t-\n",
-                        encoding="utf-8")
-        [q] = read_query_file(path)
-        assert q.structure_name == "2i"
-        assert len(q.graph.anchors) == 2
+        write_query_file(path, generate_heldin_queries(splits, {"1p": 2}, seed=1), splits.vocab)
+        with pytest.raises(CompatibilityError, match="q.txt: generated from another snapshot"):
+            read_query_file(path, other.vocab)
 
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "1p\t0:a:0:0,1:t;0-1:p:0:1\t1\t1\t1\n",
+                                      "boxquery-queries v1\tx\ty\n"])
+    def test_file_without_header_asks_to_regenerate(self, tmp_path, text):
+        splits = make_splits([("A", "r", "B")])
+        path = tmp_path / "q.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="q.txt:1: .*regenerate"):
+            read_query_file(path, splits.vocab)
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test", "heldin"])
+    def test_round_trip(self, tmp_path, split):
         splits = _held_out_splits(np.random.default_rng(5), 14, 3, 60)
-        queries = generate_heldin_queries(splits, dict.fromkeys(STRUCTURE_NAMES, 3), seed=4)
-        assert {q.structure_name for q in queries} == set(STRUCTURE_NAMES)
+        counts = dict.fromkeys(STRUCTURE_NAMES, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = generate_queries(splits, counts, seed=4)
+        out["heldin"] = generate_heldin_queries(splits, counts, seed=4)
+        queries = out[split]
+        assert {q.structure_name for q in queries} == set(
+            TRAINABLE_NAMES if split == "train" else STRUCTURE_NAMES)
         path = tmp_path / "queries.txt"
-        write_query_file(path, queries)
-        back = read_query_file(path)
-        assert back == queries
+        write_query_file(path, queries, splits.vocab)
+        assert read_query_file(path, splits.vocab) == queries
+        # every answer is written once: the three answer lists partition the test set
+        records = path.read_text(encoding="utf-8").splitlines()[1:]
+        for q, record in zip(queries, records, strict=True):
+            lists = [f.split(",") for f in record.split("\t")[3:] if f != "-"]
+            assert sorted(int(i) for ids in lists for i in ids) == list(q.answers.test)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         # the serializer raises part-way, at a query without answer sets
@@ -312,11 +340,11 @@ class TestQueryFiles:
         splits = make_splits([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "A")])
         queries = generate_heldin_queries(splits, {"1p": 3, "2p": 3}, seed=4)
         path = tmp_path / "queries.txt"
-        write_query_file(path, queries)
+        write_query_file(path, queries, splits.vocab)
         before = path.read_bytes()
         broken = queries + [dataclasses.replace(queries[0], answers=None)]
         with pytest.raises(ValueError, match="answer sets"):
-            write_query_file(path, broken)
+            write_query_file(path, broken, splits.vocab)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["queries.txt"]
 
@@ -453,8 +481,11 @@ class TestGenerationWork:
         assert calls == []
 
     def test_query_files_are_pinned(self, tmp_path):
-        # sha256 of the train, valid, test and heldin files, recorded from the
-        # graph-walking generator that the slot plans replaced
+        # `content` hashes the queries read back from the train, valid, test
+        # and heldin files: split, structure, slot ids and the three answer
+        # sets. Its value was recorded from the graph-text files of the
+        # generator that the slot plans replaced; `files` pins the bytes of
+        # the files with slot-id records
         rng = np.random.default_rng(5)
         triples = sorted({(f"e{rng.integers(20)}", f"r{rng.integers(4)}", f"e{rng.integers(20)}")
                           for _ in range(80)})
@@ -462,13 +493,19 @@ class TestGenerationWork:
         counts = {name: 4 for name in STRUCTURE_NAMES}
         out = generate_queries(splits, counts, seed=13, attempts=40)
         out["heldin"] = generate_heldin_queries(splits, counts, seed=13, attempts=40)
-        digest = hashlib.sha256()
+        files, content = hashlib.sha256(), hashlib.sha256()
         for name in ("train", "valid", "test", "heldin"):
-            write_query_file(tmp_path / name, out[name])
-            digest.update((tmp_path / name).read_bytes())
+            write_query_file(tmp_path / name, out[name], splits.vocab)
+            files.update((tmp_path / name).read_bytes())
+            for q in read_query_file(tmp_path / name, splits.vocab):
+                a = q.answers
+                fields = (q.anchors, q.relations, a.train, a.valid, a.test)
+                content.update(f"{name}\t{q.structure_name}\t{fields}\n".encode())
         assert [len(out[n]) for n in ("train", "valid", "test", "heldin")] == [20, 36, 36, 36]
-        assert digest.hexdigest() == (
-            "58e87eeb7b6a865b4dd8847e22557a9dd60fc7a051a7970d0d96e6598b1e7f26")
+        assert content.hexdigest() == (
+            "a9f5178a67307818b747e9b2459f122241295537e9e26c68e313026a9719692a")
+        assert files.hexdigest() == (
+            "7ef2c658dfa50ee8fe54cb9e47794a8b2bf2183536d89fcee3e5ed050632a2fc")
 
     def test_shortfall_warning_counts_rejections_at_the_caller(self):
         # on a chain every entity has at most two (anchor, relation) in-branches,

@@ -127,13 +127,13 @@ def cmd_generate_queries(args) -> int:
     generated = sampling.generate_queries(splits, counts, args.seed)
     for split_name, queries in generated.items():
         path = out_dir / QUERY_FILES[split_name]
-        sampling.write_query_file(path, queries, splits.vocab)
+        sampling.write_query_file(path, queries, splits)
         print(f"{split_name}: {len(queries)} queries -> {path}")
     if args.heldin_count:
         heldin_counts = {name: args.heldin_count for name in counts}
         queries = sampling.generate_heldin_queries(splits, heldin_counts, args.seed)
         path = out_dir / QUERY_FILES["heldin"]
-        sampling.write_query_file(path, queries, splits.vocab)
+        sampling.write_query_file(path, queries, splits)
         print(f"heldin: {len(queries)} queries -> {path}")
     test_queries = generated["test"] or None
     if test_queries:
@@ -143,11 +143,11 @@ def cmd_generate_queries(args) -> int:
     return 0
 
 
-def _load_query_dir(query_dir: str | Path, split_name: str, vocab: kg.Vocabulary) -> list:
+def _load_query_dir(query_dir: str | Path, split_name: str, splits: kg.GraphSplits) -> list:
     path = Path(query_dir) / QUERY_FILES[split_name]
     if not path.exists():
         raise _UsageError(f"input file not found: {path}")
-    return sampling.read_query_file(path, vocab)
+    return sampling.read_query_file(path, splits)
 
 
 def cmd_train(args) -> int:
@@ -158,11 +158,11 @@ def cmd_train(args) -> int:
     config = build_model_config(args.config, overrides)
     kg._make_parents(Path(args.out))  # fail before training, not after it
     splits = kg.load_splits(args.snapshot)
-    train_queries = _load_query_dir(args.queries, "train", splits.vocab)
+    train_queries = _load_query_dir(args.queries, "train", splits)
     valid_path = Path(args.queries) / QUERY_FILES["valid"]
     valid_queries = None
     if valid_path.exists():
-        valid_queries = sampling.read_query_file(valid_path, splits.vocab) or None
+        valid_queries = sampling.read_query_file(valid_path, splits) or None
     _print_header(args)
     print("# effective config:")
     for line in format_config(config).splitlines():
@@ -202,7 +202,7 @@ def cmd_eval(args) -> int:
     splits = kg.load_splits(args.snapshot)
     params = _load_compatible_checkpoint(args.checkpoint, splits)
     split = {"validation": "valid", "test": "test", "train": "heldin"}[args.stage]
-    queries = _load_query_dir(args.queries, split, splits.vocab)
+    queries = _load_query_dir(args.queries, split, splits)
     if not queries:
         raise _UsageError(f"{Path(args.queries) / QUERY_FILES[split]}: no queries to evaluate")
     _print_header(args, {"stage": args.stage, "checkpoint": _checkpoint_id(args.checkpoint)})

@@ -315,6 +315,16 @@ class GraphSplits:
     def vocab(self) -> Vocabulary:
         return self.train.vocab
 
+    def digest(self) -> str:
+        """One sha256 over the entity names, the relation names and the
+        train, valid and test edge arrays, each list prefixed by its length."""
+        h = hashlib.sha256()
+        for names in (self.vocab.entity_names, self.vocab.relation_names):
+            h.update("".join([f"{len(names)}\n", *(name + "\n" for name in names)]).encode())
+        for graph in (self.train, self.valid, self.test):
+            h.update(f"{len(graph.triples)}\n".encode() + graph.triples.astype("<i4").tobytes())
+        return h.hexdigest()
+
 
 @contextmanager
 def _open_text(path: str | Path):
@@ -353,12 +363,14 @@ def _parse_triple_lines(path: str | Path, vocab: Vocabulary) -> np.ndarray:
     heads, rels, tails = zip(*fields)
     ents = vocab.entity_ids(list(chain.from_iterable(zip(heads, tails)))).reshape(-1, 2)
     triples = np.stack([ents[:, 0], vocab.relation_ids(rels), ents[:, 1]], axis=1)
+    if "" in vocab._entity_ids or vocab.has_relation(""):
+        _check_lines(path, leads, fields)  # only an empty field registers the name ""
     return _unique_rows(triples, vocab)
 
 
 def _check_lines(path: str | Path, leads: list[str], fields: list[list[str]]) -> None:
-    """Raise on the first line that is blank, a comment or not three fields,
-    or whose relation holds the reserved inverse marker."""
+    """Raise on the first line that is blank, a comment, not three fields or
+    with an empty one, or whose relation holds the reserved inverse marker."""
     for lineno, (lead, row) in enumerate(zip(leads, fields), start=1):
         if not lead:
             raise ParseError("blank line not allowed", str(path), lineno)
@@ -366,6 +378,8 @@ def _check_lines(path: str | Path, leads: list[str], fields: list[list[str]]) ->
             raise ParseError("comment lines not allowed", str(path), lineno)
         if len(row) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(row)}", str(path), lineno)
+        if "" in row:
+            raise ParseError("empty field", str(path), lineno)
         if INVERSE_MARKER in row[1]:
             raise VocabularyError(
                 f"{path}:{lineno}: relation {row[1]!r} contains reserved marker {INVERSE_MARKER!r}"
@@ -419,16 +433,12 @@ def build_split_graphs(
 
 
 def _require_no_new_names(vocab: Vocabulary, n_ent: int, n_rel: int, path: str) -> None:
-    if vocab.n_entities > n_ent:
-        extra = vocab.entity_names[n_ent : n_ent + 5]
-        raise VocabularyError(
-            f"{path}: entities appear only outside the training file, e.g. {extra}"
-        )
-    if vocab.n_relations > n_rel:
-        extra = vocab.relation_names[n_rel : n_rel + 5]
-        raise VocabularyError(
-            f"{path}: relations appear only outside the training file, e.g. {extra}"
-        )
+    for kind, names, n in (("entities", vocab.entity_names, n_ent),
+                           ("relations", vocab.relation_names, n_rel)):
+        if len(names) > n:
+            raise VocabularyError(
+                f"{path}: {kind} appear only outside the training file, e.g. {names[n : n + 5]}"
+            )
 
 
 def prepare_nell(
@@ -576,12 +586,8 @@ def _parse_snapshot(lines: list[str], path: str | Path) -> GraphSplits:
         return block, count
 
     vocab = Vocabulary()
-    names, _ = read_block("entities")
-    for name in names:
-        vocab.entity_id(name)
-    names, _ = read_block("relations")
-    for name in names:
-        vocab.relation_id(name)
+    vocab.entity_ids(read_block("entities")[0])
+    vocab.relation_ids(read_block("relations")[0])
 
     def read_edges(label: str) -> np.ndarray:
         block, _ = read_block(label)

@@ -30,7 +30,7 @@ OFFSET_MODES = ("per-relation", "shared")
 GEOMETRIES = ("box", "point")
 
 CHECKPOINT_MAGIC = "boxquery-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -86,8 +86,7 @@ class ModelConfig:
 
     def reads(self, name: str) -> bool:
         """Whether the forward pass of this configuration ever reads tensor
-        `name`; one it never reads gets no gradient, and `ModelParams`
-        makes it zero."""
+        `name`; `ModelParams` holds only the tensors it reads."""
         unread = {"attention": ("center_net.",), "average": ("attn.", "center_net."),
                   "deepsets": ("attn.",)}[self.intersection_mode]
         if self.fixed_offsets:
@@ -144,7 +143,8 @@ def _unmapped_zeros(shape, dtype) -> np.ndarray:
     own: a page becomes resident on its first write (reading an unwritten
     one maps the shared zero page), and the mapping goes back to the system
     when the array is freed. `np.zeros` promises neither: its calloc may
-    hand out freed heap memory, which it clears page by page. Where there
+    hand out freed heap memory, which it clears page by page. Gradients and
+    moments use it for the read tensors a run never trains. Where there
     are no such mappings (Windows), and for an empty tensor, it is
     `np.zeros`."""
     dtype = np.dtype(dtype)
@@ -156,9 +156,9 @@ def _unmapped_zeros(shape, dtype) -> np.ndarray:
 
 
 class ModelParams:
-    """All trainable tensors, keyed by name in a flat dict. A tensor the
-    configuration never reads (`ModelConfig.reads`) is zero, in a buffer of
-    its own that never becomes resident unless written."""
+    """The trainable tensors the configuration reads (`ModelConfig.reads`),
+    keyed by name in `_tensor_specs` order; one it never reads is not held,
+    nor are its gradient, its moments or its checkpoint block."""
 
     def __init__(self, config: ModelConfig, n_entities: int, n_relations: int):
         self.config = config
@@ -169,7 +169,6 @@ class ModelParams:
         self.tensors: dict[str, np.ndarray] = {}
         for name, shape, bounds in _tensor_specs(config.dim, n_entities, n_relations):
             if not config.reads(name):
-                self.tensors[name] = _unmapped_zeros(shape, dtype)
                 if bounds is not None:
                     # `uniform` takes one 64-bit draw per value, so skipping
                     # them leaves every read tensor with the values it had
@@ -178,6 +177,14 @@ class ModelParams:
                 self.tensors[name] = np.zeros(shape, dtype)
             else:
                 self.tensors[name] = rng.uniform(*bounds, shape).astype(dtype, copy=False)
+
+    @classmethod
+    def _holding(cls, config: ModelConfig, n_entities: int, n_relations: int, tensors: dict):
+        """A model of `tensors`: the ones `config` reads, in spec order."""
+        params = object.__new__(cls)
+        params.config, params.n_entities, params.n_relations = config, n_entities, n_relations
+        params.tensors = tensors
+        return params
 
     @property
     def entity(self) -> np.ndarray:
@@ -195,20 +202,13 @@ class ModelParams:
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         """One zero gradient buffer per tensor, each in a fresh mapping
-        (`_unmapped_zeros`), so the buffer of a tensor the mode never reads
-        (e.g. `center_net.*` in attention mode) never becomes resident."""
+        (`_unmapped_zeros`), so the buffer of a read tensor the run never
+        trains (e.g. `attn.*` when training only 1p) never becomes resident."""
         return {name: _unmapped_zeros(t.shape, t.dtype) for name, t in self.tensors.items()}
 
     def copy(self) -> "ModelParams":
-        """A copy whose unread tensors are fresh zeros, as a new model's are."""
-        clone = object.__new__(ModelParams)
-        clone.config = self.config
-        clone.n_entities = self.n_entities
-        clone.n_relations = self.n_relations
-        clone.tensors = {name: t.copy() if self.config.reads(name)
-                         else _unmapped_zeros(t.shape, t.dtype)
-                         for name, t in self.tensors.items()}
-        return clone
+        return ModelParams._holding(self.config, self.n_entities, self.n_relations,
+                                    {name: t.copy() for name, t in self.tensors.items()})
 
 
 def sigmoid(x):
@@ -582,8 +582,9 @@ class AdamState:
     `live` names the tensors whose moments may be nonzero: None until the
     first `adam_step`, which seeds it from the moments it is handed; from
     then on only `adam_step` writes the moments, and only those of tensors
-    that got a gradient. So the moments of a tensor the mode never reads are
-    never written and, allocated by `_unmapped_zeros`, never become resident."""
+    that got a gradient. So the moments of a held tensor that a run never
+    trains (e.g. `attn.*` under 1p-only training) are never written and,
+    allocated by `_unmapped_zeros`, never become resident."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -612,7 +613,7 @@ def adam_step(
     to it. Each gradient block is zeroed once applied: `grads` comes back
     all zero, ready to accumulate the next step. A tensor whose gradient and
     moments are all zero is skipped, as its update is exactly zero (e.g. a
-    network the mode never reads); `state.live` saves scanning the moments.
+    network the run never trains); `state.live` saves scanning the moments.
     A non-finite gradient raises `TrainingError` and leaves the step half
     applied."""
     if t < 1:
@@ -657,7 +658,7 @@ def save_checkpoint(
     entity_hash: str,
     relation_hash: str,
 ) -> None:
-    """Versioned header line (JSON) followed by raw tensor bytes."""
+    """Versioned header line (JSON) followed by the held tensors' raw bytes."""
     names = sorted(params.tensors)
     header = {
         "format": CHECKPOINT_MAGIC,
@@ -680,9 +681,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
-    """Returns (params, entity_hash, relation_hash). A tensor the configuration
-    never reads is checked like the others, then held as unmapped zeros, as in
-    a new model, whatever values the file holds."""
+    """Returns (params, entity_hash, relation_hash). The file must hold
+    exactly the tensors its configuration reads."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -713,25 +713,18 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
         for name in names:
             if names.count(name) > 1:
                 raise CompatibilityError(f"{path}: tensor {name!r} is listed more than once")
-        params = object.__new__(ModelParams)
-        params.config = config
-        params.n_entities, params.n_relations = counts
-        params.tensors = {}
-        expected = {name: shape for name, shape, _ in _tensor_specs(config.dim, *counts)}
+        expected = {name: shape for name, shape, _ in _tensor_specs(config.dim, *counts)
+                    if config.reads(name)}
         for name in sorted(expected.keys() | found.keys(), key=str):
             if found.get(name) != expected.get(name):
                 raise CompatibilityError(f"{path}: tensor {name!r} has shape {found.get(name)}, "
                                          f"the model needs {expected.get(name)} (None: absent)")
+        tensors = {name: np.empty(shape, config.dtype) for name, shape in expected.items()}
         for name in names:
-            tensor = np.empty(expected[name], config.dtype)
-            if f.readinto(tensor) != tensor.nbytes:
-                raise CompatibilityError(
-                    f"{path}: truncated checkpoint, tensor {name!r} is incomplete"
-                )
-            if not np.all(np.isfinite(tensor)):
+            if f.readinto(tensors[name]) != tensors[name].nbytes:
+                raise CompatibilityError(f"{path}: truncated checkpoint at tensor {name!r}")
+            if not np.all(np.isfinite(tensors[name])):
                 raise CompatibilityError(f"{path}: tensor {name!r} has non-finite values")
-            params.tensors[name] = (tensor if config.reads(name)
-                                    else _unmapped_zeros(tensor.shape, tensor.dtype))
         if f.read(1):
             raise CompatibilityError(f"{path}: trailing bytes after the last tensor")
-    return params, *hashes
+    return ModelParams._holding(config, *counts, tensors), *hashes

@@ -292,7 +292,7 @@ def answer_count_report(queries: list[GroundedQuery]) -> dict[str, float]:
     return {name: float(np.mean(counts)) for name, counts in sorted(totals.items())}
 
 
-QUERY_MAGIC = "boxquery-queries v2"
+QUERY_MAGIC = "boxquery-queries v3"
 
 # the anchor and relation slot counts of each structure
 _SLOTS = {s.name: (len(s.graph.anchors), sum(e.op == PROJECTION for e in s.graph.edges))
@@ -314,12 +314,12 @@ def _ids_from_text(text: str) -> tuple[int, ...]:
     raise ValueError(f"id list {text!r} is not written as comma-separated integers")
 
 
-def write_query_file(path: str | Path, queries: list[GroundedQuery], vocab: Vocabulary) -> None:
-    """A header with the format and the snapshot's vocabulary hashes, then one
+def write_query_file(path: str | Path, queries: list[GroundedQuery], splits: GraphSplits) -> None:
+    """A header with the format and the snapshot's digest, then one
     record per query: structure, anchor ids, relation ids, the train answers,
     and the answers the valid graph adds and then the test graph adds."""
     with _atomic_open(path) as f:
-        f.write(f"{QUERY_MAGIC}\t{vocab.entity_hash()}\t{vocab.relation_hash()}\n")
+        f.write(f"{QUERY_MAGIC}\t{splits.digest()}\n")
         for q in queries:
             if q.answers is None:
                 raise ValueError("queries must carry answer sets")
@@ -356,25 +356,25 @@ def _query_from_record(line: str) -> GroundedQuery:
                          AnswerSet(train, tuple(sorted(train + valid)), tuple(sorted(every))))
 
 
-def read_query_file(path: str | Path, vocab: Vocabulary) -> list[GroundedQuery]:
-    """Parse a query file that `write_query_file` wrote for `vocab`'s snapshot.
-    ParseError names the line of a missing header or a malformed record.
-    CompatibilityError names the file when its header is another snapshot's,
-    and the line when an anchor, relation or answer id lies outside `vocab`."""
+def read_query_file(path: str | Path, splits: GraphSplits) -> list[GroundedQuery]:
+    """Parse a query file that `write_query_file` wrote for the snapshot
+    `splits`. ParseError names the line of a missing header or a malformed
+    record. CompatibilityError names the file when its header is another
+    snapshot's, and the line when an id lies outside the snapshot's range."""
     queries = []
     with _open_text(path) as f:
         magic, *found = f.readline().rstrip("\n").split("\t")
-        if magic != QUERY_MAGIC or len(found) != 2:
+        if magic != QUERY_MAGIC or len(found) != 1:
             raise ParseError(f"not a {QUERY_MAGIC!r} query file; regenerate it with "
                              "generate-queries", str(path), 1)
-        if found != [vocab.entity_hash(), vocab.relation_hash()]:
-            raise CompatibilityError(f"{path}: generated from another snapshot (entities "
-                                     f"{found[0][:12]}, relations {found[1][:12]})")
+        if found != [splits.digest()]:
+            raise CompatibilityError(f"{path}: generated from another snapshot "
+                                     f"(digest {found[0][:12]})")
         for lineno, line in enumerate(f, start=2):
             try:
                 q = _query_from_record(line)
             except ValueError as exc:
                 raise ParseError(str(exc), str(path), lineno) from exc
-            _check_ids(q, vocab, f"{path}:{lineno}")
+            _check_ids(q, splits.vocab, f"{path}:{lineno}")
             queries.append(q)
     return queries

@@ -425,7 +425,12 @@ class TestTrainEvalAnalyze:
     def _no_entity_count(header):
         del header["n_entities"]
 
-    @pytest.mark.parametrize("edit", [_unknown_key, _string_dim, _no_entity_count, None])
+    @staticmethod
+    def _version_1(header):
+        header["version"] = 1
+
+    @pytest.mark.parametrize("edit", [_unknown_key, _string_dim, _no_entity_count, _version_1,
+                                      None])
     @pytest.mark.parametrize("command", [("eval", "--stage", "train"), ("analyze", "offsets")])
     def test_malformed_checkpoint_header_exits_2(self, capsys, pipeline, checkpoint, tmp_path,
                                                  edit, command):

@@ -105,6 +105,9 @@ class TestParseErrorLines:
         ("#B\ts\tC", ParseError, "comment lines not allowed"),
         (f"B\ts{INVERSE_MARKER}\tC", VocabularyError,
          f"relation 's{INVERSE_MARKER}' contains reserved marker '{INVERSE_MARKER}'"),
+        ("A\tr\t", ParseError, "empty field"),
+        ("\tr\tB", ParseError, "empty field"),
+        ("A\t\tB", ParseError, "empty field"),
     ])
     def test_bad_last_line_without_final_newline(self, tmp_path, line, error, message):
         f = write(tmp_path / "t.txt", f"A\tr\tB\n{line}")
@@ -115,6 +118,9 @@ class TestParseErrorLines:
         ([f"A\tr{INVERSE_MARKER}\tB", "A\tr"], "t.txt:2: relation"),
         (["A\tr", f"A\tr{INVERSE_MARKER}\tB"], "t.txt:2: expected 3 tab-separated fields"),
         (["", "A\tr"], "t.txt:2: blank line"),
+        (["A\tr\t", "A\tr"], "t.txt:2: empty field"),
+        (["\tr\tB", "#B\ts\tC"], "t.txt:2: empty field"),
+        (["A\tr", "A\t\tB"], "t.txt:2: expected 3 tab-separated fields"),
     ])
     def test_first_bad_line_wins(self, tmp_path, lines, message):
         f = write(tmp_path / "t.txt", "\n".join(["A\tr\tB", *lines, "B\ts\tC"]) + "\n")

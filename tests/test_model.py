@@ -72,21 +72,22 @@ class TestModelParamsInit:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode", MODE_GRID)
     def test_tensors_are_uniform_draws_in_spec_order(self, mode, dtype):
-        # every tensor is drawn in spec order from one stream, as if all
-        # were drawn; a tensor the mode never reads is zero instead
+        # every read tensor is drawn in spec order from one stream, as if all
+        # were drawn; a tensor the mode never reads is not held
         intersection_mode, offset_mode, geometry = mode
         params = small_params(n_entities=7, n_relations=3, dim=5, dtype=dtype,
                               intersection_mode=intersection_mode, offset_mode=offset_mode,
                               geometry=geometry)
         rng = np.random.default_rng(params.config.seed)
         specs = _tensor_specs(5, 7, 3)
-        assert list(params.tensors) == [name for name, _, _ in specs]
+        assert list(params.tensors) == [name for name, _, _ in specs if params.config.reads(name)]
         unread = 0
         for name, shape, bounds in specs:
             want = (np.zeros(shape, dtype) if bounds is None
                     else rng.uniform(*bounds, shape).astype(dtype))
             if not params.config.reads(name):
-                want, unread = np.zeros(shape, dtype), unread + 1
+                unread += 1
+                continue
             got = params.tensors[name]
             assert got.dtype == np.dtype(dtype) and got.shape == shape
             assert got.tobytes() == want.tobytes(), name
@@ -139,12 +140,12 @@ class TestMlpBlockMatchesReference:
         from boxquery.model import _mlp_backward, _mlp_forward
         from oracles import mlp_backward_per_row
 
-        params = small_params(dim=dim)
-        for name, t in params.tensors.items():
-            # attention mode never reads center_net.*, so its weights are zero
-            if name.endswith(("b1", "b2")) or not params.config.reads(name):
-                t[:] = rng.uniform(-0.1, 0.1, t.shape)
-        for prefix in ("attn", "offset_net.inner", "center_net.outer"):
+        for mode, prefix in (("attention", "attn"), ("attention", "offset_net.inner"),
+                             ("deepsets", "center_net.outer")):
+            params = small_params(dim=dim, intersection_mode=mode)
+            for name, t in params.tensors.items():
+                if name.endswith(("b1", "b2")):
+                    t[:] = rng.uniform(-0.1, 0.1, t.shape)
             x = rng.uniform(-1, 1, (rows, 2 * dim))
             y, cache = _mlp_forward(params, prefix, x)
             dy = rng.uniform(-1, 1, y.shape)
@@ -285,10 +286,10 @@ class TestEmbedConjunctive:
             {0: v.entity_id("A"), 1: v.entity_id("C")},
             {0: v.relation_id("r"), 1: v.relation_id("t"), 2: v.relation_id("s")},
         )
-        for offset_mode in ("per-relation", "shared"):
+        for offset_mode, raw, low, high in (("per-relation", "relation_offset", -1, 1),
+                                            ("shared", "shared_offset", -1, -0.1)):
             params = small_params(kg.n_entities, kg.n_relations, offset_mode=offset_mode)
-            params.tensors["relation_offset"][:] = rng.uniform(-1, 1, (kg.n_relations, 4))
-            params.tensors["shared_offset"][:] = rng.uniform(-1, -0.1, 4)
+            params.tensors[raw][:] = rng.uniform(low, high, params.tensors[raw].shape)
             box = embed_conjunctive(pi, params)
             assert np.all(box.offset >= 0)
 
@@ -445,7 +446,8 @@ class TestBackward:
                 instance = make_instance(rng, mode)
             checked, skipped, failures = check_instance(*instance)
             assert not failures, (mode, failures[:5])
-            assert checked > 100
+            # most coordinates of the held tensors lie off a kink
+            assert checked > sum(t.size for t in instance[0].tensors.values()) // 2
 
     def test_untouched_entity_rows_zero(self, rng):
         instance = None
@@ -494,7 +496,7 @@ class TestAdam:
         assert np.allclose(state.v["entity"], 0.999)
 
     def test_first_step_matches_hand_computation(self):
-        params = small_params()
+        params = small_params(offset_mode="shared")
         g = 0.37
         grads = params.zero_grads()
         grads["shared_offset"][:] = g
@@ -540,14 +542,15 @@ class TestAdam:
             assert state.v[name].shape == tensor.shape
 
     def test_skipped_tensors_match_dense_update(self, rng):
-        # attention mode never reads center_net.*, so its gradient and moments
-        # stay zero and the update is skipped; the result must not change.
-        # Even steps get zero gradients, so only the moments move the rest.
+        # a 1p query never reads attn.* or offset_net.*, so their gradients
+        # and moments stay zero and their update is skipped; the result must
+        # not change. Even steps get zero gradients, so only the moments move
+        # the rest.
         from oracles import adam_step_dense
 
         instance = None
         while instance is None:
-            instance = make_instance(rng, ("attention", "per-relation", "box"), structure_name="3i")
+            instance = make_instance(rng, ("attention", "per-relation", "box"), structure_name="1p")
         params, query, positive, negatives = instance
         start, dense = params.copy(), params.copy()
         state, dense_state = AdamState.init(params), AdamState.init(dense)
@@ -559,7 +562,7 @@ class TestAdam:
                 step(p, grads, s, lr=0.01, t=t)
         for name in params.tensors:
             assert np.array_equal(params.tensors[name], dense.tensors[name]), name
-            if name.startswith("center_net."):
+            if name.startswith(("attn.", "offset_net.")):
                 assert np.array_equal(params.tensors[name], start.tensors[name]), name
 
     def test_nonfinite_gradient_names_parameter(self):
@@ -573,7 +576,7 @@ class TestAdam:
     def test_blocked_update_matches_reference(self, dtype, rng, monkeypatch):
         # blocks of 37 elements: every tensor but the biases spans several
         # and ends on a partial one; step 3 has an all-zero gradient, and
-        # center_net.* never gets one, as in attention mode
+        # offset_net.* never gets one, as a network no trained structure reads
         import boxquery.model as model_module
         from oracles import adam_step_reference
 
@@ -585,7 +588,7 @@ class TestAdam:
             grads = params.zero_grads()
             if t != 3:
                 for name, g in grads.items():
-                    if not name.startswith("center_net."):
+                    if not name.startswith("offset_net."):
                         g[...] = rng.standard_normal(g.shape)
             ref_grads = {name: g.copy() for name, g in grads.items()}
             adam_step(params, grads, state, lr=0.01, t=t)
@@ -637,7 +640,8 @@ def resident():
 # glibc, freeing its large tensors makes later ones come from the heap
 ModelParams(ModelConfig(dim=400), 1000, 100)
 params = ModelParams(ModelConfig(dim=400), 1000, 100)
-trained = [name for name in params.tensors if not name.startswith("center_net.")]
+# only the tables get gradients, as when a run trains only 1p
+trained = [name for name in params.tensors if name == "entity" or name.startswith("relation_")]
 start, rounds, pins = resident(), [], []
 for _ in range(2):  # the second run may be handed the first run's freed memory
     grads, state = params.zero_grads(), AdamState.init(params)
@@ -653,40 +657,6 @@ print(json.dumps({"rounds": rounds,
 """
 
 
-_PARAMS_RESIDENT_SCRIPT = """
-import json, os
-from boxquery.model import ModelConfig, ModelParams
-
-def resident():
-    with open("/proc/self/statm") as f:
-        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
-start = resident()
-params = ModelParams(ModelConfig(dim=400), 1000, 100)
-built = resident()
-clone = params.copy()
-print(json.dumps({"build": built - start, "copy": resident() - built,
-                  "read": sum(t.nbytes for name, t in params.tensors.items()
-                              if params.config.reads(name))}))
-"""
-
-
-_LOAD_RESIDENT_SCRIPT = """
-import json, os
-from boxquery.model import load_checkpoint
-
-def resident():
-    with open("/proc/self/statm") as f:
-        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
-start = resident()
-params = load_checkpoint(path)[0]
-print(json.dumps({"load": resident() - start,
-                  "read": sum(t.nbytes for name, t in params.tensors.items()
-                              if params.config.reads(name))}))
-"""
-
-
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
 class TestResidentBuffers:
     @staticmethod
@@ -698,31 +668,12 @@ class TestResidentBuffers:
                              capture_output=True, text=True)
         return json.loads(out.stdout)
 
-    def test_unread_parameters_stay_unmapped(self):
-        # a d=400 attention model and its copy in a fresh process: the
-        # center networks' 17.9 MB, which the mode never reads, take no
-        # resident memory in either; drawn, they did in both
-        result = self.run_script(_PARAMS_RESIDENT_SCRIPT)
-        mb = 1 << 20
-        assert result["build"] < result["read"] + 8 * mb, result
-        assert result["copy"] < result["read"] + 8 * mb, result
-
-    def test_unread_checkpoint_tensors_stay_unmapped(self, tmp_path):
-        # a d=400 attention checkpoint loaded in a fresh process: the center
-        # networks' tensors are read and checked one at a time, then held as
-        # unmapped zeros; kept as read, they took about 17 MB more
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, ModelParams(ModelConfig(dim=400), 1000, 100), "e", "r")
-        result = self.run_script(f"path = {str(path)!r}\n" + _LOAD_RESIDENT_SCRIPT)
-        mb = 1 << 20
-        assert result["load"] < result["read"] + 8 * mb, result
-
     def test_untrained_buffers_stay_unmapped(self):
         # a d=400 attention model in a fresh process, trained for one step
         # twice: its gradient and moment buffers take no resident memory
-        # until written, and the center networks' are never written (the
-        # mode never reads them); zero-filled buffers make about 136 MB
-        # resident up front, and calloc-ed ones do from the second run on
+        # until written, and those of attn.* and offset_net.* are never
+        # written (a 1p query reads neither); zero-filled buffers make about
+        # 88 MB resident up front, and calloc-ed ones do from the second run on
         result = self.run_script(_RESIDENT_SCRIPT)
         mb = 1 << 20
         for grown in result["rounds"]:
@@ -803,13 +754,29 @@ class TestCheckpoint:
         header["tensors"].append(dict(spec))
         return np.full(spec["shape"], 7.0, spec["dtype"]).tobytes()
 
+    def unread(header):
+        # a tensor attention mode never reads, with its zeros after the last tensor
+        spec = next(spec for spec in header["tensors"] if spec["name"] == "attn.b2")
+        header["tensors"].append(dict(spec, name="center_net.outer.b2"))
+        return np.zeros(spec["shape"], spec["dtype"]).tobytes()
+
     @pytest.mark.parametrize("edit, tensor", [(rename, "attn.w1"), (reshape, "relation_center"),
-                                              (duplicate, "'entity'.*more than once")])
+                                              (duplicate, "'entity'.*more than once"),
+                                              (unread, "center_net.outer.b2.*needs None")])
     def test_tensor_set_checked(self, tmp_path, edit, tensor):
         path = tmp_path / "edited.ckpt"
         save_checkpoint(path, small_params(), "e", "r")
         self.edit_header(path, edit)
         with pytest.raises(CompatibilityError, match=tensor) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_version_1_rejected(self, tmp_path):
+        # a version-1 file also held the tensors its mode never reads
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(path, small_params(), "e", "r")
+        self.edit_header(path, lambda header: header.update(version=1) or b"")
+        with pytest.raises(CompatibilityError, match="unsupported checkpoint version 1") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
 

@@ -290,28 +290,39 @@ class TestQueryFiles:
     def test_malformed_line_reports_location(self, tmp_path, record, error):
         splits = make_splits([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "D")])
         path = tmp_path / "bad.txt"
-        write_query_file(path, [], splits.vocab)
+        write_query_file(path, [], splits)
         with open(path, "a", encoding="utf-8") as f:
             f.write(record)
         with pytest.raises(error, match="bad.txt:2"):
-            read_query_file(path, splits.vocab)
+            read_query_file(path, splits)
 
-    def test_header_binds_the_snapshot(self, tmp_path):
-        splits = make_splits([("A", "r", "B"), ("B", "s", "C")])
-        other = make_splits([("A", "r", "B"), ("B", "t", "C")])
+    @pytest.mark.parametrize("triples, other", [
+        ([("A", "r", "B"), ("B", "s", "C")], [("A", "r", "B"), ("B", "t", "C")]),
+        # the same entity and relation names: only the edges differ, and
+        # (A, r^-1) answers C in the first snapshot alone
+        ([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "A")],
+         [("A", "r", "B"), ("B", "s", "C"), ("C", "s", "A")]),
+    ], ids=["relation-names", "edges"])
+    def test_header_binds_the_snapshot(self, tmp_path, triples, other):
+        splits, other = make_splits(triples), make_splits(other)
         path = tmp_path / "q.txt"
-        write_query_file(path, generate_heldin_queries(splits, {"1p": 2}, seed=1), splits.vocab)
+        write_query_file(path, generate_heldin_queries(splits, {"1p": 2}, seed=1), splits)
         with pytest.raises(CompatibilityError, match="q.txt: generated from another snapshot"):
-            read_query_file(path, other.vocab)
+            read_query_file(path, other)
 
-    @pytest.mark.parametrize("text", ["", "1p\t0:a:0:0,1:t;0-1:p:0:1\t1\t1\t1\n",
-                                      "boxquery-queries v1\tx\ty\n"])
+    @pytest.mark.parametrize("text", [
+        "", "1p\t0:a:0:0,1:t;0-1:p:0:1\t1\t1\t1\n", "boxquery-queries v1\tx\ty\n",
+        # the vocabulary-hash header of the format before the snapshot digest
+        "boxquery-queries v2\t{entities}\t{relations}\n1p\t0\t0\t1\t-\t-\n",
+    ], ids=["empty", "graph-text", "v1", "v2"])
     def test_file_without_header_asks_to_regenerate(self, tmp_path, text):
         splits = make_splits([("A", "r", "B")])
+        vocab = splits.vocab
         path = tmp_path / "q.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text.format(entities=vocab.entity_hash(), relations=vocab.relation_hash()),
+                        encoding="utf-8")
         with pytest.raises(ParseError, match="q.txt:1: .*regenerate"):
-            read_query_file(path, splits.vocab)
+            read_query_file(path, splits)
 
     @pytest.mark.parametrize("split", ["train", "valid", "test", "heldin"])
     def test_round_trip(self, tmp_path, split):
@@ -325,8 +336,8 @@ class TestQueryFiles:
         assert {q.structure_name for q in queries} == set(
             TRAINABLE_NAMES if split == "train" else STRUCTURE_NAMES)
         path = tmp_path / "queries.txt"
-        write_query_file(path, queries, splits.vocab)
-        assert read_query_file(path, splits.vocab) == queries
+        write_query_file(path, queries, splits)
+        assert read_query_file(path, splits) == queries
         # every answer is written once: the three answer lists partition the test set
         records = path.read_text(encoding="utf-8").splitlines()[1:]
         for q, record in zip(queries, records, strict=True):
@@ -340,11 +351,11 @@ class TestQueryFiles:
         splits = make_splits([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "A")])
         queries = generate_heldin_queries(splits, {"1p": 3, "2p": 3}, seed=4)
         path = tmp_path / "queries.txt"
-        write_query_file(path, queries, splits.vocab)
+        write_query_file(path, queries, splits)
         before = path.read_bytes()
         broken = queries + [dataclasses.replace(queries[0], answers=None)]
         with pytest.raises(ValueError, match="answer sets"):
-            write_query_file(path, broken, splits.vocab)
+            write_query_file(path, broken, splits)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["queries.txt"]
 
@@ -485,7 +496,7 @@ class TestGenerationWork:
         # and heldin files: split, structure, slot ids and the three answer
         # sets. Its value was recorded from the graph-text files of the
         # generator that the slot plans replaced; `files` pins the bytes of
-        # the files with slot-id records
+        # the files with slot-id records under the snapshot-digest header
         rng = np.random.default_rng(5)
         triples = sorted({(f"e{rng.integers(20)}", f"r{rng.integers(4)}", f"e{rng.integers(20)}")
                           for _ in range(80)})
@@ -495,9 +506,9 @@ class TestGenerationWork:
         out["heldin"] = generate_heldin_queries(splits, counts, seed=13, attempts=40)
         files, content = hashlib.sha256(), hashlib.sha256()
         for name in ("train", "valid", "test", "heldin"):
-            write_query_file(tmp_path / name, out[name], splits.vocab)
+            write_query_file(tmp_path / name, out[name], splits)
             files.update((tmp_path / name).read_bytes())
-            for q in read_query_file(tmp_path / name, splits.vocab):
+            for q in read_query_file(tmp_path / name, splits):
                 a = q.answers
                 fields = (q.anchors, q.relations, a.train, a.valid, a.test)
                 content.update(f"{name}\t{q.structure_name}\t{fields}\n".encode())
@@ -505,7 +516,7 @@ class TestGenerationWork:
         assert content.hexdigest() == (
             "a9f5178a67307818b747e9b2459f122241295537e9e26c68e313026a9719692a")
         assert files.hexdigest() == (
-            "7ef2c658dfa50ee8fe54cb9e47794a8b2bf2183536d89fcee3e5ed050632a2fc")
+            "a3e9fe8e4c3b27641c06a2e105b816d84299003456c8a6f27627309b4901478b")
 
     def test_shortfall_warning_counts_rejections_at_the_caller(self):
         # on a chain every entity has at most two (anchor, relation) in-branches,

@@ -179,39 +179,26 @@ def cmd_train(args) -> int:
     if args.dry_run:
         print("dry run complete")
         return 0
-    model.save_checkpoint(
-        args.out, result.params, splits.vocab.entity_hash(), splits.vocab.relation_hash()
-    )
+    model.save_checkpoint(args.out, result.params, splits)
     print(f"checkpoint: {args.out} ({_checkpoint_id(args.out)})")
     return 0
-
-
-def _load_compatible_checkpoint(checkpoint_path, splits):
-    params, ent_hash, rel_hash = model.load_checkpoint(checkpoint_path)
-    have_ent, have_rel = splits.vocab.entity_hash(), splits.vocab.relation_hash()
-    if (ent_hash, rel_hash) != (have_ent, have_rel):
-        raise CompatibilityError(
-            f"checkpoint vocabulary (entities {ent_hash[:12]}, relations {rel_hash[:12]}) "
-            f"does not match graphs (entities {have_ent[:12]}, relations {have_rel[:12]})"
-        )
-    return params
 
 
 def cmd_eval(args) -> int:
     _require_files(args.checkpoint, args.snapshot)
     splits = kg.load_splits(args.snapshot)
-    params = _load_compatible_checkpoint(args.checkpoint, splits)
+    params = model.load_checkpoint(args.checkpoint, splits)
+    checkpoint_id = _checkpoint_id(args.checkpoint)
     split = {"validation": "valid", "test": "test", "train": "heldin"}[args.stage]
     queries = _load_query_dir(args.queries, split, splits)
     if not queries:
         raise _UsageError(f"{Path(args.queries) / QUERY_FILES[split]}: no queries to evaluate")
-    _print_header(args, {"stage": args.stage, "checkpoint": _checkpoint_id(args.checkpoint)})
+    _print_header(args, {"stage": args.stage, "checkpoint": checkpoint_id})
     print("# effective config:")
     for line in format_config(params.config).splitlines():
         print(f"#   {line}")
     report = evaluation.aggregate(
-        queries, params, splits, args.stage,
-        checkpoint_id=_checkpoint_id(args.checkpoint),
+        queries, params, splits, args.stage, checkpoint_id=checkpoint_id
     )
     print(report.render_table())
     if args.report:
@@ -228,7 +215,7 @@ def cmd_analyze(args) -> int:
         if not args.checkpoint:
             raise _UsageError("analyze offsets requires --checkpoint")
         _require_files(args.checkpoint)
-        params = _load_compatible_checkpoint(args.checkpoint, splits)
+        params = model.load_checkpoint(args.checkpoint, splits)
         cfg = params.config
         if cfg.fixed_offsets:
             mode = "geometry=point" if cfg.geometry == "point" else "offset_mode=shared"

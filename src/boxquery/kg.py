@@ -80,12 +80,6 @@ class Vocabulary:
     def has_relation(self, name: str) -> bool:
         return name in self._relation_ids
 
-    def entity_hash(self) -> str:
-        return _sha256_lines(self.entity_names)
-
-    def relation_hash(self) -> str:
-        return _sha256_lines(self.relation_names)
-
 
 def _ids(names: Sequence[str], registered: list[str], ids: dict[str, int]) -> np.ndarray:
     """Register the names not yet in `ids` in order of first appearance, then
@@ -94,14 +88,6 @@ def _ids(names: Sequence[str], registered: list[str], ids: dict[str, int]) -> np
     ids.update(zip(new, range(len(registered), len(registered) + len(new))))
     registered.extend(new)
     return np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
-
-
-def _sha256_lines(names: Sequence[str]) -> str:
-    h = hashlib.sha256()
-    for name in names:
-        h.update(name.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 class KnowledgeGraph:
@@ -316,8 +302,9 @@ class GraphSplits:
         return self.train.vocab
 
     def digest(self) -> str:
-        """One sha256 over the entity names, the relation names and the
-        train, valid and test edge arrays, each list prefixed by its length."""
+        """The snapshot's identity, carried by query files and checkpoints:
+        one sha256 over the entity names, the relation names and the train,
+        valid and test edge arrays, each list prefixed by its length."""
         h = hashlib.sha256()
         for names in (self.vocab.entity_names, self.vocab.relation_names):
             h.update("".join([f"{len(names)}\n", *(name + "\n" for name in names)]).encode())

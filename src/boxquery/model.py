@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CompatibilityError, TrainingError
 from .geometry import _BLOCK_ELEMENTS
-from .kg import _atomic_open
+from .kg import GraphSplits, _atomic_open
 from .queries import TRAINABLE_NAMES, template, to_dnf
 from .sampling import GroundedQuery
 
@@ -30,7 +30,7 @@ OFFSET_MODES = ("per-relation", "shared")
 GEOMETRIES = ("box", "point")
 
 CHECKPOINT_MAGIC = "boxquery-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -652,22 +652,15 @@ def adam_step(
             gb.fill(0.0)
 
 
-def save_checkpoint(
-    path: str | Path,
-    params: ModelParams,
-    entity_hash: str,
-    relation_hash: str,
-) -> None:
-    """Versioned header line (JSON) followed by the held tensors' raw bytes."""
+def save_checkpoint(path: str | Path, params: ModelParams, splits: GraphSplits) -> None:
+    """Versioned header line (JSON) followed by the held tensors' raw bytes.
+    The header binds the file to the snapshot `splits` by its digest."""
     names = sorted(params.tensors)
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
-        "n_entities": params.n_entities,
-        "n_relations": params.n_relations,
-        "entity_hash": entity_hash,
-        "relation_hash": relation_hash,
+        "snapshot": splits.digest(),
         "tensors": [
             {"name": n, "dtype": str(params.tensors[n].dtype),
              "shape": list(params.tensors[n].shape)}
@@ -680,9 +673,11 @@ def save_checkpoint(
             f.write(np.ascontiguousarray(params.tensors[n]))
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
-    """Returns (params, entity_hash, relation_hash). The file must hold
-    exactly the tensors its configuration reads."""
+def load_checkpoint(path: str | Path, splits: GraphSplits) -> ModelParams:
+    """Parse a checkpoint that `save_checkpoint` wrote for the snapshot
+    `splits`. The file must hold exactly the tensors its configuration reads,
+    shaped by the snapshot's entity and relation counts. CompatibilityError
+    names the file when it is malformed or another snapshot's."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -697,12 +692,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
             )
         try:
             config = ModelConfig.from_dict(header["config"])
-            counts = (header["n_entities"], header["n_relations"])
-            hashes = (header["entity_hash"], header["relation_hash"])
-            if not all(type(n) is int and n >= 0 for n in counts):
-                raise ValueError(f"entity and relation counts {counts} are not counts")
-            if not all(type(h) is str for h in hashes):
-                raise ValueError(f"vocabulary hashes {hashes} are not strings")
+            snapshot = header["snapshot"]
+            if type(snapshot) is not str:
+                raise ValueError(f"snapshot digest {snapshot!r} is not a string")
             names = [spec["name"] for spec in header["tensors"]]
             found = {spec["name"]: tuple(spec["shape"]) for spec in header["tensors"]}
             if any(spec["dtype"] != config.dtype for spec in header["tensors"]):
@@ -710,9 +702,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CompatibilityError(f"{path}: malformed checkpoint header "
                                      f"({type(exc).__name__}: {exc})") from exc
+        if snapshot != splits.digest():
+            raise CompatibilityError(f"{path}: trained on another snapshot "
+                                     f"(digest {snapshot[:12]})")
         for name in names:
             if names.count(name) > 1:
                 raise CompatibilityError(f"{path}: tensor {name!r} is listed more than once")
+        counts = (splits.vocab.n_entities, splits.vocab.n_relations)
         expected = {name: shape for name, shape, _ in _tensor_specs(config.dim, *counts)
                     if config.reads(name)}
         for name in sorted(expected.keys() | found.keys(), key=str):
@@ -727,4 +723,4 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str, str]:
                 raise CompatibilityError(f"{path}: tensor {name!r} has non-finite values")
         if f.read(1):
             raise CompatibilityError(f"{path}: trailing bytes after the last tensor")
-    return ModelParams._holding(config, *counts, tensors), *hashes
+    return ModelParams._holding(config, *counts, tensors)

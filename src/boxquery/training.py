@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SamplingError, TrainingError
+from .evaluation import aggregate
 from .geometry import dist_box_grad
 from .kg import GraphSplits
 from .model import (AdamState, ModelConfig, ModelParams, QueryForward, _scatter_rows, adam_step,
-                    sigmoid)
+                    save_checkpoint, sigmoid)
 from .sampling import GroundedQuery
 
 _TRAIN_STREAM = 7
@@ -184,8 +185,6 @@ def train(
     A non-finite loss aborts the run; with `diagnostic_path` set, the
     parameters at the point of failure are checkpointed there first.
     """
-    from .evaluation import aggregate  # late import, avoids a module cycle
-
     by_structure: dict[str, list[GroundedQuery]] = {}
     for q in train_queries:
         by_structure.setdefault(q.structure_name, []).append(q)
@@ -233,12 +232,7 @@ def train(
             if not np.isfinite(batch_loss):
                 message = f"non-finite loss at epoch {epoch} step {state.step + 1}"
                 if diagnostic_path is not None:
-                    from .model import save_checkpoint
-
-                    vocab = splits.vocab
-                    save_checkpoint(
-                        diagnostic_path, params, vocab.entity_hash(), vocab.relation_hash()
-                    )
+                    save_checkpoint(diagnostic_path, params, splits)
                     message += f"; parameters snapshotted to {diagnostic_path}"
                 raise TrainingError(message)
             state.step += 1

@@ -40,6 +40,14 @@ def make_splits(train, valid_extra=(), test_extra=(), augment=True) -> GraphSpli
     return GraphSplits(*graphs)
 
 
+def sized_splits(n_entities, n_relations) -> GraphSplits:
+    """A snapshot of `n_entities` entities and `n_relations` relations, each
+    in at least one edge of a ring, for parameters of that size."""
+    ring = [(f"e{i % n_entities}", f"r{i % n_relations}", f"e{(i + 1) % n_entities}")
+            for i in range(max(n_entities, n_relations))]
+    return make_splits(ring, augment=False)
+
+
 def random_graph(
     rng: np.random.Generator, n_entities=12, n_relations=3, n_edges=40, augment=True
 ) -> KnowledgeGraph:

@@ -380,32 +380,56 @@ class TestTrainEvalAnalyze:
         assert err.splitlines() == [f"error: {queries / 'test-queries.txt'}: no queries to evaluate"]
         assert not report_path.exists()
 
-    def test_eval_vocabulary_mismatch_exits_2(self, capsys, pipeline, checkpoint, tmp_path):
-        root, snapshot, queries = pipeline
-        other_data = tmp_path / "other"
-        main(["synthesize-kg", "--kind", "chain", "--entities", "12",
-              "--out", str(other_data)])
-        other_snap = tmp_path / "other.snap"
-        main(["prepare-data", "--train", str(other_data / "train.txt"),
-              "--valid", str(other_data / "valid.txt"),
-              "--test", str(other_data / "test.txt"), "--out", str(other_snap)])
+    @staticmethod
+    def _other_vocabulary(checkpoint, tmp_path):
+        # the pipeline's checkpoint against a chain graph's snapshot
+        data, snapshot = tmp_path / "other", tmp_path / "other.snap"
+        main(["synthesize-kg", "--kind", "chain", "--entities", "12", "--out", str(data)])
+        main(["prepare-data", "--train", str(data / "train.txt"),
+              "--valid", str(data / "valid.txt"), "--test", str(data / "test.txt"),
+              "--out", str(snapshot)])
+        return checkpoint, snapshot
+
+    @staticmethod
+    def _other_edges(checkpoint, tmp_path):
+        # the same entity and relation names, and one edge of another relation
+        from boxquery.kg import save_splits
+        from boxquery.model import ModelConfig, ModelParams, save_checkpoint
+        from conftest import make_splits
+
+        trained = make_splits([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "A")])
+        other = make_splits([("A", "r", "B"), ("B", "s", "C"), ("C", "s", "A")])
+        ckpt, snapshot = tmp_path / "pair.ckpt", tmp_path / "pair.snap"
+        save_checkpoint(ckpt, ModelParams(ModelConfig(dim=4), 3, 4), trained)
+        save_splits(other, snapshot)
+        return ckpt, snapshot
+
+    @pytest.mark.parametrize("case", [_other_vocabulary, _other_edges],
+                             ids=["vocabulary", "edges"])
+    @pytest.mark.parametrize("command", [("eval", "--stage", "train"), ("analyze", "offsets")])
+    def test_checkpoint_of_another_snapshot_exits_2(self, capsys, pipeline, checkpoint,
+                                                    tmp_path, case, command):
+        _, _, queries = pipeline
+        ckpt, snapshot = case.__func__(checkpoint, tmp_path)
         capsys.readouterr()
-        code, _, err = run(capsys, "eval", "--checkpoint", str(checkpoint),
-                           "--snapshot", str(other_snap), "--queries", str(queries),
-                           "--stage", "train")
+        extra = ("--queries", str(queries)) if command[0] == "eval" else ()
+        code, out, err = run(capsys, *command, "--checkpoint", str(ckpt),
+                             "--snapshot", str(snapshot), *extra)
         assert code == 2
-        assert "does not match" in err
-        # both hash prefixes appear in the message
-        assert err.count("entities") >= 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {ckpt}: trained on another snapshot (digest ")
+        assert out == ""
 
     def test_eval_nonfinite_checkpoint_exits_2(self, capsys, pipeline, checkpoint, tmp_path):
+        from boxquery.kg import load_splits
         from boxquery.model import load_checkpoint, save_checkpoint
 
         root, snapshot, queries = pipeline
-        params, ent_hash, rel_hash = load_checkpoint(checkpoint)
+        splits = load_splits(snapshot)
+        params = load_checkpoint(checkpoint, splits)
         params.tensors["attn.w2"][0, 0] = float("inf")
         bad = tmp_path / "inf.ckpt"
-        save_checkpoint(bad, params, ent_hash, rel_hash)
+        save_checkpoint(bad, params, splits)
         code, out, err = run(capsys, "eval", "--checkpoint", str(bad),
                              "--snapshot", str(snapshot), "--queries", str(queries),
                              "--stage", "train")
@@ -422,15 +446,19 @@ class TestTrainEvalAnalyze:
         header["config"]["dim"] = str(header["config"]["dim"])
 
     @staticmethod
-    def _no_entity_count(header):
-        del header["n_entities"]
+    def _no_snapshot(header):
+        del header["snapshot"]
 
     @staticmethod
     def _version_1(header):
         header["version"] = 1
 
-    @pytest.mark.parametrize("edit", [_unknown_key, _string_dim, _no_entity_count, _version_1,
-                                      None])
+    @staticmethod
+    def _version_2(header):
+        header["version"] = 2
+
+    @pytest.mark.parametrize("edit", [_unknown_key, _string_dim, _no_snapshot, _version_1,
+                                      _version_2, None])
     @pytest.mark.parametrize("command", [("eval", "--stage", "train"), ("analyze", "offsets")])
     def test_malformed_checkpoint_header_exits_2(self, capsys, pipeline, checkpoint, tmp_path,
                                                  edit, command):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from boxquery.errors import CompatibilityError, TrainingError
+from boxquery.kg import load_splits, save_splits
 from boxquery.model import (
     AdamState,
     ModelConfig,
@@ -22,7 +23,7 @@ from boxquery.model import (
 from boxquery.queries import STRUCTURE_NAMES, bind, template, to_dnf
 from boxquery.sampling import GroundedQuery
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, make_splits, random_graph, sized_splits
 from gradcheck import MODE_GRID, check_instance, make_instance, query_loss_and_grads
 from oracles import (Box, _query_from_graph, attention_weights, deepsets_forward, dist_box,
                      embed_conjunctive, embed_epfo, try_instantiate)
@@ -31,6 +32,9 @@ from oracles import (Box, _query_from_graph, attention_weights, deepsets_forward
 def small_params(n_entities=6, n_relations=4, dim=4, **kwargs) -> ModelParams:
     config = ModelConfig(dim=dim, gamma=2.0, negatives=2, seed=kwargs.pop("seed", 3), **kwargs)
     return ModelParams(config, n_entities, n_relations)
+
+
+SMALL = sized_splits(6, 4)  # the snapshot that small_params() is sized for
 
 
 def boxes_for(params, n, rng):
@@ -683,21 +687,39 @@ class TestResidentBuffers:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
+        # the snapshot reloaded from its file has the digest the header holds
         params = small_params(intersection_mode="deepsets", geometry="point")
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, "enthash", "relhash")
-        loaded, ent_hash, rel_hash = load_checkpoint(path)
-        assert (ent_hash, rel_hash) == ("enthash", "relhash")
+        path, snapshot = tmp_path / "model.ckpt", tmp_path / "graph.snap"
+        save_checkpoint(path, params, SMALL)
+        save_splits(SMALL, snapshot)
+        loaded = load_checkpoint(path, load_splits(snapshot))
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["snapshot"] == SMALL.digest()
         assert loaded.config == params.config
+        assert (loaded.n_entities, loaded.n_relations) == (6, 4)
         for name in params.tensors:
             assert np.array_equal(loaded.tensors[name], params.tensors[name])
+
+    @pytest.mark.parametrize("triples, other", [
+        ([("A", "r", "B"), ("B", "s", "C")], [("A", "r", "B"), ("B", "t", "C")]),
+        # the same entity and relation names: only the edges differ
+        ([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "A")],
+         [("A", "r", "B"), ("B", "s", "C"), ("C", "s", "A")]),
+    ], ids=["relation-names", "edges"])
+    def test_other_snapshot_rejected(self, tmp_path, triples, other):
+        splits, other = make_splits(triples), make_splits(other)
+        params = small_params(n_entities=3, n_relations=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, splits)
+        with pytest.raises(CompatibilityError, match="trained on another snapshot") as exc:
+            load_checkpoint(path, other)
+        assert str(path) in str(exc.value)
 
     def test_byte_identical_across_runs(self, tmp_path):
         p1 = small_params(seed=42)
         p2 = small_params(seed=42)
         f1, f2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(f1, p1, "e", "r")
-        save_checkpoint(f2, p2, "e", "r")
+        save_checkpoint(f1, p1, SMALL)
+        save_checkpoint(f2, p2, SMALL)
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_garbage_rejected(self, tmp_path):
@@ -706,26 +728,26 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint\n")
         with pytest.raises(CompatibilityError):
-            load_checkpoint(path)
+            load_checkpoint(path, SMALL)
 
     def test_truncated_rejected(self, tmp_path):
         from boxquery.errors import CompatibilityError
 
         path = tmp_path / "short.ckpt"
-        save_checkpoint(path, small_params(), "e", "r")
+        save_checkpoint(path, small_params(), SMALL)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(CompatibilityError, match="truncated") as exc:
-            load_checkpoint(path)
+            load_checkpoint(path, SMALL)
         assert str(path) in str(exc.value)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         from boxquery.errors import CompatibilityError
 
         path = tmp_path / "long.ckpt"
-        save_checkpoint(path, small_params(), "e", "r")
+        save_checkpoint(path, small_params(), SMALL)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(CompatibilityError, match="trailing") as exc:
-            load_checkpoint(path)
+            load_checkpoint(path, SMALL)
         assert str(path) in str(exc.value)
 
     @staticmethod
@@ -765,44 +787,47 @@ class TestCheckpoint:
                                               (unread, "center_net.outer.b2.*needs None")])
     def test_tensor_set_checked(self, tmp_path, edit, tensor):
         path = tmp_path / "edited.ckpt"
-        save_checkpoint(path, small_params(), "e", "r")
+        save_checkpoint(path, small_params(), SMALL)
         self.edit_header(path, edit)
         with pytest.raises(CompatibilityError, match=tensor) as exc:
-            load_checkpoint(path)
+            load_checkpoint(path, SMALL)
         assert str(path) in str(exc.value)
 
-    def test_version_1_rejected(self, tmp_path):
-        # a version-1 file also held the tensors its mode never reads
-        path = tmp_path / "v1.ckpt"
-        save_checkpoint(path, small_params(), "e", "r")
-        self.edit_header(path, lambda header: header.update(version=1) or b"")
-        with pytest.raises(CompatibilityError, match="unsupported checkpoint version 1") as exc:
-            load_checkpoint(path)
+    # a version-1 file also held the tensors its mode never reads; a
+    # version-2 file named its vocabularies by hashes, not its snapshot
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected(self, tmp_path, version):
+        path = tmp_path / f"v{version}.ckpt"
+        save_checkpoint(path, small_params(), SMALL)
+        self.edit_header(path, lambda header: header.update(version=version) or b"")
+        with pytest.raises(CompatibilityError,
+                           match=f"unsupported checkpoint version {version}") as exc:
+            load_checkpoint(path, SMALL)
         assert str(path) in str(exc.value)
 
     def test_nonfinite_value_rejected(self, tmp_path):
         params = small_params()
         params.tensors["offset_net.inner.b1"][1] = np.nan
         path = tmp_path / "nan.ckpt"
-        save_checkpoint(path, params, "e", "r")
+        save_checkpoint(path, params, SMALL)
         with pytest.raises(CompatibilityError, match="offset_net.inner.b1.*non-finite") as exc:
-            load_checkpoint(path)
+            load_checkpoint(path, SMALL)
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["config"].update(dim=float(h["config"]["dim"])),
         lambda h: h["config"].update(negatives=True),
         lambda h: h["config"].update(alpha=1.5),
-        lambda h: h.update(entity_hash=7),
+        lambda h: h.update(snapshot=7),
         lambda h: h["tensors"][0].update(name=5),
-    ], ids=["float-dim", "bool-negatives", "alpha-range", "int-hash", "int-name"])
+    ], ids=["float-dim", "bool-negatives", "alpha-range", "int-snapshot", "int-name"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "edited.ckpt"
-        save_checkpoint(path, small_params(), "e", "r")
+        save_checkpoint(path, small_params(), SMALL)
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
         edit(header)
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
         with pytest.raises(CompatibilityError) as exc:
-            load_checkpoint(path)
+            load_checkpoint(path, SMALL)
         assert str(path) in str(exc.value)

@@ -313,14 +313,12 @@ class TestQueryFiles:
     @pytest.mark.parametrize("text", [
         "", "1p\t0:a:0:0,1:t;0-1:p:0:1\t1\t1\t1\n", "boxquery-queries v1\tx\ty\n",
         # the vocabulary-hash header of the format before the snapshot digest
-        "boxquery-queries v2\t{entities}\t{relations}\n1p\t0\t0\t1\t-\t-\n",
+        f"boxquery-queries v2\t{'3f' * 32}\t{'c0' * 32}\n1p\t0\t0\t1\t-\t-\n",
     ], ids=["empty", "graph-text", "v1", "v2"])
     def test_file_without_header_asks_to_regenerate(self, tmp_path, text):
         splits = make_splits([("A", "r", "B")])
-        vocab = splits.vocab
         path = tmp_path / "q.txt"
-        path.write_text(text.format(entities=vocab.entity_hash(), relations=vocab.relation_hash()),
-                        encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match="q.txt:1: .*regenerate"):
             read_query_file(path, splits)
 

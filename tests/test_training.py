@@ -15,7 +15,7 @@ from boxquery.training import (
     train,
 )
 
-from conftest import make_splits, random_graph
+from conftest import make_splits, random_graph, sized_splits
 from gradcheck import MODE_GRID, make_instance, query_loss_and_grads
 from oracles import (Box, answer_exact, batch_loss_and_grads_allocating, dist_box, embed_epfo,
                      loss, query_loss_and_grads_per_candidate, try_instantiate)
@@ -247,14 +247,15 @@ class TestUnreadTensors:
         intersection_mode, offset_mode, geometry = mode
         config = ModelConfig(dim=3, intersection_mode=intersection_mode, offset_mode=offset_mode,
                              geometry=geometry, dtype=dtype)
+        splits = sized_splits(5, 2)
         params = ModelParams(config, 5, 2)
         read = [name for name, _, _ in _tensor_specs(3, 5, 2) if config.reads(name)]
         assert 2 <= len(read) <= 24 - 5  # each mode drops attention or a center net, and an offset
         state = AdamState.init(params)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, "e", "r")
+        save_checkpoint(path, params, splits)
         for held in (params.tensors, params.copy().tensors, params.zero_grads(), state.m, state.v,
-                     load_checkpoint(path)[0].tensors):
+                     load_checkpoint(path, splits).tensors):
             assert list(held) == read
             assert all(held[name].dtype == np.dtype(dtype) for name in read)
         # the checkpoint stores its tensors in name order
@@ -358,7 +359,7 @@ class TestTrainLoop:
         for run in range(2):
             result = train(splits, queries, config, log=None)
             path = tmp_path / f"run{run}.ckpt"
-            save_checkpoint(path, result.final_params, "e", "r")
+            save_checkpoint(path, result.final_params, splits)
             files.append(path)
         assert files[0].read_bytes() == files[1].read_bytes()
 
@@ -403,7 +404,7 @@ class TestTrainLoop:
         assert diag.exists()
         from boxquery.model import load_checkpoint
 
-        loaded, _, _ = load_checkpoint(diag)
+        loaded = load_checkpoint(diag, splits)
         assert loaded.config == config
 
     def test_one_forward_and_backward_per_step(self, monkeypatch):
@@ -561,7 +562,7 @@ class TestUnmappedBuffersInTraining:
             assert got.state.adam.m[name].tobytes() == want.state.adam.m[name].tobytes(), name
             assert got.state.adam.v[name].tobytes() == want.state.adam.v[name].tobytes(), name
         for i, run in enumerate(runs):
-            save_checkpoint(tmp_path / f"{i}.ckpt", run.final_params, "e", "r")
+            save_checkpoint(tmp_path / f"{i}.ckpt", run.final_params, splits)
         assert (tmp_path / "0.ckpt").read_bytes() == (tmp_path / "1.ckpt").read_bytes()
 
 
@@ -727,8 +728,8 @@ class TestFloat32Switch:
         from boxquery.model import load_checkpoint
 
         path = tmp_path / "f32.ckpt"
-        save_checkpoint(path, result.final_params, "e", "r")
-        loaded, _, _ = load_checkpoint(path)
+        save_checkpoint(path, result.final_params, splits)
+        loaded = load_checkpoint(path, splits)
         assert all(t.dtype == np.float32 for t in loaded.tensors.values())
         for name in loaded.tensors:
             assert np.array_equal(loaded.tensors[name], result.final_params.tensors[name])

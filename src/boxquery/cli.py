@@ -26,6 +26,7 @@ QUERY_FILES = {
     "test": "test-queries.txt",
     "heldin": "heldin-queries.txt",
 }
+_HASH_BLOCK = 1 << 20  # bytes of a checkpoint read and hashed at a time
 
 
 def _require_files(*paths: str | Path) -> None:
@@ -39,8 +40,11 @@ class _UsageError(Exception):
 
 
 def _checkpoint_id(path: str | Path) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return digest[:12]
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()[:12]
 
 
 def _print_header(args: argparse.Namespace, extra: dict | None = None) -> None:

@@ -34,19 +34,15 @@ _QUERY_CHUNK = 64
 
 
 def _stage_answers(q: GroundedQuery, stage: str) -> list[int]:
-    if q.answers is None:
-        raise ValueError("query must carry answer sets")
-    if stage == "validation":
-        answers = set(q.answers.valid) - set(q.answers.train)
-    elif stage == "test":
-        answers = set(q.answers.test) - set(q.answers.valid)
-    elif stage == "train":
-        answers = set(q.answers.train)
-    else:
+    """The answers the stage's graph adds to the graph before it, as a list:
+    numpy reads a tuple index as several axes."""
+    field = {"train": "train", "validation": "valid_added", "test": "test_added"}.get(stage)
+    if field is None:
         raise ValueError(f"unknown stage {stage!r}")
+    answers = list(getattr(q.answers, field))
     if not answers:
         raise ValueError(f"query has no answers to evaluate at stage {stage!r}")
-    return sorted(answers)
+    return answers
 
 
 def _chunk_distances(queries: list[GroundedQuery], params: ModelParams) -> np.ndarray:
@@ -62,12 +58,10 @@ def entity_distances(q: GroundedQuery, params: ModelParams) -> np.ndarray:
 
 
 def _filtered_ranks(distances: np.ndarray, answers: list[int], q: GroundedQuery) -> np.ndarray:
-    """Optimistic ranks of `answers`: one plus the number of non-answers of
-    the query on the test graph that lie strictly closer."""
-    if q.answers is None or not set(answers) <= set(q.answers.test):
-        raise ValueError(f"entities {answers} are not all test-graph answers of the query")
+    """Optimistic ranks of some of the query's answers: one plus the number
+    of its non-answers on the test graph that lie strictly closer."""
     others = np.ones(len(distances), dtype=bool)
-    others[list(q.answers.test)] = False
+    others[[*q.answers.train, *q.answers.valid_added, *q.answers.test_added]] = False
     closer = np.sort(distances[others])
     return 1 + np.searchsorted(closer, distances[answers], side="left")
 

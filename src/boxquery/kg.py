@@ -575,15 +575,20 @@ def _parse_snapshot(lines: list[str], path: str | Path) -> GraphSplits:
     vocab = Vocabulary()
     vocab.entity_ids(read_block("entities")[0])
     vocab.relation_ids(read_block("relations")[0])
-
-    def read_edges(label: str) -> np.ndarray:
-        block, _ = read_block(label)
-        rows = [line.split("\t") for line in block]
-        if set(map(len, rows)) - {3}:
+    graphs: list[KnowledgeGraph] = []  # train, then valid and test each over the one before
+    for label in ("train", "valid-extra", "test-extra"):
+        edges = [line.split("\t") for line in read_block(label)[0]]
+        if set(map(len, edges)) - {3}:
             raise ValueError(f"{label} edge line without 3 tab-separated ids")
-        return np.array(rows, dtype=np.int64).reshape(-1, 3)
-
-    train = KnowledgeGraph(vocab, read_edges("train"))
-    valid = KnowledgeGraph(vocab, read_edges("valid-extra"), base=train)
-    test = KnowledgeGraph(vocab, read_edges("test-extra"), base=valid)
-    return GraphSplits(train, valid, test, stats or None)
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 3)  # rebinding frees the line lists
+        graphs.append(KnowledgeGraph(vocab, edges, base=graphs[-1] if graphs else None))
+        # every relation has an inverse, and the (sorted) block is its own mirror image
+        inverse = [graphs[0].inverse_relation(r) for r in range(vocab.n_relations)]
+        if None in inverse:
+            raise ValueError(f"relation {inverse.index(None)} has no inverse")
+        mirrored = np.stack([edges[:, 2], np.take(inverse, edges[:, 1]), edges[:, 0]], axis=1)
+        lacking = _not_in(edges, mirrored, vocab.n_entities, vocab.n_relations)
+        if lacking.any():
+            h, r, t = edges[np.argmax(lacking)].tolist()
+            raise ValueError(f"{label} edge ({h},{r},{t}) has no inverse ({t},{inverse[r]},{h})")
+    return GraphSplits(*graphs, stats or None)

@@ -13,7 +13,7 @@ and the ids bound to the template's slots; no graph is bound to generate it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +42,27 @@ _SPLIT_STREAM = {"train": 1, "valid": 2, "test": 3, "heldin": 4}
 
 @dataclass(frozen=True)
 class AnswerSet:
-    """Per-snapshot answers; monotone in the edge sets."""
+    """A query's answers as its file stores them, each id once in sorted
+    tuples: the train graph's, then those the valid and the test graph add.
+    `valid` and `test` are the valid and test graphs' answers, sorted."""
 
     train: tuple[int, ...]
-    valid: tuple[int, ...]
-    test: tuple[int, ...]
+    valid_added: tuple[int, ...]
+    test_added: tuple[int, ...]
 
     def __post_init__(self):
-        if not (set(self.train) <= set(self.valid) <= set(self.test)):
-            raise ValueError("answer sets must nest: train <= valid <= test")
+        lists = (self.train, self.valid_added, self.test_added)
+        every = self.train + self.valid_added + self.test_added
+        if len(set(every)) < len(every) or any(x != tuple(sorted(x)) for x in lists):
+            raise ValueError("the answer id lists must each increase strictly and share no id")
+
+    @property
+    def valid(self) -> tuple[int, ...]:
+        return tuple(sorted(self.train + self.valid_added))
+
+    @property
+    def test(self) -> tuple[int, ...]:
+        return tuple(sorted(self.train + self.valid_added + self.test_added))
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,7 @@ class GroundedQuery:
     structure_name: str
     anchors: tuple[int, ...]
     relations: tuple[int, ...]
-    answers: AnswerSet | None = None
+    answers: AnswerSet
 
     @property
     def graph(self) -> ComputationGraph:
@@ -272,23 +284,22 @@ def _generate_for_structure(
 
 
 def _answer_set(plan: _Plan, splits: GraphSplits, ids, strict: int | None = None):
-    """Train, valid and test answers, or None once set `strict` adds nothing
-    to the set before it; later graphs are traversed only after that check."""
-    sets: list[set[int]] = []
+    """The train answers and those the valid and test graphs add, or None
+    once graph `strict` adds none, checked before later graphs are traversed."""
+    sets: list[set[int]] = [set()]
     for i, kg in enumerate((splits.train, splits.valid, splits.test)):
         sets.append(plan.answers(kg, *ids))
-        if i == strict and not sets[i] - (sets[i - 1] if i else set()):
+        if i == strict and not sets[-1] - sets[-2]:
             return None
-    return AnswerSet(*(tuple(sorted(s)) for s in sets))
+    return AnswerSet(*(tuple(sorted(b - a)) for a, b in zip(sets, sets[1:])))
 
 
 def answer_count_report(queries: list[GroundedQuery]) -> dict[str, float]:
     """Mean number of test-graph answers per structure."""
     totals: dict[str, list[int]] = {}
     for q in queries:
-        if q.answers is None:
-            raise ValueError("queries must carry answer sets")
-        totals.setdefault(q.structure_name, []).append(len(q.answers.test))
+        a = q.answers
+        totals.setdefault(q.structure_name, []).append(len(a.train + a.valid_added + a.test_added))
     return {name: float(np.mean(counts)) for name, counts in sorted(totals.items())}
 
 
@@ -321,19 +332,16 @@ def write_query_file(path: str | Path, queries: list[GroundedQuery], splits: Gra
     with _atomic_open(path) as f:
         f.write(f"{QUERY_MAGIC}\t{splits.digest()}\n")
         for q in queries:
-            if q.answers is None:
-                raise ValueError("queries must carry answer sets")
-            train, valid, test = map(set, astuple(q.answers))
-            lists = (q.anchors, q.relations, sorted(train), sorted(valid - train),
-                     sorted(test - valid))
+            a = q.answers
+            lists = (q.anchors, q.relations, a.train, a.valid_added, a.test_added)
             f.write("\t".join([q.structure_name, *map(_ids_to_text, lists)]) + "\n")
 
 
 def _check_ids(q: GroundedQuery, vocab: Vocabulary, where: str) -> None:
-    # answers nest (train <= valid <= test), so the test set covers all three
+    a = q.answers
     for kind, ids, n in (("anchor entity", q.anchors, vocab.n_entities),
                          ("relation", q.relations, vocab.n_relations),
-                         ("answer", q.answers.test, vocab.n_entities)):
+                         ("answer", a.train + a.valid_added + a.test_added, vocab.n_entities)):
         for value in ids:
             if not 0 <= value < n:
                 raise CompatibilityError(
@@ -345,15 +353,11 @@ def _query_from_record(line: str) -> GroundedQuery:
     name, *fields = line.rstrip("\n").split("\t")
     if len(fields) != 5:
         raise ValueError(f"expected 6 tab-separated fields, got {len(fields) + 1}")
-    anchors, relations, train, valid, test = map(_ids_from_text, fields)
+    anchors, relations, *answers = map(_ids_from_text, fields)
     if _SLOTS.get(name) != (len(anchors), len(relations)):
         raise ValueError(f"{name!r} is not a query structure with {len(anchors)} anchor "
                          f"and {len(relations)} relation slots")
-    every = train + valid + test
-    if len(set(every)) < len(every) or any(x != tuple(sorted(x)) for x in (train, valid, test)):
-        raise ValueError("the answer id lists must each increase strictly and share no id")
-    return GroundedQuery(name, anchors, relations,
-                         AnswerSet(train, tuple(sorted(train + valid)), tuple(sorted(every))))
+    return GroundedQuery(name, anchors, relations, AnswerSet(*answers))
 
 
 def read_query_file(path: str | Path, splits: GraphSplits) -> list[GroundedQuery]:

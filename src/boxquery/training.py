@@ -43,8 +43,6 @@ def sample_negatives(
 ) -> np.ndarray:
     """k entities drawn uniformly without replacement from the non-answers
     of the query on the train graph."""
-    if q.answers is None:
-        raise ValueError("query must carry answer sets")
     allowed = np.ones(splits.train.n_entities, dtype=bool)
     allowed[np.asarray(q.answers.train, dtype=int)] = False
     candidates = np.flatnonzero(allowed)
@@ -187,6 +185,9 @@ def train(
     """
     by_structure: dict[str, list[GroundedQuery]] = {}
     for q in train_queries:
+        if not q.answers.train:  # no positive to draw
+            raise TrainingError(f"{q.structure_name} training query with anchors {list(q.anchors)}"
+                                f" and relations {list(q.relations)} has no train answers")
         by_structure.setdefault(q.structure_name, []).append(q)
     structures = [s for s in config.train_structures if s in by_structure]
     if not structures:

@@ -89,3 +89,23 @@ def trained_bipartite():
     )
     result = train(splits, queries, config, log=None)
     return splits, queries, config, result
+
+
+def drop_inverse_edge(snapshot: Path, block: str) -> None:
+    """Delete the first edge of the snapshot's `block` whose relation is an
+    inverse (its name ends in ^-1), and lower the block's count to match."""
+    lines = snapshot.read_text(encoding="utf-8").splitlines()
+
+    def section(label):  # the header line of a section and its line count
+        head = next(i for i, line in enumerate(lines) if line.startswith(label + " "))
+        return head, int(lines[head].split()[1])
+
+    head, count = section("relations")
+    inverses = {str(i) for i, name in enumerate(lines[head + 1 : head + 1 + count])
+                if name.endswith("^-1")}
+    head, count = section(block)
+    edge = next(i for i in range(head + 1, head + 1 + count)
+                if lines[i].split("\t")[1] in inverses)
+    lines[head] = f"{block} {count - 1}"
+    del lines[edge]
+    snapshot.write_text("\n".join(lines) + "\n", encoding="utf-8")

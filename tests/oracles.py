@@ -116,6 +116,9 @@ from boxquery.queries import (
 )
 from boxquery.sampling import DEFAULT_ATTEMPTS, AnswerSet, GroundedQuery, _answer_set, _Plan
 
+# the answers of a query built for its topology alone
+NO_ANSWERS = AnswerSet((), (), ())
+
 
 def _query_from_graph(name: str, graph: ComputationGraph) -> GroundedQuery:
     """The query of structure `name` whose slot ids `graph` binds. ValueError
@@ -124,7 +127,7 @@ def _query_from_graph(name: str, graph: ComputationGraph) -> GroundedQuery:
         anchors = tuple(n.entity for n in sorted(graph.anchors, key=lambda n: n.slot))
         relations = tuple(e.relation for e in sorted(
             (e for e in graph.edges if e.op == PROJECTION), key=lambda e: e.slot))
-        query = GroundedQuery(name, anchors, relations)
+        query = GroundedQuery(name, anchors, relations, NO_ANSWERS)
         if None not in anchors + relations and graph_to_text(query.graph) == graph_to_text(graph):
             return query
     except (KeyError, IndexError, TypeError):  # an unknown structure, a missing slot
@@ -1089,7 +1092,10 @@ def rank_entity(
     splits: GraphSplits,
     distances: np.ndarray | None = None,
 ) -> int:
-    """Filtered optimistic rank of answer `v` among the non-answers."""
+    """Filtered optimistic rank of answer `v` among the non-answers;
+    ValueError if `v` is not a test-graph answer of the query."""
+    if v not in q.answers.test:
+        raise ValueError(f"entity {v} is not a test-graph answer of the query")
     if distances is None:
         distances = entity_distances(q, params)
     return int(_filtered_ranks(distances, [v], q)[0])
@@ -1172,7 +1178,7 @@ def try_instantiate(
     ids = plan.ground(kg, rng, root)
     if ids is None or plan.degeneracies(*ids, kg.inverse_relation):
         return None
-    return GroundedQuery(structure.name, *plan.slots(*ids))
+    return GroundedQuery(structure.name, *plan.slots(*ids), NO_ANSWERS)
 
 
 def instantiate(
@@ -1374,14 +1380,15 @@ def answer_exact_on_graph(kg: KnowledgeGraph, query) -> set[int]:
 
 
 def answer_set_on_graph(splits: GraphSplits, query) -> AnswerSet:
+    """The train answers and those the valid and test graphs add: the
+    differences of the three traversals."""
     graph = _graph_of(query)
     plan = _traversal_plan(graph)
     target = graph.target.id
-    return AnswerSet(
-        tuple(sorted(_traverse(splits.train, plan, target))),
-        tuple(sorted(_traverse(splits.valid, plan, target))),
-        tuple(sorted(_traverse(splits.test, plan, target))),
-    )
+    train, valid, test = (_traverse(kg, plan, target)
+                          for kg in (splits.train, splits.valid, splits.test))
+    return AnswerSet(tuple(sorted(train)), tuple(sorted(valid - train)),
+                     tuple(sorted(test - valid)))
 
 
 def degeneracies_on_graph(graph: ComputationGraph, kg: KnowledgeGraph) -> list[str]:

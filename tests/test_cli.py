@@ -1,10 +1,15 @@
+import hashlib
 import json
 import shutil
+import tracemalloc
 import warnings
 
 import pytest
 
+from boxquery import cli
 from boxquery.cli import main
+
+from conftest import drop_inverse_edge
 
 
 def run(capsys, *argv):
@@ -167,6 +172,20 @@ class TestGenerateQueries:
             main(["generate-queries", "--snapshot", str(snapshot), "--out", str(tmp_path / "q"),
                   "--count", "3", flag, "-3"])
         assert excinfo.value.code == 2
+
+    def test_snapshot_without_an_inverse_edge_exits_1(self, capsys, pipeline, tmp_path):
+        _, snapshot, _ = pipeline
+        bad = tmp_path / "bad.snap"
+        shutil.copy(snapshot, bad)
+        drop_inverse_edge(bad, "train")
+        code, out, err = run(capsys, "generate-queries", "--snapshot", str(bad),
+                             "--out", str(tmp_path / "q"), "--count", "2")
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: corrupt snapshot: train edge (")
+        assert "has no inverse" in err
+        assert out == ""
+        assert not (tmp_path / "q").exists()
 
     def test_rerun_is_byte_identical(self, capsys, pipeline, tmp_path):
         _, snapshot, _ = pipeline
@@ -678,6 +697,48 @@ class TestQueryFileIds:
                            "--dim", "8", "--negatives", "4", "--dry-run")
         assert code == 2
         assert "train-queries.txt:2" in err
+
+
+def _train_answers_to_test(line):
+    """The record with its train answers moved into its test-added list."""
+    fields = line.rstrip("\n").split("\t")
+    ids = [int(i) for field in (fields[3], fields[5]) if field != "-" for i in field.split(",")]
+    fields[3], fields[5] = "-", ",".join(map(str, sorted(ids)))
+    return "\t".join(fields) + "\n"
+
+
+class TestTrainQueryWithoutTrainAnswers:
+    def test_train_exits_1_naming_the_query(self, capsys, pipeline, tmp_path):
+        _, snapshot, queries = pipeline
+        bad = _corrupt_first_record(queries, tmp_path, "train-queries.txt",
+                                    _train_answers_to_test)
+        name, anchors, relations = (bad / "train-queries.txt").read_text(
+            encoding="utf-8").splitlines()[1].split("\t")[:3]
+        code, out, err = run(capsys, "train", "--snapshot", str(snapshot),
+                             "--queries", str(bad), "--out", str(tmp_path / "x.ckpt"),
+                             "--dim", "8", "--negatives", "4", "--dry-run")
+        assert code == 1
+        assert err == (f"error: {name} training query with anchors [{anchors}] and relations "
+                       f"[{relations.replace(',', ', ')}] has no train answers\n")
+        assert "dry run complete" not in out
+
+
+class TestCheckpointId:
+    def test_hashes_the_file_a_block_at_a_time(self, tmp_path):
+        # eight full blocks and a partial one; the loop holds at most two
+        # blocks (the last one read and the next), a read of the whole file
+        # all nine
+        data = bytes(range(256)) * (8 * cli._HASH_BLOCK // 256) + b"end"
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            got = cli._checkpoint_id(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == hashlib.sha256(data).hexdigest()[:12]
+        assert peak < 3 * cli._HASH_BLOCK
 
 
 class TestQueryFileHeader:

@@ -45,11 +45,9 @@ def line_world(positions, test_answers, train_answers=()):
     rid = v.relation_id("r")
     anchor = v.entity_id("e0")
     params.tensors["relation_center"][rid] = -positions[0]
-    answers = AnswerSet(
-        tuple(sorted(v.entity_id(e) for e in train_answers)),
-        tuple(sorted(v.entity_id(e) for e in train_answers)),
-        tuple(sorted(v.entity_id(e) for e in test_answers)),
-    )
+    train = {v.entity_id(e) for e in train_answers}
+    answers = AnswerSet(tuple(sorted(train)), (),
+                        tuple(sorted({v.entity_id(e) for e in test_answers} - train)))
     q = GroundedQuery("1p", (anchor,), (rid,), answers)
     return splits, params, q, v
 
@@ -126,11 +124,7 @@ class TestMetricsForQuery:
 
     def test_validation_stage_uses_val_minus_train(self):
         splits, params, q, v = line_world([10, 1, 2, 0.5, 0.7], ["e3", "e4"])
-        answers = AnswerSet(
-            (v.entity_id("e3"),),
-            (v.entity_id("e3"), v.entity_id("e4")),
-            (v.entity_id("e3"), v.entity_id("e4")),
-        )
+        answers = AnswerSet((v.entity_id("e3"),), (v.entity_id("e4"),), ())
         q = GroundedQuery("1p", q.anchors, q.relations, answers)
         metrics = metrics_for_query(q, params, splits, "validation")
         # only e4 is evaluated; e3 stays filtered from its candidates

@@ -19,7 +19,7 @@ from boxquery.kg import (
 )
 from boxquery.synth import synthesize_triples, write_synthetic_split
 
-from conftest import make_graph, random_graph
+from conftest import drop_inverse_edge, make_graph, random_graph
 from oracles import DictKnowledgeGraph, augment_inverses, edge_set, load_triples
 
 
@@ -682,6 +682,32 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ParseError, match="corrupt snapshot.*unknown entity id") as exc:
             load_splits(snap)
         assert str(exc.value).startswith(f"{snap}: ")
+
+    @pytest.mark.parametrize("label", ["train", "valid-extra", "test-extra"])
+    def test_edge_without_its_inverse_rejected(self, tmp_path, label):
+        # each block holds the inverse of each of its edges
+        train = write(tmp_path / "train.txt", "A\tr\tB\nB\ts\tC\n")
+        valid = write(tmp_path / "valid.txt", "C\tr\tA\n")
+        test = write(tmp_path / "test.txt", "A\ts\tC\n")
+        snap = tmp_path / "snapshot.txt"
+        save_splits(build_split_graphs(train, valid, test), snap)
+        drop_inverse_edge(snap, label)
+        with pytest.raises(ParseError, match=f"corrupt snapshot: {label} edge "
+                                             r"\(\d+,\d+,\d+\) has no inverse") as exc:
+            load_splits(snap)
+        assert str(exc.value).startswith(f"{snap}: ")
+
+    def test_relation_without_its_inverse_rejected(self, tmp_path):
+        # renaming r^-1 leaves r, relation 0, without its inverse
+        train = write(tmp_path / "train.txt", "A\tr\tB\nB\ts\tC\n")
+        snap = tmp_path / "snapshot.txt"
+        save_splits(build_split_graphs(train, write(tmp_path / "v.txt", ""),
+                                       write(tmp_path / "t.txt", "")), snap)
+        text = snap.read_text(encoding="utf-8")
+        assert text.count("\nr^-1\n") == 1
+        snap.write_text(text.replace("\nr^-1\n", "\nq\n"), encoding="utf-8")
+        with pytest.raises(ParseError, match="corrupt snapshot: relation 0 has no inverse"):
+            load_splits(snap)
 
     @pytest.mark.parametrize("label", ["valid-extra", "test-extra"])
     @pytest.mark.parametrize("bad_edge", ["9\t0\t1", "1\t0\t9", "-1\t0\t1"])

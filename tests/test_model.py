@@ -25,8 +25,8 @@ from boxquery.sampling import GroundedQuery
 
 from conftest import make_graph, make_splits, random_graph, sized_splits
 from gradcheck import MODE_GRID, check_instance, make_instance, query_loss_and_grads
-from oracles import (Box, _query_from_graph, attention_weights, deepsets_forward, dist_box,
-                     embed_conjunctive, embed_epfo, try_instantiate)
+from oracles import (NO_ANSWERS, Box, _query_from_graph, attention_weights, deepsets_forward,
+                     dist_box, embed_conjunctive, embed_epfo, try_instantiate)
 
 
 def small_params(n_entities=6, n_relations=4, dim=4, **kwargs) -> ModelParams:
@@ -397,7 +397,7 @@ class TestQueryForward:
         anchors = tuple(int(rng.integers(n_entities)) for _ in shape.anchors)
         relations = tuple(int(rng.integers(n_relations))
                           for e in shape.edges if e.slot is not None)
-        return GroundedQuery(name, anchors, relations)
+        return GroundedQuery(name, anchors, relations, NO_ANSWERS)
 
     @pytest.mark.parametrize("b", [1, 7])
     def test_dnf_runs_once_per_batch(self, monkeypatch, rng, b):
@@ -687,13 +687,15 @@ class TestResidentBuffers:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        # the snapshot reloaded from its file has the digest the header holds
+        # the snapshot reloaded from its file has the digest the header holds;
+        # a snapshot file holds every edge's inverse, so it is not SMALL
+        splits = make_splits([(f"e{i}", f"r{i % 2}", f"e{(i + 1) % 6}") for i in range(6)])
         params = small_params(intersection_mode="deepsets", geometry="point")
         path, snapshot = tmp_path / "model.ckpt", tmp_path / "graph.snap"
-        save_checkpoint(path, params, SMALL)
-        save_splits(SMALL, snapshot)
+        save_checkpoint(path, params, splits)
+        save_splits(splits, snapshot)
         loaded = load_checkpoint(path, load_splits(snapshot))
-        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["snapshot"] == SMALL.digest()
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["snapshot"] == splits.digest()
         assert loaded.config == params.config
         assert (loaded.n_entities, loaded.n_relations) == (6, 4)
         for name in params.tensors:

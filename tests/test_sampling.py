@@ -31,6 +31,7 @@ from boxquery.synth import synthesize_triples
 
 from conftest import make_graph, make_splits, random_graph
 from oracles import (
+    NO_ANSWERS,
     answer_by_assignment_enumeration,
     answer_by_satisfiability,
     answer_exact,
@@ -213,9 +214,9 @@ class TestGenerateQueries:
             # oracle recheck against the stored sets
             assert set(q.answers.train) == answer_exact(splits.train, q)
         for q in out["valid"]:
-            assert set(q.answers.valid) - set(q.answers.train)
+            assert q.answers.valid_added
         for q in out["test"]:
-            assert set(q.answers.test) - set(q.answers.valid)
+            assert q.answers.test_added
             assert set(q.answers.test) == answer_exact(splits.test, q)
 
     def test_deduplication_within_structure(self):
@@ -245,9 +246,24 @@ class TestGenerateQueries:
             assert q.answers.train
 
 
+class TestAnswerSet:
+    @pytest.mark.parametrize("lists", [((1, 2), (2,), ()), ((1,), (), (1,)), ((), (4,), (4,)),
+                                       ((2, 1), (), ()), ((), (3, 3), ()), ((), (), (5, 6, 5))],
+                             ids=["train-valid", "train-test", "valid-test", "unsorted",
+                                  "repeated", "repeated-apart"])
+    def test_malformed_lists_rejected(self, lists):
+        with pytest.raises(ValueError, match="increase strictly and share no id"):
+            AnswerSet(*lists)
+
+    def test_valid_and_test_are_sorted_unions(self):
+        answers = AnswerSet((2, 7), (1, 9), (0, 5))
+        assert answers.valid == (1, 2, 7, 9)
+        assert answers.test == (0, 1, 2, 5, 7, 9)
+
+
 class TestAnswerCountReport:
     def test_single_query_mean(self):
-        q = GroundedQuery("1p", (0,), (0,), AnswerSet((1,), (1, 2), (1, 2, 3)))
+        q = GroundedQuery("1p", (0,), (0,), AnswerSet((1,), (2,), (3,)))
         assert answer_count_report([q]) == {"1p": 3.0}
 
     def test_bijective_graph_means_are_one(self, rng):
@@ -342,18 +358,26 @@ class TestQueryFiles:
             lists = [f.split(",") for f in record.split("\t")[3:] if f != "-"]
             assert sorted(int(i) for ids in lists for i in ids) == list(q.answers.test)
 
-    def test_failed_write_keeps_previous_file(self, tmp_path):
-        # the serializer raises part-way, at a query without answer sets
-        import dataclasses
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        # the serializer raises part-way, at the last query's first id list
+        import boxquery.sampling as sampling
 
         splits = make_splits([("A", "r", "B"), ("B", "s", "C"), ("C", "r", "A")])
         queries = generate_heldin_queries(splits, {"1p": 3, "2p": 3}, seed=4)
         path = tmp_path / "queries.txt"
         write_query_file(path, queries, splits)
         before = path.read_bytes()
-        broken = queries + [dataclasses.replace(queries[0], answers=None)]
-        with pytest.raises(ValueError, match="answer sets"):
-            write_query_file(path, broken, splits)
+        ids_to_text, calls = sampling._ids_to_text, []
+
+        def failing(ids):  # five id lists a record
+            calls.append(ids)
+            if len(calls) > 5 * (len(queries) - 1):
+                raise ValueError("serializer failed")
+            return ids_to_text(ids)
+
+        monkeypatch.setattr(sampling, "_ids_to_text", failing)
+        with pytest.raises(ValueError, match="serializer failed"):
+            write_query_file(path, queries, splits)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["queries.txt"]
 
@@ -390,7 +414,7 @@ class TestPlanMatchesGraphWalk:
                 states = [r.bit_generator.state for r in rngs]
                 assert states[0] == states[1] == states[2]
                 if ids is not None:
-                    bound = GroundedQuery(s.name, *plan.slots(*ids)).graph
+                    bound = GroundedQuery(s.name, *plan.slots(*ids), NO_ANSWERS).graph
                     assert degeneracies(bound, kg) == degeneracies_on_graph(bound, kg)
                 if expected is None:
                     assert q is None
@@ -412,7 +436,7 @@ class TestPlanMatchesGraphWalk:
             rng = np.random.default_rng(4)
             messages = []
             for _ in range(30):
-                bound = GroundedQuery(name, *plan.slots(*plan.ground(kg, rng))).graph
+                bound = GroundedQuery(name, *plan.slots(*plan.ground(kg, rng)), NO_ANSWERS).graph
                 messages += degeneracies(bound, kg)
                 assert degeneracies(bound, kg) == degeneracies_on_graph(bound, kg)
             assert messages, name

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,8 +18,8 @@ from boxquery.training import (
 
 from conftest import make_splits, random_graph, sized_splits
 from gradcheck import MODE_GRID, make_instance, query_loss_and_grads
-from oracles import (Box, answer_exact, batch_loss_and_grads_allocating, dist_box, embed_epfo,
-                     loss, query_loss_and_grads_per_candidate, try_instantiate)
+from oracles import (NO_ANSWERS, Box, answer_exact, batch_loss_and_grads_allocating, dist_box,
+                     embed_epfo, loss, query_loss_and_grads_per_candidate, try_instantiate)
 
 
 class TestLoss:
@@ -271,7 +272,7 @@ class TestSampleNegatives:
         v = splits.vocab
         answers = (v.entity_id("B"), v.entity_id("C"))
         q = GroundedQuery("1p", (v.entity_id("A"),), (v.relation_id("r"),),
-                          AnswerSet(answers, answers, answers))
+                          AnswerSet(answers, (), ()))
         return splits, q, v
 
     def test_forced_complement(self, rng):
@@ -295,7 +296,7 @@ class TestSampleNegatives:
         for trial in range(500):
             size = n - k if trial % 10 == 0 else int(rng.integers(0, n - k + 1))
             answers = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-            q = GroundedQuery("1p", (0,), (0,), AnswerSet(answers, answers, answers))
+            q = GroundedQuery("1p", (0,), (0,), AnswerSet(answers, (), ()))
             seed = int(rng.integers(1 << 31))
             got = sample_negatives(q, k, splits, np.random.default_rng(seed))
             candidates = np.setdiff1d(np.arange(n), np.asarray(answers, dtype=int))
@@ -308,7 +309,7 @@ class TestSampleNegatives:
         v = splits.vocab
         answers = (v.entity_id("e1"),)
         q = GroundedQuery("1p", (v.entity_id("e0"),), (v.relation_id("r"),),
-                          AnswerSet(answers, answers, answers))
+                          AnswerSet(answers, (), ()))
         counts = np.zeros(100)
         draws = 10_000
         for _ in range(draws):
@@ -344,6 +345,20 @@ class TestTrainLoop:
         only_3i = [q for q in queries if q.structure_name == "3i"]
         with pytest.raises(TrainingError):
             train(splits, only_3i, config)
+
+    def test_query_without_train_answers_rejected_before_a_step(self, monkeypatch):
+        # its train answers moved to the test-added list: no positive to draw
+        import boxquery.training as training_module
+
+        splits, queries, config = self.tiny_setup()
+        q = next(q for q in queries if q.structure_name == "2p")
+        bad = GroundedQuery("2p", q.anchors, q.relations, AnswerSet((), (), q.answers.train))
+        monkeypatch.setattr(training_module, "batch_loss_and_grads",
+                            lambda *a, **k: pytest.fail("a step ran"))
+        message = (f"2p training query with anchors {list(q.anchors)} and relations "
+                   f"{list(q.relations)} has no train answers")
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(splits, queries + [bad], config)
 
     def test_zero_learning_rate_changes_nothing(self):
         splits, queries, config = self.tiny_setup()
@@ -689,7 +704,7 @@ class TestWorkspaceMatchesAllocatingPass:
 
         n, b, k = 300, 64, 32
         params = ModelParams(ModelConfig(dim=64, negatives=k, seed=0), n, 4)
-        queries = [GroundedQuery("1p", (i,), (i % 4,)) for i in range(b)]
+        queries = [GroundedQuery("1p", (i,), (i % 4,), NO_ANSWERS) for i in range(b)]
         positives = rng.integers(n, size=b).tolist()
         negatives = rng.integers(n, size=(b, k))
         chunk = training_module._CANDIDATE_BLOCK * np.dtype(np.float64).itemsize
